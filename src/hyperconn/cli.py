@@ -32,6 +32,7 @@ from .model import (
     Hypergraph,
     HypergraphError,
     _edge_bitmasks,
+    _mask_vertices,
     boundary,
     components,
     degree_extremes,
@@ -335,8 +336,8 @@ def cmd_verify_lemma(args: argparse.Namespace) -> int:
         H = random_uniform_hypergraph(n, k, m, seed=rng.next_u64())
         x_mask = rng.below(1 << n)
         y_mask = rng.below(1 << n)
-        xs = _mask_set(x_mask, n)
-        ys = _mask_set(y_mask, n)
+        xs = frozenset(_mask_vertices(x_mask, n))
+        ys = frozenset(_mask_vertices(y_mask, n))
         lhs = len(boundary(H, xs | ys)) + len(boundary(H, xs & ys))
         rhs = len(boundary(H, xs)) + len(boundary(H, ys))
         if lhs > rhs:
@@ -443,8 +444,8 @@ def _boundary_size_table(H: Hypergraph) -> list[int]:
 
 
 def _print_uncrossing_violation(name: str, H: Hypergraph, x_mask: int, y_mask: int) -> None:
-    xs = _mask_set(x_mask, H.n)
-    ys = _mask_set(y_mask, H.n)
+    xs = frozenset(_mask_vertices(x_mask, H.n))
+    ys = frozenset(_mask_vertices(y_mask, H.n))
     print(f"violation in {name}:")
     print("  X = " + _render_ints(sorted(xs)))
     print("  Y = " + _render_ints(sorted(ys)))
@@ -455,10 +456,6 @@ def _print_uncrossing_violation(name: str, H: Hypergraph, x_mask: int, y_mask: i
         f" |boundary(Y)|={len(boundary(H, ys))}"
     )
     sys.stdout.write(serialize_hypergraph(H))
-
-
-def _mask_set(mask: int, n: int) -> frozenset[int]:
-    return frozenset(v for v in range(n) if mask >> v & 1)
 
 
 def _format_table(headers: tuple[str, ...], rows) -> list[str]:

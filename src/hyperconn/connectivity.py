@@ -7,7 +7,18 @@ unit-capacity max-flow problem: every hyperedge e becomes a node pair
 arcs v -> e_in and e_out -> v with capacity m + 1, which no minimum
 separating edge set can reach.  The max s-t flow then equals the minimum
 boundary over vertex sets separating s from t, and the vertex nodes
-reachable in the residual network form the witness side.
+reachable in the residual network form the witness side.  That side is
+the same for every maximum flow: it is the unique inclusion-minimal
+minimum side containing s (Picard & Queyranne, 1980).
+
+``edge_connectivity`` builds the network once per call and restores its
+capacities before each target.  Each flow is capped at the best value
+found so far; a flow that reaches the cap cannot improve the answer, so it
+is stopped there and no witness is built for it.  A witness is built only
+when a flow ends strictly below the best so far, and the loop stops once
+the best is 1, the least value of a connected input.  The answer is thus
+the witness of the first target reaching the minimum, exactly as if every
+flow had been solved in full.
 
 The oracle enumerates vertex subsets outright and shares no code with the
 flow route, so the two can check each other.
@@ -15,7 +26,6 @@ flow route, so the two can check each other.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .model import (
@@ -23,7 +33,9 @@ from .model import (
     Hypergraph,
     HypergraphError,
     _check_vertex,
+    _degrees,
     _edge_bitmasks,
+    _mask_vertices,
     boundary,
     components,
     degree_extremes,
@@ -62,7 +74,9 @@ class CutResult:
 class _Dinic:
     """Blocking-flow max-flow on an integer-capacity digraph.
 
-    Arcs are stored in pairs, so ``a ^ 1`` is the reverse of arc ``a``.
+    Arcs are stored in pairs, so ``a ^ 1`` is the reverse of arc ``a``.  Both
+    searches are iterative, so the length of an augmenting path is bounded
+    by memory, not by the interpreter's recursion limit.
     """
 
     def __init__(self, size: int) -> None:
@@ -79,46 +93,88 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0)
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int, limit: int) -> int:
+        """Push flow from s to t until it is maximum or reaches ``limit``.
+
+        A result below ``limit`` is the maximum flow value.
+        """
         total = 0
-        while True:
-            level = self._levels(s)
-            if level[t] < 0:
-                return total
-            it = [0] * self.size
-            while True:
-                pushed = self._augment(s, t, 1 << 60, level, it)
-                if not pushed:
-                    break
-                total += pushed
+        while total < limit:
+            level = self._levels(s, t)
+            if level is None:
+                break
+            total += self._blocking_flow(s, t, level, limit - total)
+        return total
 
-    def _levels(self, s: int) -> list[int]:
+    def _levels(self, s: int, t: int) -> list[int] | None:
+        """Residual distances to t, from a BFS over reversed arcs that
+        returns once s is labelled; None when t is unreachable from s.
+
+        Labelling from t rather than from s keeps every arc the DFS may
+        follow on a shortest path to t, so the DFS does not wander into the
+        part of the network that leads away from t.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
         level = [-1] * self.size
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for a in self.adj[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level
+        level[t] = 0
+        queue = [t]
+        for v in queue:
+            d = level[v] + 1
+            for b in adj[v]:
+                u = to[b]
+                if cap[b ^ 1] and level[u] < 0:
+                    level[u] = d
+                    if u == s:
+                        return level
+                    queue.append(u)
+        return None
 
-    def _augment(self, u: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.adj[u]):
-            a = self.adj[u][it[u]]
-            v = self.to[a]
-            if self.cap[a] > 0 and level[v] == level[u] + 1:
-                pushed = self._augment(v, t, min(limit, self.cap[a]), level, it)
-                if pushed:
-                    self.cap[a] -= pushed
-                    self.cap[a ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
+    def _blocking_flow(self, s: int, t: int, level: list[int], limit: int) -> int:
+        """Augment along paths whose every arc steps one level closer to t
+        until none is left or ``limit`` units have been pushed.
+
+        The DFS keeps its path as a stack of arcs and a per-node arc cursor.
+        A node whose arcs are exhausted is a dead end: its level is cleared
+        so no later path enters it.  After an augmentation the walk resumes
+        from the tail of the first arc it saturated.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
+        cursor = [0] * self.size
+        path: list[int] = []
+        total = 0
+        u = s
+        while True:
+            if u == t:
+                push = limit - total
+                for a in path:
+                    if cap[a] < push:
+                        push = cap[a]
+                keep = len(path)
+                for i, a in enumerate(path):
+                    cap[a] -= push
+                    cap[a ^ 1] += push
+                    if not cap[a] and i < keep:
+                        keep = i
+                total += push
+                if total == limit:
+                    return total
+                del path[keep:]
+                u = to[path[-1]] if path else s
+                continue
+            arcs = adj[u]
+            nxt = level[u] - 1
+            for i in range(cursor[u], len(arcs)):
+                a = arcs[i]
+                if cap[a] and level[to[a]] == nxt:
+                    cursor[u] = i
+                    path.append(a)
+                    u = to[a]
+                    break
+            else:
+                level[u] = -1
+                if not path:
+                    return total
+                u = to[path.pop() ^ 1]
 
     def residual_reachable(self, s: int) -> list[bool]:
         seen = [False] * self.size
@@ -148,6 +204,15 @@ def _build_network(H: Hypergraph) -> _Dinic:
     return net
 
 
+def _residual_side(H: Hypergraph, net: _Dinic, s: int, value: int) -> CutResult:
+    """The witness of a maximum flow of ``value`` from s, checked against it."""
+    reach = net.residual_reachable(s)
+    result = CutResult.from_side(H, (v for v in range(H.n) if reach[v]))
+    if result.value != value:
+        raise AssertionError("flow value disagrees with boundary size of the residual side")
+    return result
+
+
 def st_edge_connectivity(H: Hypergraph, s: int, t: int) -> CutResult:
     """Minimum number of edges whose removal separates s from t, with the
     witness side containing s."""
@@ -156,12 +221,8 @@ def st_edge_connectivity(H: Hypergraph, s: int, t: int) -> CutResult:
     if s == t:
         raise HypergraphError("source and target must differ")
     net = _build_network(H)
-    value = net.max_flow(s, t)
-    reach = net.residual_reachable(s)
-    result = CutResult.from_side(H, (v for v in range(H.n) if reach[v]))
-    if result.value != value:
-        raise AssertionError("flow value disagrees with boundary size of the residual side")
-    return result
+    # every unit of flow crosses its own capacity-1 edge arc, so m + 1 is no cap
+    return _residual_side(H, net, s, net.max_flow(s, t, H.m + 1))
 
 
 def edge_connectivity(H: Hypergraph) -> CutResult:
@@ -169,27 +230,30 @@ def edge_connectivity(H: Hypergraph) -> CutResult:
 
     The source is the lowest-indexed minimum-degree vertex; the minimum over
     all other targets is the global value because the witness side of a
-    global minimum cut either contains or excludes the source.  Disconnected
-    input yields value 0 with a component as witness.
+    global minimum cut either contains or excludes the source.  The result
+    is the witness of the first target that reaches that minimum.
+    Disconnected input yields value 0 with a component as witness.
     """
     if H.n < 2:
         raise HypergraphError("edge-connectivity is undefined for fewer than 2 vertices")
     comps = components(H)
     if len(comps) > 1:
         return CutResult.from_side(H, comps[0])
-    delta, _ = degree_extremes(H)
-    degs = [0] * H.n
-    for e in H.edges:
-        for v in e:
-            degs[v] += 1
-    s = next(v for v in range(H.n) if degs[v] == delta)
+    degs = _degrees(H)
+    s = degs.index(min(degs))
+    net = _build_network(H)
+    base = list(net.cap)
     best: CutResult | None = None
     for t in range(H.n):
         if t == s:
             continue
-        result = st_edge_connectivity(H, s, t)
-        if best is None or result.value < best.value:
-            best = result
+        limit = H.m + 1 if best is None else best.value
+        net.cap[:] = base
+        value = net.max_flow(s, t, limit)
+        if value < limit:
+            best = _residual_side(H, net, s, value)
+            if value == 1:
+                break  # connected, so no target goes below 1
     assert best is not None
     return best
 
@@ -257,6 +321,3 @@ def is_maximally_edge_connected(H: Hypergraph) -> bool:
     minimum degree."""
     return edge_connectivity(H).value == degree_extremes(H)[0]
 
-
-def _mask_vertices(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(v for v in range(n) if mask >> v & 1)

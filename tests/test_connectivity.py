@@ -19,6 +19,7 @@ from hyperconn import (
     affine_hypergraph,
     boundary,
     builtin_corpus,
+    degree,
     circulant_graph,
     complete_uniform,
     components,
@@ -97,6 +98,25 @@ def all_min_atom_sides(H):
     return best_value, sorted(s for s in sides if len(s) == min_size)
 
 
+def path_graph(n):
+    return Hypergraph(n, tuple((v, v + 1) for v in range(n - 1)))
+
+
+def first_strict_minimum(H):
+    """Uncapped reference for edge_connectivity: one full st flow per target
+    from the lowest-indexed minimum-degree source, keeping the first cut
+    that is strictly below every earlier one."""
+    degs = [degree(H, v) for v in range(H.n)]
+    s = degs.index(min(degs))
+    best = None
+    for t in range(H.n):
+        if t != s:
+            cut = st_edge_connectivity(H, s, t)
+            if best is None or cut.value < best.value:
+                best = cut
+    return best
+
+
 def assert_valid_cut(H, cut):
     side = set(cut.side)
     assert 0 < len(side) < H.n
@@ -157,6 +177,63 @@ def test_st_matches_removal_oracle_random():
                 assert cut.value == removal_st_kappa(H, s, t), (i, s, t)
                 assert s in cut.side and t not in cut.side
                 assert_valid_cut(H, cut)
+
+
+def test_st_deep_path():
+    # the augmenting path runs through about 15 000 network nodes
+    cut = st_edge_connectivity(path_graph(5000), 0, 4999)
+    assert cut.value == 1
+    assert cut.side == (0,)
+    assert cut.cut_edges == (0,)
+
+
+def test_edge_connectivity_deep_inputs():
+    assert edge_connectivity(path_graph(10000)).value == 1
+    cycle = edge_connectivity(circulant_graph(400, (1,)))
+    assert cycle.value == 2
+    assert cycle.side == (0,)
+
+
+def test_edge_connectivity_matches_uncapped_reference():
+    rng = SplitMix64(17)
+    checked = with_kappa_one = 0
+    seed = 700
+    while checked < 50:
+        seed += 1
+        n = 3 + rng.below(12) if checked < 40 else 21 + rng.below(10)
+        k = 2 + rng.below(min(n, 4) - 1)
+        H = random_uniform_hypergraph(n, k, n // (k - 1) + rng.below(2 * n), seed=seed)
+        if not is_connected(H):
+            continue
+        cut = edge_connectivity(H)
+        assert cut == first_strict_minimum(H), seed
+        if n <= 20:
+            assert cut.value == edge_connectivity_oracle(H).value, seed
+        checked += 1
+        with_kappa_one += cut.value == 1
+    assert with_kappa_one >= 5
+    for name, H in builtin_corpus():
+        if not is_connected(H):
+            continue
+        cut = edge_connectivity(H)
+        assert cut == first_strict_minimum(H), name
+        if H.n <= 20:
+            assert cut.value == edge_connectivity_oracle(H).value, name
+
+
+def test_edge_connectivity_matches_networkx_on_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = SplitMix64(19)
+    graphs = [circulant_graph(n, (1, 2)) for n in (5, 12, 30)] + [path_graph(9)]
+    for i in range(30):
+        n = 2 + rng.below(25)
+        graphs.append(random_uniform_hypergraph(n, 2, 1 + rng.below(3 * n), seed=800 + i))
+    for H in graphs:
+        G = nx.Graph()
+        G.add_nodes_from(range(H.n))
+        G.add_edges_from(H.edges)
+        assert G.number_of_edges() == H.m  # no multi-edges collapsed
+        assert edge_connectivity(H).value == nx.edge_connectivity(G), H
 
 
 def test_edge_connectivity_examples():
