@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,8 +32,8 @@ from .constructions import (
 from .model import (
     Hypergraph,
     HypergraphError,
-    _edge_bitmasks,
     _mask_vertices,
+    _side_boundaries,
     boundary,
     components,
     degree_extremes,
@@ -111,17 +112,16 @@ def analyze(
     notes: list[str] = []
     timings: dict[str, float] = {}
 
-    start = time.perf_counter()
-    sizes = tuple(sorted(Counter(len(e) for e in H.edges).items()))
-    delta, big_delta = degree_extremes(H)
-    try:
-        uniform_k = is_uniform(H)
-    except HypergraphError:
-        uniform_k = None
-        notes.append("uniformity: undefined (no edges)")
-    verdict = is_linear(H)
-    comps = components(H)
-    timings["base"] = (time.perf_counter() - start) * 1000.0
+    with _timed(timings, "base"):
+        sizes = tuple(sorted(Counter(len(e) for e in H.edges).items()))
+        delta, big_delta = degree_extremes(H)
+        try:
+            uniform_k = is_uniform(H)
+        except HypergraphError:
+            uniform_k = None
+            notes.append("uniformity: undefined (no edges)")
+        verdict = is_linear(H)
+        comps = components(H)
 
     report = AnalysisReport(
         n=H.n,
@@ -137,34 +137,39 @@ def analyze(
     )
 
     if connectivity:
-        start = time.perf_counter()
-        try:
-            cut = edge_connectivity(H)
-            report.kappa = cut.value
-            report.cut = cut
-            report.maximal = cut.value == delta
-        except HypergraphError as exc:
-            notes.append(f"edge connectivity: skipped ({exc})")
-        timings["connectivity"] = (time.perf_counter() - start) * 1000.0
+        with _timed(timings, "connectivity"):
+            try:
+                cut = edge_connectivity(H)
+                report.kappa = cut.value
+                report.cut = cut
+                report.maximal = cut.value == delta
+            except HypergraphError as exc:
+                notes.append(f"edge connectivity: skipped ({exc})")
 
     if transitivity:
-        start = time.perf_counter()
-        gens = transitivity_generators(H)
-        report.transitive = gens is not None
-        report.generators = tuple(gens) if gens else ()
-        timings["transitivity"] = (time.perf_counter() - start) * 1000.0
+        with _timed(timings, "transitivity"):
+            gens = transitivity_generators(H)
+            report.transitive = gens is not None
+            report.generators = tuple(gens) if gens else ()
 
     if atom:
-        start = time.perf_counter()
-        try:
-            report.atom = edge_atom(H)
-        except HypergraphError as exc:
-            notes.append(f"edge atom: skipped ({exc})")
-        timings["atom"] = (time.perf_counter() - start) * 1000.0
+        with _timed(timings, "atom"):
+            try:
+                report.atom = edge_atom(H)
+            except HypergraphError as exc:
+                notes.append(f"edge atom: skipped ({exc})")
 
     report.notes = tuple(notes)
     report.timings_ms = timings
     return report
+
+
+@contextmanager
+def _timed(timings: dict[str, float], name: str):
+    """Record the wall time of the ``with`` block as ``timings[name]`` in ms."""
+    start = time.perf_counter()
+    yield
+    timings[name] = (time.perf_counter() - start) * 1000.0
 
 
 def render_machine(report: AnalysisReport) -> str:
@@ -286,16 +291,16 @@ def _build_instance(args: argparse.Namespace) -> tuple[Hypergraph, list[str]]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    H = parse_hypergraph(Path(args.path).read_text(encoding="utf-8"))
-    parse_ms = (time.perf_counter() - start) * 1000.0
+    timings: dict[str, float] = {}
+    with _timed(timings, "parse"):
+        H = parse_hypergraph(Path(args.path).read_text(encoding="utf-8"))
     report = analyze(
         H,
         connectivity=args.connectivity,
         transitivity=args.transitivity,
         atom=args.atom,
     )
-    report.timings_ms = {"parse": parse_ms, **report.timings_ms}
+    report.timings_ms = {**timings, **report.timings_ms}
     if args.machine:
         sys.stdout.write(render_machine(report))
     else:
@@ -304,8 +309,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_lemma(args: argparse.Namespace) -> int:
-    if args.trials < 0 or args.nmax < 2:
-        raise HypergraphError("lemma check needs --trials >= 0 and --nmax >= 2")
+    # random sides are drawn below 2**nmax, and SplitMix64 draws below 2**64 at most
+    if args.trials < 0 or not 2 <= args.nmax <= 64:
+        raise HypergraphError("lemma check needs --trials >= 0 and 2 <= --nmax <= 64")
     exhaustive = [
         (name, H)
         for name, H in builtin_corpus()
@@ -417,29 +423,23 @@ def _hypothesis_gap(H: Hypergraph, which: str) -> str | None:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     H = parse_hypergraph(Path(args.path).read_text(encoding="utf-8"))
-    result = edge_connectivity_oracle(H)
-    print(f"kappa={result.value}")
-    if result.value == 0:
-        print("side=" + _render_ints(result.side))
-        print("cut=")
+    if is_connected(H):
+        # the atom's boundary is a minimum one, so one enumeration gives both
+        result, label = edge_atom(H), "atom"
     else:
-        atom = edge_atom(H)
-        print("atom=" + _render_ints(atom.side))
-        print("cut=" + _render_ints(atom.cut_edges))
+        result, label = edge_connectivity_oracle(H), "side"
+    print(f"kappa={result.value}")
+    print(f"{label}=" + _render_ints(result.side))
+    print("cut=" + _render_ints(result.cut_edges))
     return 0
 
 
 def _boundary_size_table(H: Hypergraph) -> list[int]:
     """|boundary(X)| for every vertex subset X, indexed by bitmask."""
-    emasks = _edge_bitmasks(H)
-    table = [0] * (1 << H.n)
-    for mask in range(1 << H.n):
-        count = 0
-        for em in emasks:
-            inside = em & mask
-            if inside and inside != em:
-                count += 1
-        table[mask] = count
+    full = (1 << H.n) - 1
+    table = [0] * (full + 1)
+    for mask, value in _side_boundaries(H):
+        table[mask] = table[full ^ mask] = value
     return table
 
 

@@ -20,8 +20,10 @@ the best is 1, the least value of a connected input.  The answer is thus
 the witness of the first target reaching the minimum, exactly as if every
 flow had been solved in full.
 
-The oracle enumerates vertex subsets outright and shares no code with the
-flow route, so the two can check each other.
+The oracle and the edge atom enumerate vertex sides outright.  Both read
+the boundary size of each side from one kernel, ``model._side_boundaries``,
+and neither shares any code with the flow route, so the oracle and the
+flow route can check each other.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .model import (
     HypergraphError,
     _check_vertex,
     _degrees,
-    _edge_bitmasks,
     _mask_vertices,
+    _side_boundaries,
     boundary,
     components,
     degree_extremes,
@@ -266,16 +268,9 @@ def edge_connectivity_oracle(H: Hypergraph) -> CutResult:
     """
     if not 2 <= H.n <= _ENUM_GUARD:
         raise GuardError(f"oracle enumeration requires 2 <= n <= {_ENUM_GUARD}, got n={H.n}")
-    emasks = _edge_bitmasks(H)
-    full = (1 << H.n) - 1
     best_val: int | None = None
     best_mask = 0
-    for mask in range(1, full, 2):
-        val = 0
-        for em in emasks:
-            inside = em & mask
-            if inside and inside != em:
-                val += 1
+    for mask, val in _side_boundaries(H):
         if best_val is None or val < best_val:
             best_val, best_mask = val, mask
             if val == 0:
@@ -294,16 +289,10 @@ def edge_atom(H: Hypergraph) -> CutResult:
         raise HypergraphError("edge atom is undefined for a disconnected hypergraph")
     if not 2 <= H.n <= _ENUM_GUARD:
         raise GuardError(f"atom enumeration requires 2 <= n <= {_ENUM_GUARD}, got n={H.n}")
-    emasks = _edge_bitmasks(H)
     n = H.n
     full = (1 << n) - 1
     best: tuple[int, int, tuple[int, ...]] | None = None
-    for mask in range(1, full, 2):
-        val = 0
-        for em in emasks:
-            inside = em & mask
-            if inside and inside != em:
-                val += 1
+    for mask, val in _side_boundaries(H):
         for side_mask in (mask, full ^ mask):
             size = side_mask.bit_count()
             if best is None or (val, size) < best[:2]:

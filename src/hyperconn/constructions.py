@@ -58,9 +58,9 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection, so no modulo bias."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        """Uniform integer in [0, bound), bound <= 2**64, by rejection, so no modulo bias."""
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must be in [1, 2**64], got {bound}")
         threshold = ((1 << 64) // bound) * bound
         while True:
             u = self.next_u64()

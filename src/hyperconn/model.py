@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "HypergraphError",
@@ -347,15 +347,19 @@ def _degrees(H: Hypergraph) -> list[int]:
     return degs
 
 
-def _edge_bitmasks(H: Hypergraph) -> list[int]:
-    """Each edge as a vertex bitmask; internal fast path for enumerations."""
-    out = []
-    for e in H.edges:
-        mask = 0
-        for v in e:
-            mask |= 1 << v
-        out.append(mask)
-    return out
+def _side_boundaries(H: Hypergraph) -> Iterator[tuple[int, int]]:
+    """``(mask, |boundary|)`` for every nonempty proper side containing vertex
+    0, in increasing mask order, which callers keeping a first minimum rely on.
+    A side's complement has the same boundary, so these 2**(n-1) - 1 sides
+    cover every nonempty proper side."""
+    emasks = [sum(1 << v for v in e) for e in H.edges]
+    for mask in range(1, (1 << H.n) - 1, 2):
+        val = 0
+        for em in emasks:
+            inside = em & mask
+            if inside and inside != em:
+                val += 1
+        yield mask, val
 
 
 def _mask_vertices(mask: int, n: int) -> tuple[int, ...]:

@@ -5,9 +5,18 @@ import sys
 
 import pytest
 
-from hyperconn import parse_hypergraph
+from hyperconn import (
+    builtin_corpus,
+    connectivity,
+    edge_atom,
+    edge_connectivity_oracle,
+    is_connected,
+    parse_hypergraph,
+    serialize_hypergraph,
+)
 from hyperconn.cli import _verdict_exit_code, analyze, main, render_machine
 from hyperconn.constructions import affine_hypergraph, complete_uniform
+from hyperconn.model import _side_boundaries
 
 MACHINE_KEY_ORDER = [
     "n",
@@ -46,8 +55,6 @@ def test_generate_writes_provenance_and_canonical_body(capsys, tmp_path):
     body = "".join(
         line + "\n" for line in text.splitlines() if not line.startswith("#")
     )
-    from hyperconn import serialize_hypergraph
-
     assert body == serialize_hypergraph(H)
 
 
@@ -272,6 +279,10 @@ def test_verify_lemma_rejects_bad_parameters(capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "verify", "lemma", "--nmax", "1")
     assert code == 2
+    # sides are drawn below 2**nmax, beyond one 64-bit draw for nmax > 64
+    code, out, err = run_cli(capsys, "verify", "lemma", "--trials", "50", "--nmax", "65")
+    assert code == 2
+    assert "2 <= --nmax <= 64" in err
 
 
 def test_verify_theorem_main_gates_and_passes(capsys, tmp_path):
@@ -325,19 +336,52 @@ def test_verdict_exit_code_flags_failures(capsys):
     assert "critical: c.hg" in out
 
 
-def test_oracle_command_connected(capsys, tmp_path):
+def test_oracle_command_connected(capsys, tmp_path, monkeypatch):
     path = gen(capsys, tmp_path, "a3.hg", "--family", "affine", "--k", "3")
+    runs = []
+
+    def counted(H):
+        runs.append(H.n)
+        return _side_boundaries(H)
+
+    monkeypatch.setattr(connectivity, "_side_boundaries", counted)
     code, out, err = run_cli(capsys, "oracle", str(path))
     assert code == 0
     assert out == "kappa=3\natom=0\ncut=0 1 2\n"
+    assert runs == [9]  # one enumeration gives kappa and the atom
 
 
 def test_oracle_command_disconnected(capsys, tmp_path):
     path = tmp_path / "m.hg"
-    path.write_text("h 4 2\ne 0 1\ne 2 3\n")
-    code, out, err = run_cli(capsys, "oracle", str(path))
-    assert code == 0
-    assert out == "kappa=0\nside=0 1\ncut=\n"
+    cases = [
+        ("h 4 2\ne 0 1\ne 2 3\n", "kappa=0\nside=0 1\ncut=\n"),
+        # the first zero side in increasing mask order
+        ("h 4 1\ne 0 2\n", "kappa=0\nside=0 2\ncut=\n"),
+    ]
+    for text, expected in cases:
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "oracle", str(path))
+        assert code == 0
+        assert out == expected
+
+
+def test_oracle_command_matches_library_on_corpus(capsys, tmp_path):
+    path = tmp_path / "c.hg"
+    checked = 0
+    for name, H in builtin_corpus():
+        if H.n > 12 or not is_connected(H):
+            continue
+        path.write_text(serialize_hypergraph(H))
+        code, out, err = run_cli(capsys, "oracle", str(path))
+        atom = edge_atom(H)
+        assert code == 0, name
+        assert out == (
+            f"kappa={edge_connectivity_oracle(H).value}\n"
+            f"atom={' '.join(map(str, atom.side))}\n"
+            f"cut={' '.join(map(str, atom.cut_edges))}\n"
+        ), name
+        checked += 1
+    assert checked >= 10
 
 
 def test_oracle_guard_exits_2(capsys, tmp_path):

@@ -41,8 +41,11 @@ def test_splitmix64_below_and_subset():
     for bound in (1, 2, 7, 100, 10**9):
         for _ in range(50):
             assert 0 <= rng.below(bound) < bound
+    assert 0 <= rng.below(1 << 64) < 1 << 64
     with pytest.raises(ValueError):
         rng.below(0)
+    with pytest.raises(ValueError):
+        rng.below((1 << 64) + 1)
     sub = SplitMix64(7).subset(10, 4)
     assert sub == SplitMix64(7).subset(10, 4)
     assert len(set(sub)) == 4

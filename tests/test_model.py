@@ -29,6 +29,7 @@ from hyperconn import (
     serialize_hypergraph,
     vertex_profile,
 )
+from hyperconn.model import _side_boundaries
 
 
 def brute_degree(H, v):
@@ -354,3 +355,32 @@ def test_uncrossing_inequality_random():
         lhs = len(boundary(H, X | Y)) + len(boundary(H, X & Y))
         rhs = len(boundary(H, X)) + len(boundary(H, Y))
         assert lhs <= rhs
+
+
+def test_side_boundaries_cover_every_side_in_order():
+    """Every nonempty proper side containing vertex 0, once, in increasing
+    mask order, each with its boundary size; on the corpus and on random
+    instances with multi-edges and isolated vertices."""
+    instances = [H for _, H in builtin_corpus() if H.n <= 12]
+    rng = SplitMix64(61)
+    for _ in range(60):
+        n = 1 + rng.below(10)
+        pool = n - rng.below(2) if n > 2 else n  # vertex n - 1 may be isolated
+        edges = []
+        if pool >= 2:
+            for _ in range(rng.below(2 * n)):
+                edges.append(rng.subset(pool, 2 + rng.below(min(pool, 4) - 1)))
+            if edges:
+                edges.append(edges[rng.below(len(edges))])
+        instances.append(Hypergraph(n, tuple(edges)))
+    assert any(H.n == 1 for H in instances)
+    assert any(len(set(H.edges)) < H.m for H in instances)
+    assert any(len({v for e in H.edges for v in e}) < H.n for H in instances)
+    for H in instances:
+        pairs = list(_side_boundaries(H))
+        masks = [mask for mask, _ in pairs]
+        assert len(masks) == 2 ** (H.n - 1) - 1
+        assert masks == sorted(set(masks))
+        for mask, value in pairs:
+            assert mask & 1 and mask != (1 << H.n) - 1
+            assert value == len(boundary(H, mask_set(mask, H.n)))
