@@ -2,119 +2,23 @@
 hypergraphs, plus generators for the structured families used to exercise
 them.  See the module docstrings for the underlying conventions: vertices
 are 0-based ints, edges are sorted tuples, everything is deterministic.
+
+The package exports exactly the ``__all__`` of its four library modules,
+so each public name is declared once, in the module that defines it.
 """
 
-from .connectivity import (
-    CutResult,
-    edge_atom,
-    edge_connectivity,
-    edge_connectivity_oracle,
-    is_maximally_edge_connected,
-    st_edge_connectivity,
-)
-from .constructions import (
-    ParallelClasses,
-    SplitMix64,
-    affine_doubled_family,
-    affine_hypergraph,
-    affine_plane_classes,
-    base_differences_distinct,
-    builtin_corpus,
-    circulant_graph,
-    complete_uniform,
-    cyclic_difference_hypergraph,
-    glued_complete_family,
-    linear_uniform_corpus,
-    random_uniform_hypergraph,
-    transitive_graph_corpus,
-)
-from .model import (
-    BoundaryProfile,
-    GuardError,
-    Hypergraph,
-    HypergraphError,
-    LinearityVerdict,
-    ParseError,
-    VertexProfile,
-    boundary,
-    boundary_profile,
-    components,
-    degree,
-    degree_extremes,
-    is_connected,
-    is_linear,
-    is_uniform,
-    parse_hypergraph,
-    serialize_hypergraph,
-    vertex_profile,
-)
-from .symmetry import (
-    BlockVerdict,
-    CapExceededError,
-    compose,
-    enumerate_automorphisms,
-    find_automorphism_mapping,
-    identity,
-    invert,
-    is_automorphism,
-    is_block_of_imprimitivity,
-    is_vertex_transitive,
-    transitivity_generators,
-    vertex_orbits,
-)
+from . import connectivity, constructions, model, symmetry
+from .connectivity import *  # noqa: F401,F403
+from .constructions import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .symmetry import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Hypergraph",
-    "HypergraphError",
-    "ParseError",
-    "GuardError",
-    "LinearityVerdict",
-    "BoundaryProfile",
-    "VertexProfile",
-    "parse_hypergraph",
-    "serialize_hypergraph",
-    "degree",
-    "degree_extremes",
-    "is_uniform",
-    "is_linear",
-    "components",
-    "is_connected",
-    "boundary",
-    "boundary_profile",
-    "vertex_profile",
-    "CutResult",
-    "st_edge_connectivity",
-    "edge_connectivity",
-    "edge_connectivity_oracle",
-    "edge_atom",
-    "is_maximally_edge_connected",
-    "CapExceededError",
-    "BlockVerdict",
-    "identity",
-    "compose",
-    "invert",
-    "is_automorphism",
-    "find_automorphism_mapping",
-    "is_vertex_transitive",
-    "transitivity_generators",
-    "vertex_orbits",
-    "enumerate_automorphisms",
-    "is_block_of_imprimitivity",
-    "ParallelClasses",
-    "SplitMix64",
-    "complete_uniform",
-    "glued_complete_family",
-    "affine_plane_classes",
-    "affine_hypergraph",
-    "affine_doubled_family",
-    "cyclic_difference_hypergraph",
-    "base_differences_distinct",
-    "circulant_graph",
-    "random_uniform_hypergraph",
-    "transitive_graph_corpus",
-    "linear_uniform_corpus",
-    "builtin_corpus",
+    *model.__all__,
+    *connectivity.__all__,
+    *symmetry.__all__,
+    *constructions.__all__,
 ]

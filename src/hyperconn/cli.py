@@ -47,19 +47,6 @@ from .symmetry import transitivity_generators
 
 __all__ = ["AnalysisReport", "analyze", "render_machine", "render_human", "main"]
 
-_MACHINE_KEYS = (
-    "n",
-    "m",
-    "delta",
-    "Delta",
-    "uniform_k",
-    "linear",
-    "connected",
-    "kappa",
-    "transitive",
-    "maximal",
-)
-
 _FAMILIES = (
     "complete",
     "glued-complete",
@@ -173,19 +160,19 @@ def _timed(timings: dict[str, float], name: str):
 
 
 def render_machine(report: AnalysisReport) -> str:
-    values = {
-        "n": report.n,
-        "m": report.m,
-        "delta": report.delta,
-        "Delta": report.Delta,
-        "uniform_k": _render_opt(report.uniform_k),
-        "linear": _render_bool(report.linear),
-        "connected": _render_bool(report.connected),
-        "kappa": _render_opt(report.kappa),
-        "transitive": "none" if report.transitive is None else _render_bool(report.transitive),
-        "maximal": "none" if report.maximal is None else _render_bool(report.maximal),
-    }
-    return "".join(f"{key}={values[key]}\n" for key in _MACHINE_KEYS)
+    fields = (
+        ("n", report.n),
+        ("m", report.m),
+        ("delta", report.delta),
+        ("Delta", report.Delta),
+        ("uniform_k", _render_opt(report.uniform_k)),
+        ("linear", _render_bool(report.linear)),
+        ("connected", _render_bool(report.connected)),
+        ("kappa", _render_opt(report.kappa)),
+        ("transitive", "none" if report.transitive is None else _render_bool(report.transitive)),
+        ("maximal", "none" if report.maximal is None else _render_bool(report.maximal)),
+    )
+    return "".join(f"{key}={value}\n" for key, value in fields)
 
 
 def render_human(report: AnalysisReport) -> str:
@@ -293,7 +280,7 @@ def _build_instance(args: argparse.Namespace) -> tuple[Hypergraph, list[str]]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     with _timed(timings, "parse"):
-        H = parse_hypergraph(Path(args.path).read_text(encoding="utf-8"))
+        H = _read_instance(args.path)
     report = analyze(
         H,
         connectivity=args.connectivity,
@@ -306,6 +293,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(render_human(report))
     return 0
+
+
+def _read_instance(path) -> Hypergraph:
+    """Parse an instance file; a file that is not UTF-8 or does not parse
+    raises a HypergraphError whose message starts with the path."""
+    try:
+        return parse_hypergraph(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, HypergraphError) as exc:
+        raise HypergraphError(f"{path}: {exc}") from None
 
 
 def cmd_verify_lemma(args: argparse.Namespace) -> int:
@@ -367,7 +363,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
         raise HypergraphError(f"corpus directory is empty: {corpus}")
     rows = []
     for path in files:
-        H = parse_hypergraph(path.read_text(encoding="utf-8"))
+        H = _read_instance(path)
         gap = _hypothesis_gap(H, args.which)
         if gap is None:
             kappa = edge_connectivity(H).value
@@ -422,7 +418,7 @@ def _hypothesis_gap(H: Hypergraph, which: str) -> str | None:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    H = parse_hypergraph(Path(args.path).read_text(encoding="utf-8"))
+    H = _read_instance(args.path)
     if is_connected(H):
         # the atom's boundary is a minimum one, so one enumeration gives both
         result, label = edge_atom(H), "atom"

@@ -100,18 +100,16 @@ def complete_uniform(n: int, k: int) -> Hypergraph:
     return Hypergraph(n, tuple(combinations(range(n), k)))
 
 
-def glued_complete_family(n: int, k: int, permissive: bool = False) -> Hypergraph:
+def glued_complete_family(n: int, k: int) -> Hypergraph:
     """k complete k-uniform blocks on n vertices each, glued by n joining edges.
 
     Block i (1-based) occupies vertices [(i-1)*n, i*n); the joining edge for
     position v collects that position across all blocks, so a 1-based label
-    (v, i) is vertex (i-1)*n + (v-1).  Requires k >= 3 and n >= k + 2, or
-    n >= k + 1 with ``permissive``.
+    (v, i) is vertex (i-1)*n + (v-1).  Requires k >= 3 and n >= k + 2.
     """
-    least = k + 1 if permissive else k + 2
-    if k < 3 or n < least:
+    if k < 3 or n < k + 2:
         raise HypergraphError(
-            f"glued complete family requires k >= 3 and n >= {least}, got n={n}, k={k}"
+            f"glued complete family requires k >= 3 and n >= {k + 2}, got n={n}, k={k}"
         )
     edges = []
     for i in range(k):

@@ -196,7 +196,7 @@ def serialize_hypergraph(H: Hypergraph) -> str:
 def degree(H: Hypergraph, v: int) -> int:
     """Number of edges incident to v (multi-edges counted with multiplicity)."""
     _check_vertex(H, v)
-    return sum(1 for e in H.edges if v in e)
+    return _degrees(H)[v]
 
 
 def degree_extremes(H: Hypergraph) -> tuple[int, int]:
@@ -237,10 +237,7 @@ def components(H: Hypergraph) -> list[list[int]]:
     Breadth-first traversal over vertex-edge incidences; isolated vertices
     form their own components.
     """
-    incident: list[list[int]] = [[] for _ in range(H.n)]
-    for i, e in enumerate(H.edges):
-        for v in e:
-            incident[v].append(i)
+    incident = _incidence(H)
     seen_v = [False] * H.n
     seen_e = [False] * H.m
     out: list[list[int]] = []
@@ -345,6 +342,16 @@ def _degrees(H: Hypergraph) -> list[int]:
         for v in e:
             degs[v] += 1
     return degs
+
+
+def _incidence(H: Hypergraph) -> list[list[int]]:
+    """For every vertex, the indices of the edges through it, in increasing
+    order; a multi-edge appears once per copy."""
+    incident: list[list[int]] = [[] for _ in range(H.n)]
+    for i, e in enumerate(H.edges):
+        for v in e:
+            incident[v].append(i)
+    return incident
 
 
 def _side_boundaries(H: Hypergraph) -> Iterator[tuple[int, int]]:

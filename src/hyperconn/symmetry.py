@@ -18,14 +18,11 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import Hypergraph, HypergraphError, _as_vertex_set
+from .model import Hypergraph, HypergraphError, _as_vertex_set, _incidence
 
 __all__ = [
     "CapExceededError",
     "BlockVerdict",
-    "identity",
-    "compose",
-    "invert",
     "is_automorphism",
     "find_automorphism_mapping",
     "is_vertex_transitive",
@@ -52,22 +49,6 @@ class BlockVerdict(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.is_block
-
-
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
-def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """The permutation applying q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def invert(p: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, image in enumerate(p):
-        out[image] = i
-    return tuple(out)
 
 
 def is_automorphism(H: Hypergraph, p: Sequence[int]) -> bool:
@@ -117,34 +98,29 @@ def transitivity_generators(H: Hypergraph) -> list[tuple[int, ...]] | None:
 def vertex_orbits(H: Hypergraph) -> list[list[int]]:
     """Orbits of the automorphism group, each sorted, ordered by minimum.
 
-    Pairwise searches merged under closure: every found automorphism glues
-    w to p[w] for all w, so one success can collapse many future searches.
+    Every automorphism found is kept, and each orbit is closed under all of
+    them before any fresh search, as in :func:`transitivity_generators`.  A
+    vertex already placed in an earlier orbit is skipped, and one success
+    can carry the orbit to many later targets at once.
     """
-    parent = list(range(H.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    gens: list[tuple[int, ...]] = []
+    placed = [False] * H.n
+    orbits: list[list[int]] = []
     for u in range(H.n):
+        if placed[u]:
+            continue
+        orbit = _orbit_of(u, gens)
         for v in range(u + 1, H.n):
-            if find(u) == find(v):
+            if v in orbit or placed[v]:
                 continue
             p = find_automorphism_mapping(H, u, v)
             if p is not None:
-                for w in range(H.n):
-                    union(w, p[w])
-    groups: dict[int, list[int]] = {}
-    for w in range(H.n):
-        groups.setdefault(find(w), []).append(w)
-    return [sorted(members) for _, members in sorted(groups.items())]
+                gens.append(p)
+                orbit = _orbit_of(u, gens)
+        for w in orbit:
+            placed[w] = True
+        orbits.append(sorted(orbit))
+    return orbits
 
 
 def enumerate_automorphisms(H: Hypergraph, cap: int = 10000) -> list[tuple[int, ...]]:
@@ -244,10 +220,7 @@ def _search(
     n = H.n
     edges = H.edges
     m = len(edges)
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(edges):
-        for v in e:
-            incident[v].append(i)
+    incident = _incidence(H)
     size_of = [len(e) for e in edges]
     by_size: list[dict[int, frozenset[int]]] = []
     for v in range(n):

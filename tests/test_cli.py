@@ -1,10 +1,12 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hyperconn
 from hyperconn import (
     builtin_corpus,
     connectivity,
@@ -254,6 +256,30 @@ def test_analyze_parse_error_exits_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_non_utf8_instance_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin.hg"
+    path.write_bytes(b"h 3 1\ne 0 \xff 1\n")
+    for argv in (("analyze", str(path)), ("oracle", str(path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "latin.hg" in err
+
+
+def test_verify_theorem_names_a_bad_file(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    gen(capsys, corpus, "affine_3.hg", "--family", "affine", "--k", "3")
+    (corpus / "broken.hg").write_text("h 2 1\ne 0 1\ne 0 1\n")
+    (corpus / "latin.hg").write_bytes(b"h 3 1\ne 0 \xff 1\n")
+    code, out, err = run_cli(capsys, "verify", "theorem", "--corpus", str(corpus), "--which", "main")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "broken.hg" in err
+    assert "line 3" in err
+
+
 def test_analyze_library_entry_matches_cli(capsys, tmp_path):
     report = analyze(complete_uniform(5, 3), connectivity=True)
     assert render_machine(report) == GOLDEN_COMPLETE_5_3
@@ -391,7 +417,10 @@ def test_oracle_guard_exits_2(capsys, tmp_path):
     assert "2 <= n <= 20" in err
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, monkeypatch):
+    # the subprocesses import the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(hyperconn.__file__))
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     path = tmp_path / "k4.hg"
     proc = subprocess.run(
         [sys.executable, "-m", "hyperconn", "generate", "--family", "complete",

@@ -84,12 +84,10 @@ def test_glued_complete_parameter_guard():
     with pytest.raises(HypergraphError) as err:
         glued_complete_family(4, 3)
     assert "n >= 5" in str(err.value)
-    relaxed = glued_complete_family(4, 3, permissive=True)
-    assert (relaxed.n, relaxed.m) == (12, 16)
     with pytest.raises(HypergraphError):
         glued_complete_family(10, 2)
     with pytest.raises(HypergraphError):
-        glued_complete_family(3, 3, permissive=True)
+        glued_complete_family(3, 3)
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])

@@ -29,7 +29,7 @@ from hyperconn import (
     serialize_hypergraph,
     vertex_profile,
 )
-from hyperconn.model import _side_boundaries
+from hyperconn.model import _incidence, _side_boundaries
 
 
 def brute_degree(H, v):
@@ -141,9 +141,12 @@ def test_degree_against_brute_force():
         n = 2 + rng.below(9)
         k = 2 + rng.below(min(n, 4) - 1)
         instances.append(random_uniform_hypergraph(n, k, 1 + rng.below(2 * n), seed=i))
+    instances.append(Hypergraph(4, ((0, 1), (1, 2, 3), (0, 1))))
     for H in instances:
+        incident = _incidence(H)
         for v in range(H.n):
             assert degree(H, v) == brute_degree(H, v)
+            assert incident[v] == [i for i, e in enumerate(H.edges) if v in e]
         degs = [brute_degree(H, v) for v in range(H.n)]
         assert degree_extremes(H) == (min(degs), max(degs))
 

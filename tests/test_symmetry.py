@@ -1,6 +1,6 @@
 """Automorphism search against exhaustive permutation enumeration.
 
-The brute oracle tries all n! permutations for n <= 6, so every engine
+The brute oracle tries all n! permutations for n <= 7, so every engine
 result on small instances is checked against ground truth.
 """
 
@@ -18,13 +18,10 @@ from hyperconn import (
     builtin_corpus,
     circulant_graph,
     complete_uniform,
-    compose,
     degree,
     edge_atom,
     enumerate_automorphisms,
     find_automorphism_mapping,
-    identity,
-    invert,
     is_automorphism,
     is_block_of_imprimitivity,
     is_vertex_transitive,
@@ -38,7 +35,7 @@ MATCHING_4 = Hypergraph(4, ((0, 1), (2, 3)))
 
 
 def brute_automorphisms(H):
-    assert H.n <= 6
+    assert H.n <= 7
     target = Counter(H.edges)
     found = []
     for p in permutations(range(H.n)):
@@ -46,14 +43,6 @@ def brute_automorphisms(H):
         if mapped == target:
             found.append(p)
     return sorted(found)
-
-
-def random_permutation(n, rng):
-    p = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.below(i + 1)
-        p[i], p[j] = p[j], p[i]
-    return tuple(p)
 
 
 def orbit_partition(n, perms):
@@ -74,19 +63,6 @@ def orbit_partition(n, perms):
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
     return sorted(groups.values())
-
-
-def test_permutation_algebra():
-    rng = SplitMix64(17)
-    for n in (1, 2, 5, 9):
-        assert identity(n) == tuple(range(n))
-        for _ in range(10):
-            p = random_permutation(n, rng)
-            q = random_permutation(n, rng)
-            assert compose(p, invert(p)) == identity(n)
-            assert compose(invert(p), p) == identity(n)
-            r = random_permutation(n, rng)
-            assert compose(p, compose(q, r)) == compose(compose(p, q), r)
 
 
 def test_is_automorphism_examples():
@@ -132,11 +108,11 @@ def test_enumerate_matches_brute_force():
 def test_enumerated_group_is_closed():
     for H in (PATH_3, circulant_graph(6, (1,)), complete_uniform(4, 3)):
         group = set(enumerate_automorphisms(H, cap=10000))
-        assert identity(H.n) in group
+        assert tuple(range(H.n)) in group
         for p in group:
-            assert invert(p) in group
+            assert tuple(p.index(v) for v in range(H.n)) in group
             for q in group:
-                assert compose(p, q) in group
+                assert tuple(p[q[i]] for i in range(H.n)) in group
 
 
 def test_enumerate_cap_behavior():
@@ -160,9 +136,26 @@ def test_vertex_orbits_examples():
 
 
 def test_vertex_orbits_match_brute_force():
-    for H in (PATH_3, MATCHING_4, Hypergraph(6, ((0, 1, 2), (3, 4, 5))),
-              circulant_graph(6, (1,)), complete_uniform(4, 3)):
-        assert vertex_orbits(H) == orbit_partition(H.n, brute_automorphisms(H))
+    cases = [PATH_3, MATCHING_4, Hypergraph(6, ((0, 1, 2), (3, 4, 5))),
+             circulant_graph(6, (1,)), complete_uniform(4, 3), Hypergraph(7, ())]
+    rng = SplitMix64(23)
+    for _ in range(40):
+        # small random edge sets: often disconnected, sometimes with a
+        # repeated edge or an edgeless vertex, so orbits of several sizes
+        n = 2 + rng.below(6)
+        edges = []
+        for _ in range(rng.below(n + 1)):
+            k = 2 + rng.below(min(n, 3) - 1)
+            edges.append(rng.subset(n, k))
+        if edges and rng.below(3) == 0:
+            edges.append(edges[0])
+        cases.append(Hypergraph(n, tuple(edges)))
+    multi_vertex = 0
+    for H in cases:
+        expected = orbit_partition(H.n, brute_automorphisms(H))
+        assert vertex_orbits(H) == expected
+        multi_vertex += sum(1 for orbit in expected if len(orbit) > 1) > 1
+    assert multi_vertex >= 10
 
 
 def test_transitivity_examples():
@@ -242,4 +235,4 @@ def test_doubled_copy_is_atom_and_block():
     for _ in range(50):
         p = autos[rng.below(len(autos))]
         q = autos[rng.below(len(autos))]
-        assert compose(p, q) in set(autos)
+        assert tuple(p[q[i]] for i in range(H.n)) in set(autos)
