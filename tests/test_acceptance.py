@@ -18,6 +18,7 @@ from hyperconn import (
     edge_connectivity,
     edge_connectivity_oracle,
     enumerate_automorphisms,
+    is_automorphism,
     is_block_of_imprimitivity,
     is_connected,
     is_linear,
@@ -302,3 +303,28 @@ def test_criterion_10_byte_identical_reruns(capsys, tmp_path):
     assert first == second
     assert first.encode("utf-8") == second.encode("utf-8")
     print("[pass] criterion 10: full machine-readable suite byte-identical across reruns")
+
+
+def test_criterion_11_affine_transitivity_scales():
+    """Transitivity generators for affine k=7 and k=11 are automorphisms whose
+    orbit of vertex 0 is every vertex."""
+    timings = []
+    for k, ceiling in ((7, 5.0), (11, 30.0)):
+        H = affine_hypergraph(k)
+        start = time.perf_counter()
+        gens = transitivity_generators(H)
+        elapsed = time.perf_counter() - start
+        assert gens is not None
+        assert all(is_automorphism(H, p) for p in gens)
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            v = frontier.pop()
+            for p in gens:
+                if p[v] not in reached:
+                    reached.add(p[v])
+                    frontier.append(p[v])
+        assert reached == set(range(H.n))
+        assert elapsed < ceiling
+        timings.append(f"k={k} {elapsed:.2f}s < {ceiling:.0f}s")
+    print(f"[pass] criterion 11: affine transitivity, {', '.join(timings)}")

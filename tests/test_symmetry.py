@@ -4,6 +4,7 @@ The brute oracle tries all n! permutations for n <= 7, so every engine
 result on small instances is checked against ground truth.
 """
 
+import sys
 from collections import Counter
 from itertools import permutations
 
@@ -25,9 +26,11 @@ from hyperconn import (
     is_automorphism,
     is_block_of_imprimitivity,
     is_vertex_transitive,
+    serialize_hypergraph,
     transitivity_generators,
     vertex_orbits,
 )
+from hyperconn.cli import main
 from hyperconn.constructions import affine_doubled_family
 
 PATH_3 = Hypergraph(3, ((0, 1), (1, 2)))
@@ -85,6 +88,61 @@ def test_find_automorphism_mapping():
         find_automorphism_mapping(PATH_3, 0, 5)
 
 
+def test_search_deep_inputs(tmp_path, capsys):
+    # one search level per vertex, so a recursive search would overflow
+    limit = sys.getrecursionlimit()
+    path = tmp_path / "cycle_5000.hg"
+    path.write_text(serialize_hypergraph(circulant_graph(5000, (1,))))
+    assert main(["analyze", str(path), "--transitivity", "--machine"]) == 0
+    got = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert got["transitive"] == "true"
+    P = Hypergraph(5000, tuple((v, v + 1) for v in range(4999)))
+    assert find_automorphism_mapping(P, 0, 4999) == tuple(range(4999, -1, -1))
+    assert find_automorphism_mapping(P, 1, 2) is None
+    assert sys.getrecursionlimit() == limit
+
+
+def test_find_mapping_matches_networkx_isomorphism():
+    """A mapping u -> v exists exactly when the vertex-edge incidence graph
+    with u marked is isomorphic to the one with v marked."""
+    nx = pytest.importorskip("networkx")
+    rng = SplitMix64(31)
+    found = refuted = with_multi = with_isolated = 0
+    for _ in range(40):
+        n = 1 + rng.below(12)
+        edges = []
+        if n >= 2:
+            for _ in range(rng.below(2 * n + 1)):
+                edges.append(rng.subset(n, 2 + rng.below(min(n, 4) - 1)))
+            if edges and rng.below(3) == 0:
+                edges.append(edges[rng.below(len(edges))])
+        H = Hypergraph(n, tuple(edges))
+        with_multi += len(set(H.edges)) < H.m
+        with_isolated += any(degree(H, x) == 0 for x in range(n))
+
+        def incidence(marked):
+            G = nx.Graph()
+            G.add_nodes_from((("v", x), {"colour": "u" if x == marked else "v"}) for x in range(n))
+            G.add_nodes_from((("e", i), {"colour": "e"}) for i in range(H.m))
+            G.add_edges_from((("v", x), ("e", i)) for i, e in enumerate(H.edges) for x in e)
+            return G
+
+        u = rng.below(n)
+        G_u = incidence(u)
+        for v in range(n):
+            matcher = nx.algorithms.isomorphism.GraphMatcher(
+                G_u, incidence(v), node_match=lambda a, b: a["colour"] == b["colour"]
+            )
+            p = find_automorphism_mapping(H, u, v)
+            assert (p is not None) == matcher.is_isomorphic(), (H, u, v)
+            if p is not None:
+                assert is_automorphism(H, p) and p[u] == v
+            found += p is not None
+            refuted += p is None
+    assert with_multi >= 5 and with_isolated >= 5
+    assert found >= 50 and refuted >= 50
+
+
 def test_enumerate_matches_brute_force():
     cases = [
         PATH_3,
@@ -103,6 +161,18 @@ def test_enumerate_matches_brute_force():
         assert len(brute) == size
         assert got == brute
         assert got == sorted(got)
+
+
+def test_search_keeps_edge_multiplicities():
+    # A 4-cycle with two opposite edges doubled: every vertex looks alike,
+    # and the rotation passes each edge-by-edge test but moves a doubled
+    # edge onto a single one, so only the multiset check rejects it.
+    H = Hypergraph(4, ((0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)))
+    assert not is_automorphism(H, (1, 2, 3, 0))
+    assert enumerate_automorphisms(H) == brute_automorphisms(H)
+    for v in range(4):
+        p = find_automorphism_mapping(H, 0, v)
+        assert p is not None and p[0] == v and is_automorphism(H, p)
 
 
 def test_enumerated_group_is_closed():
