@@ -6,10 +6,13 @@ unit-capacity max-flow problem: every hyperedge e becomes a node pair
 (e_in, e_out) joined by a capacity-1 arc, and every incidence v in e adds
 arcs v -> e_in and e_out -> v with capacity m + 1, which no minimum
 separating edge set can reach.  The max s-t flow then equals the minimum
-boundary over vertex sets separating s from t, and the vertex nodes
-reachable in the residual network form the witness side.  That side is
-the same for every maximum flow: it is the unique inclusion-minimal
-minimum side containing s (Picard & Queyranne, 1980).
+boundary over vertex sets separating s from t.  ``_Dinic`` finds it in
+phases: a BFS from s labels residual distances, then a walk from t back to
+s pushes one unit along each path that steps one level down.  The BFS that
+no longer reaches t has labelled the residual reach of s, and its vertex
+nodes form the witness side.  That side is the same for every maximum
+flow: it is the unique inclusion-minimal minimum side containing s
+(Picard & Queyranne, 1980).
 
 ``edge_connectivity`` builds the network once per call and restores its
 capacities before each target.  Each flow is capped at the best value
@@ -74,11 +77,18 @@ class CutResult:
 
 
 class _Dinic:
-    """Blocking-flow max-flow on an integer-capacity digraph.
+    """Dinic's max-flow on the edge network of ``_build_network``.
 
-    Arcs are stored in pairs, so ``a ^ 1`` is the reverse of arc ``a``.  Both
-    searches are iterative, so the length of an augmenting path is bounded
-    by memory, not by the interpreter's recursion limit.
+    Arcs are stored in pairs, so ``a ^ 1`` is the reverse of arc ``a``.
+    Levels are labelled from s and paths are walked from t, so every node
+    the walk enters was reached from s and the walk does not wander.  Both
+    searches are iterative, so path length is bounded by memory, not by the
+    interpreter's recursion limit.
+
+    One unit per path is always right: all flow through edge i crosses its
+    capacity-1 arc e_in -> e_out, so every residual arc out of e_in, or from
+    a vertex into e_out, has capacity at most 1, and a path between two
+    vertex nodes takes one of them.  ``_residual_side`` checks the value.
     """
 
     def __init__(self, size: int) -> None:
@@ -95,101 +105,79 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0)
 
-    def max_flow(self, s: int, t: int, limit: int) -> int:
+    def max_flow(self, s: int, t: int, limit: int) -> tuple[int, list[int] | None]:
         """Push flow from s to t until it is maximum or reaches ``limit``.
 
-        A result below ``limit`` is the maximum flow value.
+        Returns ``(value, reach)``.  Below ``limit`` the value is the maximum
+        flow, and the last BFS, which found no path to t, labelled exactly
+        the residual reach of s: node x is reached when ``reach[x] >= 0``.
+        ``reach`` is None when the flow stopped at ``limit``.
         """
         total = 0
         while total < limit:
             level = self._levels(s, t)
-            if level is None:
-                break
+            if level[t] < 0:
+                return total, level
             total += self._blocking_flow(s, t, level, limit - total)
-        return total
+        return total, None
 
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        """Residual distances to t, from a BFS over reversed arcs that
-        returns once s is labelled; None when t is unreachable from s.
-
-        Labelling from t rather than from s keeps every arc the DFS may
-        follow on a shortest path to t, so the DFS does not wander into the
-        part of the network that leads away from t.
-        """
+    def _levels(self, s: int, t: int) -> list[int]:
+        """Residual distances from s, by a BFS that returns once t is
+        labelled; -1 marks a node not labelled."""
         adj, to, cap = self.adj, self.to, self.cap
         level = [-1] * self.size
-        level[t] = 0
-        queue = [t]
-        for v in queue:
-            d = level[v] + 1
-            for b in adj[v]:
-                u = to[b]
-                if cap[b ^ 1] and level[u] < 0:
-                    level[u] = d
-                    if u == s:
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            d = level[u] + 1
+            for a in adj[u]:
+                v = to[a]
+                if cap[a] and level[v] < 0:
+                    level[v] = d
+                    if v == t:
                         return level
-                    queue.append(u)
-        return None
+                    queue.append(v)
+        return level
 
     def _blocking_flow(self, s: int, t: int, level: list[int], limit: int) -> int:
-        """Augment along paths whose every arc steps one level closer to t
-        until none is left or ``limit`` units have been pushed.
+        """Push one unit along each path from s to t whose every arc steps
+        one level up, until none is left or ``limit`` units have been pushed.
 
-        The DFS keeps its path as a stack of arcs and a per-node arc cursor.
-        A node whose arcs are exhausted is a dead end: its level is cleared
-        so no later path enters it.  After an augmentation the walk resumes
-        from the tail of the first arc it saturated.
+        The walk starts at t and keeps its path as a stack of the arcs it
+        crossed backwards, with a per-node arc cursor.  A node whose arcs
+        are exhausted is a dead end: its level is cleared to -1 so no later
+        walk enters it.  After each push the walk restarts from t.
         """
         adj, to, cap = self.adj, self.to, self.cap
         cursor = [0] * self.size
         path: list[int] = []
         total = 0
-        u = s
+        v = t
         while True:
-            if u == t:
-                push = limit - total
+            if v == s:
                 for a in path:
-                    if cap[a] < push:
-                        push = cap[a]
-                keep = len(path)
-                for i, a in enumerate(path):
-                    cap[a] -= push
-                    cap[a ^ 1] += push
-                    if not cap[a] and i < keep:
-                        keep = i
-                total += push
+                    cap[a] -= 1
+                    cap[a ^ 1] += 1
+                total += 1
                 if total == limit:
                     return total
-                del path[keep:]
-                u = to[path[-1]] if path else s
+                path.clear()
+                v = t
                 continue
-            arcs = adj[u]
-            nxt = level[u] - 1
-            for i in range(cursor[u], len(arcs)):
-                a = arcs[i]
-                if cap[a] and level[to[a]] == nxt:
-                    cursor[u] = i
-                    path.append(a)
-                    u = to[a]
+            arcs = adj[v]
+            prev = level[v] - 1
+            for i in range(cursor[v], len(arcs)):
+                b = arcs[i]
+                if cap[b ^ 1] and level[to[b]] == prev:
+                    cursor[v] = i
+                    path.append(b ^ 1)
+                    v = to[b]
                     break
             else:
-                level[u] = -1
+                level[v] = -1
                 if not path:
                     return total
-                u = to[path.pop() ^ 1]
-
-    def residual_reachable(self, s: int) -> list[bool]:
-        seen = [False] * self.size
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for a in self.adj[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return seen
+                v = to[path.pop()]
 
 
 def _build_network(H: Hypergraph) -> _Dinic:
@@ -206,10 +194,10 @@ def _build_network(H: Hypergraph) -> _Dinic:
     return net
 
 
-def _residual_side(H: Hypergraph, net: _Dinic, s: int, value: int) -> CutResult:
-    """The witness of a maximum flow of ``value`` from s, checked against it."""
-    reach = net.residual_reachable(s)
-    result = CutResult.from_side(H, (v for v in range(H.n) if reach[v]))
+def _residual_side(H: Hypergraph, value: int, reach: list[int]) -> CutResult:
+    """The witness of a maximum flow of ``value``, the vertices in its
+    residual ``reach``, checked against it."""
+    result = CutResult.from_side(H, (v for v in range(H.n) if reach[v] >= 0))
     if result.value != value:
         raise AssertionError("flow value disagrees with boundary size of the residual side")
     return result
@@ -224,7 +212,7 @@ def st_edge_connectivity(H: Hypergraph, s: int, t: int) -> CutResult:
         raise HypergraphError("source and target must differ")
     net = _build_network(H)
     # every unit of flow crosses its own capacity-1 edge arc, so m + 1 is no cap
-    return _residual_side(H, net, s, net.max_flow(s, t, H.m + 1))
+    return _residual_side(H, *net.max_flow(s, t, H.m + 1))
 
 
 def edge_connectivity(H: Hypergraph) -> CutResult:
@@ -251,9 +239,9 @@ def edge_connectivity(H: Hypergraph) -> CutResult:
             continue
         limit = H.m + 1 if best is None else best.value
         net.cap[:] = base
-        value = net.max_flow(s, t, limit)
+        value, reach = net.max_flow(s, t, limit)
         if value < limit:
-            best = _residual_side(H, net, s, value)
+            best = _residual_side(H, value, reach)
             if value == 1:
                 break  # connected, so no target goes below 1
     assert best is not None
@@ -291,18 +279,21 @@ def edge_atom(H: Hypergraph) -> CutResult:
         raise GuardError(f"atom enumeration requires 2 <= n <= {_ENUM_GUARD}, got n={H.n}")
     n = H.n
     full = (1 << n) - 1
-    best: tuple[int, int, tuple[int, ...]] | None = None
+    best_val, best_size, best_mask = H.m + 1, n, 0
     for mask, val in _side_boundaries(H):
-        for side_mask in (mask, full ^ mask):
-            size = side_mask.bit_count()
-            if best is None or (val, size) < best[:2]:
-                best = (val, size, _mask_vertices(side_mask, n))
-            elif (val, size) == best[:2]:
-                verts = _mask_vertices(side_mask, n)
-                if verts < best[2]:
-                    best = (val, size, verts)
-    assert best is not None
-    return CutResult.from_side(H, best[2])
+        if val > best_val:
+            continue
+        for side in (mask, full ^ mask):
+            size = side.bit_count()
+            if val < best_val or size < best_size:
+                best_val, best_size, best_mask = val, size, side
+            elif size == best_size:
+                # Of two sides of one size, the one holding the lowest vertex
+                # where they differ has the smaller sorted vertex sequence.
+                diff = side ^ best_mask
+                if side & diff & -diff:
+                    best_mask = side
+    return CutResult.from_side(H, _mask_vertices(best_mask, n))
 
 
 def is_maximally_edge_connected(H: Hypergraph) -> bool:

@@ -74,17 +74,7 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise HypergraphError(f"vertex count must be >= 1, got {self.n}")
-        norm = []
-        for e in self.edges:
-            verts = tuple(sorted(e))
-            if len(verts) < 2:
-                raise HypergraphError(f"edge {verts} has size {len(verts)}, minimum is 2")
-            if any(a == b for a, b in zip(verts, verts[1:])):
-                raise HypergraphError(f"edge {verts} repeats a vertex")
-            if verts[0] < 0 or verts[-1] >= self.n:
-                raise HypergraphError(f"edge {verts} has a vertex outside [0, {self.n - 1}]")
-            norm.append(verts)
-        object.__setattr__(self, "edges", tuple(norm))
+        object.__setattr__(self, "edges", tuple([_normalize_edge(e, self.n) for e in self.edges]))
 
     @property
     def m(self) -> int:
@@ -165,18 +155,13 @@ def parse_hypergraph(text: str) -> Hypergraph:
         if len(edges) >= m:
             raise ParseError(line_no, f"edge count mismatch, header declares {m} edges")
         try:
-            verts = sorted(int(f) for f in fields[1:])
+            verts = [int(f) for f in fields[1:]]
         except ValueError:
             raise ParseError(line_no, "malformed edge line, vertices must be integers") from None
-        if len(verts) < 2:
-            raise ParseError(line_no, f"edge of size {len(verts)}, minimum is 2")
-        for a, b in zip(verts, verts[1:]):
-            if a == b:
-                raise ParseError(line_no, f"repeated vertex {a} within edge")
-        if verts[0] < 0 or verts[-1] >= n:
-            bad = verts[0] if verts[0] < 0 else verts[-1]
-            raise ParseError(line_no, f"vertex index {bad} out of range [0, {n - 1}]")
-        edges.append(tuple(verts))
+        try:
+            edges.append(_normalize_edge(verts, n))
+        except HypergraphError as exc:
+            raise ParseError(line_no, str(exc)) from None
     if header is None:
         raise ParseError(last_line + 1, "malformed header, missing 'h <n> <m>' line")
     n, m = header
@@ -328,6 +313,21 @@ def _as_vertex_set(H: Hypergraph, X: Iterable[int]) -> frozenset[int]:
         if not 0 <= v < H.n:
             raise HypergraphError(f"vertex {v} out of range [0, {H.n - 1}]")
     return xs
+
+
+def _normalize_edge(e: Iterable[int], n: int) -> tuple[int, ...]:
+    """Edge e as a sorted tuple, checked against the edge rule: at least two
+    vertices, none repeated, each in [0, n - 1]."""
+    verts = tuple(sorted(e))
+    if len(verts) < 2:
+        raise HypergraphError(f"edge of size {len(verts)}, minimum is 2")
+    for a, b in zip(verts, verts[1:]):
+        if a == b:
+            raise HypergraphError(f"repeated vertex {a} within edge")
+    if verts[0] < 0 or verts[-1] >= n:
+        bad = verts[0] if verts[0] < 0 else verts[-1]
+        raise HypergraphError(f"vertex index {bad} out of range [0, {n - 1}]")
+    return verts
 
 
 def _check_vertex(H: Hypergraph, v: int) -> None:

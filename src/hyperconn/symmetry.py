@@ -39,8 +39,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import islice
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import Hypergraph, HypergraphError, _as_vertex_set, _incidence
 
@@ -93,8 +94,7 @@ def find_automorphism_mapping(H: Hypergraph, u: int, v: int) -> tuple[int, ...] 
     T = _tables(H)
     if not T.pool[u] >> v & 1:
         return None
-    found = _search(H, T, fix=(u, v), want_all=False, cap=None)
-    return found[0] if found else None
+    return next(_search(H, T, (u, v)), None)
 
 
 def is_vertex_transitive(H: Hypergraph) -> bool:
@@ -159,7 +159,10 @@ def enumerate_automorphisms(H: Hypergraph, cap: int = 10000) -> list[tuple[int, 
     """
     if cap < 1:
         raise HypergraphError(f"cap must be >= 1, got {cap}")
-    return sorted(_search(H, _tables(H), fix=None, want_all=True, cap=cap))
+    found = list(islice(_search(H, _tables(H), None), cap + 1))
+    if len(found) > cap:
+        raise CapExceededError(f"automorphism count exceeds cap {cap}")
+    return sorted(found)
 
 
 def is_block_of_imprimitivity(
@@ -268,12 +271,11 @@ def _tables(H: Hypergraph) -> SimpleNamespace:
 
 
 def _search(
-    H: Hypergraph,
-    T: SimpleNamespace,
-    fix: tuple[int, int] | None,
-    want_all: bool,
-    cap: int | None,
-) -> list[tuple[int, ...]]:
+    H: Hypergraph, T: SimpleNamespace, fix: tuple[int, int] | None
+) -> Iterator[tuple[int, ...]]:
+    """Yield the automorphisms of H that send ``fix[0]`` to ``fix[1]``, or
+    all of them when ``fix`` is None, each verified against the edge
+    multiset."""
     n = H.n
     edges = H.edges
     incident, size, emask, incmask = T.incident, T.size, T.emask, T.incmask
@@ -292,11 +294,10 @@ def _search(
     if fix is not None:
         st[fix[0]] = 1 << fix[1]
         reach = 1 << fix[0]
-    # A frame is [vertex, untried images, current image, trail length,
-    # reach, hit, pinned_img, pinned_src]; the last five are as before
-    # the vertex was assigned.
+    # A frame is [vertex, untried images, trail length, reach, hit,
+    # pinned_img, pinned_src]; the last five are as before the vertex was
+    # assigned.  The vertex's current image is image[vertex].
     frames: list[list[int]] = []
-    found: list[tuple[int, ...]] = []
     while True:
         if free:
             # Choose the next vertex: any one with a single value left,
@@ -323,35 +324,32 @@ def _search(
                 if key > best_key:
                     best, best_dom, best_key = x, d, key
             if best_dom:
-                frames.append([best, best_dom, -1, len(trail), reach, hit, pinned_img, pinned_src])
+                frames.append([best, best_dom, len(trail), reach, hit, pinned_img, pinned_src])
         else:
             p = tuple(image)
             if Counter(tuple(sorted(p[x] for x in e)) for e in edges) == T.edge_counter:
-                found.append(p)
-                if not want_all:
-                    return found
-                if cap is not None and len(found) > cap:
-                    raise CapExceededError(f"automorphism count exceeds cap {cap}")
+                yield p
         # Assign the top frame's next untried image, undoing the previous
         # one, and pop frames that have none left.
         while frames:
             frame = frames[-1]
-            w, untried, z = frame[0], frame[1], frame[2]
+            w, untried = frame[0], frame[1]
+            z = image[w]
             if z >= 0:
                 free |= 1 << w
                 used ^= 1 << z
                 image[w] = -1
-                mark = frame[3]
+                mark = frame[2]
                 while len(trail) > mark:
                     i, old = trail.pop()
                     st[i] = old
-                reach, hit, pinned_img, pinned_src = frame[4], frame[5], frame[6], frame[7]
+                reach, hit, pinned_img, pinned_src = frame[3], frame[4], frame[5], frame[6]
             if not untried:
                 frames.pop()
                 continue
             low = untried & -untried
             frame[1] = untried ^ low
-            z = frame[2] = low.bit_length() - 1
+            z = low.bit_length() - 1
             free ^= 1 << w
             used |= low
             image[w] = z
@@ -404,4 +402,4 @@ def _search(
             if ok:
                 break
         else:
-            return found
+            return

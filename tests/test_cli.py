@@ -222,6 +222,13 @@ def test_human_output_mentions_timings_and_witness(capsys, tmp_path):
     assert "generator: p " in out
     assert "edge atom: 0 (boundary 3)" in out
     assert "timings [ms]:" in out
+    # a pair in two edges and an isolated vertex
+    path = tmp_path / "split.hg"
+    path.write_text("h 5 2\ne 0 1 2\ne 0 1 3\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    assert "linear: no (pair 0,1 repeats in edges 0 and 1)\n" in out
+    assert "connected: no (2 components)\n" in out
 
 
 def test_analyze_guard_note_keeps_exit_zero(capsys, tmp_path):
@@ -318,13 +325,18 @@ def test_verify_theorem_main_gates_and_passes(capsys, tmp_path):
     gen(capsys, corpus, "cyc_13.hg", "--family", "cyclic-difference", "--n", "13", "--base", "0,1,4")
     gen(capsys, corpus, "doubled_3.hg", "--family", "affine-doubled", "--k", "3")
     gen(capsys, corpus, "pair.hg", "--family", "circulant", "--n", "6", "--offsets", "1")
+    (corpus / "bare.hg").write_text("h 3 0\n")
+    # linear, 3-uniform and connected, but vertex 2 alone has degree 2
+    (corpus / "bowtie.hg").write_text("h 5 2\ne 0 1 2\ne 2 3 4\n")
     code, out, err = run_cli(capsys, "verify", "theorem", "--corpus", str(corpus), "--which", "main")
     assert code == 0
     lines = out.splitlines()
     assert any("affine_3.hg" in l and l.rstrip().endswith("pass") for l in lines)
     assert any("doubled_3.hg" in l and "not uniform" in l and "skipped" in l for l in lines)
     assert any("pair.hg" in l and "edge size below 3" in l for l in lines)
-    assert "summary: 4 instances, 2 gated, 2 pass, 0 fail, 2 skipped" in out
+    assert any("bare.hg" in l and "no edges" in l and "skipped" in l for l in lines)
+    assert any("bowtie.hg" in l and "not vertex-transitive" in l and "skipped" in l for l in lines)
+    assert "summary: 6 instances, 2 gated, 2 pass, 0 fail, 4 skipped" in out
 
 
 def test_verify_theorem_mader_gates_and_passes(capsys, tmp_path):

@@ -219,6 +219,49 @@ def test_edge_connectivity_matches_uncapped_reference():
         assert cut == first_strict_minimum(H), name
         if H.n <= 20:
             assert cut.value == edge_connectivity_oracle(H).value, name
+    # high kappa: many phases per flow and many paths per phase
+    for H, kappa in (
+        (complete_uniform(30, 2), 29),
+        (glued_complete_family(7, 4), 7),
+        (affine_doubled_family(5), 5),
+    ):
+        cut = edge_connectivity(H)
+        assert cut == first_strict_minimum(H), H.n
+        assert cut.value == kappa, H.n
+
+
+def test_st_witness_is_the_minimal_minimum_side():
+    """The witness is the intersection of all minimum sides holding s and
+    not t (Picard & Queyranne 1980), found here by enumerating the sides."""
+    rng = SplitMix64(23)
+    pairs = wider = 0
+    for i in range(30):
+        n = 2 + rng.below(9)
+        k = 2 + rng.below(min(n, 4) - 1)
+        H = random_uniform_hypergraph(n, k, 1 + rng.below(2 * n), seed=900 + i)
+        emasks = [sum(1 << v for v in e) for e in H.edges]
+        for s in range(n):
+            for t in range(n):
+                if s == t:
+                    continue
+                best = None
+                meet = join = 0
+                for mask in range(1 << n):
+                    if not mask >> s & 1 or mask >> t & 1:
+                        continue
+                    value = sum(1 for em in emasks if em & mask and em & ~mask)
+                    if best is None or value < best:
+                        best, meet, join = value, mask, mask
+                    elif value == best:
+                        meet &= mask
+                        join |= mask
+                cut = st_edge_connectivity(H, s, t)
+                assert cut.value == best, (i, s, t)
+                assert cut.side == tuple(v for v in range(n) if meet >> v & 1), (i, s, t)
+                pairs += 1
+                wider += join != meet
+    # on many pairs the minimum sides differ, so the choice is pinned
+    assert pairs >= 1000 and wider >= 500, (pairs, wider)
 
 
 def test_edge_connectivity_matches_networkx_on_graphs():
