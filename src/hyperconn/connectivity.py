@@ -26,7 +26,11 @@ flow had been solved in full.
 The oracle and the edge atom enumerate vertex sides outright.  Both read
 the boundary size of each side from one kernel, ``model._side_boundaries``,
 and neither shares any code with the flow route, so the oracle and the
-flow route can check each other.
+flow route can check each other.  The kernel walks the sides in Gray order,
+toggling one vertex per step and recounting only that vertex's edges, so
+both consumers pick their answer by a key that does not depend on order:
+the oracle the least ``(value, mask)``, with no early stop, and the atom
+the least value, then size, then sorted vertex sequence.
 """
 
 from __future__ import annotations
@@ -252,17 +256,18 @@ def edge_connectivity_oracle(H: Hypergraph) -> CutResult:
     """Brute-force reference: minimize the boundary over all vertex sides.
 
     By complement symmetry only sides containing vertex 0 are enumerated.
-    Independent of the flow route by construction.  Guarded to n <= 20.
+    The kernel yields them in Gray order, so the witness is the side least
+    by ``(value, mask)``: the first minimum in increasing mask order.  Every
+    side is read, with no stop at a zero, since in Gray order the first zero
+    need not have the least mask.  Independent of the flow route by
+    construction.  Guarded to n <= 20.
     """
     if not 2 <= H.n <= _ENUM_GUARD:
         raise GuardError(f"oracle enumeration requires 2 <= n <= {_ENUM_GUARD}, got n={H.n}")
-    best_val: int | None = None
-    best_mask = 0
+    best_val, best_mask = H.m + 1, 0
     for mask, val in _side_boundaries(H):
-        if best_val is None or val < best_val:
+        if val < best_val or val == best_val and mask < best_mask:
             best_val, best_mask = val, mask
-            if val == 0:
-                break
     return CutResult.from_side(H, _mask_vertices(best_mask, H.n))
 
 

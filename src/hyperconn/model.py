@@ -167,7 +167,11 @@ def parse_hypergraph(text: str) -> Hypergraph:
     n, m = header
     if len(edges) != m:
         raise ParseError(last_line, f"edge count mismatch, header declares {m} edges, found {len(edges)}")
-    return Hypergraph(n, tuple(edges))
+    # every edge was normalized on its own line, so __post_init__ is skipped
+    H = object.__new__(Hypergraph)
+    object.__setattr__(H, "n", n)
+    object.__setattr__(H, "edges", tuple(edges))
+    return H
 
 
 def serialize_hypergraph(H: Hypergraph) -> str:
@@ -356,17 +360,49 @@ def _incidence(H: Hypergraph) -> list[list[int]]:
 
 def _side_boundaries(H: Hypergraph) -> Iterator[tuple[int, int]]:
     """``(mask, |boundary|)`` for every nonempty proper side containing vertex
-    0, in increasing mask order, which callers keeping a first minimum rely on.
-    A side's complement has the same boundary, so these 2**(n-1) - 1 sides
-    cover every nonempty proper side."""
-    emasks = [sum(1 << v for v in e) for e in H.edges]
-    for mask in range(1, (1 << H.n) - 1, 2):
-        val = 0
-        for em in emasks:
-            inside = em & mask
-            if inside and inside != em:
-                val += 1
+    0, each exactly once and in no promised order.  A side's complement has
+    the same boundary, so these 2**(n-1) - 1 sides cover every nonempty
+    proper side.
+
+    Vertex 0 stays inside; the free vertices 1..n-1 are walked in reflected
+    Gray order, so step i toggles the one vertex ``(i & -i).bit_length()``.
+    Each edge keeps its inside count, and the edge crosses the cut when
+    0 < count < |e|, so a step updates the boundary size through the toggled
+    vertex's incidence list alone.  The full vertex set comes up mid-walk
+    and is skipped there.
+    """
+    n = H.n
+    incident = _incidence(H)
+    top = [len(e) - 1 for e in H.edges]
+    inside = [0] * H.m
+    for i in incident[0]:
+        inside[i] = 1
+    val = len(incident[0])  # every edge has a second vertex outside {0}
+    mask, full = 1, (1 << n) - 1
+    if n > 1:
         yield mask, val
+    for step in range(1, 1 << (n - 1)):
+        v = (step & -step).bit_length()
+        bit = 1 << v
+        mask ^= bit
+        if mask & bit:
+            for i in incident[v]:
+                c = inside[i]
+                inside[i] = c + 1
+                if not c:
+                    val += 1
+                elif c == top[i]:
+                    val -= 1
+        else:
+            for i in incident[v]:
+                c = inside[i] - 1
+                inside[i] = c
+                if not c:
+                    val -= 1
+                elif c == top[i]:
+                    val += 1
+        if mask != full:
+            yield mask, val
 
 
 def _mask_vertices(mask: int, n: int) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ from hyperconn import (
     affine_hypergraph,
     boundary,
     builtin_corpus,
+    circulant_graph,
     degree_extremes,
     edge_atom,
     edge_connectivity,
@@ -25,6 +26,7 @@ from hyperconn import (
     is_uniform,
     is_vertex_transitive,
     random_uniform_hypergraph,
+    serialize_hypergraph,
     transitivity_generators,
     vertex_profile,
 )
@@ -328,3 +330,27 @@ def test_criterion_11_affine_transitivity_scales():
         assert elapsed < ceiling
         timings.append(f"k={k} {elapsed:.2f}s < {ceiling:.0f}s")
     print(f"[pass] criterion 11: affine transitivity, {', '.join(timings)}")
+
+
+def test_criterion_12_oracle_enumerates_twenty_vertices(capsys, tmp_path):
+    """`hyperconn oracle` on 20 vertices, 2**19 - 1 sides, agrees with the
+    flow route: circulant(20, {1, 2}) and a connected random 3-uniform
+    instance with 60 edges."""
+    timings = []
+    random_20 = random_uniform_hypergraph(20, 3, 60, seed=1)
+    assert random_20.m == 60 and is_connected(random_20)
+    for name, H in (("circulant_20_12", circulant_graph(20, (1, 2))), ("random_20_3_60", random_20)):
+        path = tmp_path / f"{name}.hg"
+        path.write_text(serialize_hypergraph(H))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "oracle", str(path))
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        got = machine_dict(out)
+        kappa = edge_connectivity(H).value
+        assert int(got["kappa"]) == kappa, name
+        atom = [int(v) for v in got["atom"].split()]
+        assert len(boundary(H, atom)) == kappa, name
+        assert elapsed < 10.0, name
+        timings.append(f"{name} {elapsed:.2f}s < 10s")
+    print(f"[pass] criterion 12: oracle at n=20, {', '.join(timings)}")

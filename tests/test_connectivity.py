@@ -72,13 +72,15 @@ def removal_global_kappa(H):
     raise AssertionError("hypergraph cannot be disconnected")
 
 
-def side_enumeration_kappa(H):
+def first_minimum_side(H):
+    """(value, side) of the first least boundary over the sides containing
+    vertex 0, in increasing mask order, each recounted with ``boundary``."""
     best = None
     for mask in range(1, (1 << H.n) - 1, 2):
-        X = {v for v in range(H.n) if mask >> v & 1}
-        value = len(boundary(H, X))
-        if best is None or value < best:
-            best = value
+        X = tuple(v for v in range(H.n) if mask >> v & 1)
+        value = len(boundary(H, set(X)))
+        if best is None or value < best[0]:
+            best = (value, X)
     return best
 
 
@@ -346,12 +348,43 @@ def test_oracle_agreement_random():
         flow = edge_connectivity(H)
         brute = edge_connectivity_oracle(H)
         assert flow.value == brute.value, i
-        assert flow.value == side_enumeration_kappa(H), i
+        assert flow.value == first_minimum_side(H)[0], i
 
 
 def test_oracle_witness_is_first_improvement():
     assert edge_connectivity_oracle(circulant_graph(6, (1,))).side == (0,)
     assert edge_connectivity_oracle(complete_uniform(4, 2)).side == (0,)
+
+
+def test_oracle_witness_is_first_minimum_in_mask_order():
+    """Differential check of the oracle's witness on seeded instances with
+    n <= 10, among them disconnected ones with several zero sides,
+    multi-edges, isolated vertices and n = 2."""
+    rng = SplitMix64(73)
+    instances = [
+        Hypergraph(2, ()),
+        Hypergraph(2, ((0, 1),)),
+        Hypergraph(2, ((0, 1), (0, 1))),
+        Hypergraph(4, ((0, 2),)),
+    ]
+    for _ in range(80):
+        n = 2 + rng.below(9)
+        pool = n - rng.below(2) if n > 2 else n  # vertex n - 1 may be isolated
+        edges = [rng.subset(pool, 2 + rng.below(min(pool, 4) - 1)) for _ in range(rng.below(2 * n))]
+        if edges and rng.below(2):
+            edges.append(edges[rng.below(len(edges))])
+        instances.append(Hypergraph(n, tuple(edges)))
+    assert sum(H.n == 2 for H in instances) >= 5
+    assert sum(len(set(H.edges)) < H.m for H in instances) >= 20
+    assert sum(len({v for e in H.edges for v in e}) < H.n for H in instances) >= 20
+    several_zeros = 0
+    for H in instances:
+        value, side = first_minimum_side(H)
+        oracle = edge_connectivity_oracle(H)
+        assert (oracle.value, oracle.side) == (value, side), H
+        if value == 0 and len(components(H)) > 2:
+            several_zeros += 1
+    assert several_zeros >= 10
 
 
 def test_oracle_disconnected_witness():
@@ -397,6 +430,20 @@ def test_edge_atom_canonical_choice():
         atom = edge_atom(H)
         best_value, sides = all_min_atom_sides(H)
         assert (atom.value, atom.side) == (best_value, sides[0]), i
+    checked = 0
+    for i in range(40):
+        n = 4 + rng.below(7)
+        H = random_uniform_hypergraph(n, 3, n + rng.below(n), seed=700 + i)
+        if i % 2:  # repeat some edges, so the instance has multi-edges
+            extra = tuple(H.edges[rng.below(H.m)] for _ in range(1 + rng.below(3)))
+            H = Hypergraph(H.n, H.edges + extra)
+        if not is_connected(H):
+            continue
+        checked += 1
+        atom = edge_atom(H)
+        best_value, sides = all_min_atom_sides(H)
+        assert (atom.value, atom.side) == (best_value, sides[0]), i
+    assert checked >= 25
 
 
 def test_edge_atom_errors():

@@ -29,6 +29,7 @@ from hyperconn import (
     serialize_hypergraph,
     vertex_profile,
 )
+from hyperconn import model
 from hyperconn.model import _incidence, _side_boundaries
 
 
@@ -124,6 +125,18 @@ def test_round_trip_on_corpus():
         ("h 3 1\ne 0 5\n", 2, "vertex index 5 out of range [0, 2]"),
         ("# only a comment\n", 2, "missing 'h <n> <m>'"),
         ("h 3 2\ne 0 1\n", 2, "edge count mismatch, header declares 2 edges, found 1"),
+        # the first error is reported: a bad edge before a later line that
+        # overflows the count, and an overflowing line is not read further
+        ("h 3 1\ne 0 5\ne 0 1\n", 2, "vertex index 5 out of range [0, 2]"),
+        ("h 3 1\ne 0 0\ne 0 1\ne 1 2\n", 2, "repeated vertex 0 within edge"),
+        ("h 3 3\ne 0 5\n", 2, "vertex index 5 out of range [0, 2]"),
+        ("h 3 1\ne 0 1\ne 0 5\n", 3, "edge count mismatch, header declares 1 edges"),
+        ("h 3 1\ne 0 1\ne 0 x\n", 3, "edge count mismatch, header declares 1 edges"),
+        ("h 3 1\ne 0 1\nq 0 1\n", 3, "malformed edge line, expected 'e v1 v2 ...' got 'q'"),
+        # within one edge: size, then repeats, then range
+        ("h 3 1\ne 7\n", 2, "edge of size 1, minimum is 2"),
+        ("h 3 1\ne 7 7\n", 2, "repeated vertex 7 within edge"),
+        ("h 3 1\ne 2 -1 9\n", 2, "vertex index -1 out of range [0, 2]"),
     ],
 )
 def test_parse_errors(text, line_no, fragment):
@@ -132,6 +145,21 @@ def test_parse_errors(text, line_no, fragment):
     assert err.value.line_no == line_no
     assert fragment in str(err.value)
     assert str(err.value).startswith(f"line {line_no}:")
+
+
+def test_parse_normalizes_each_edge_once(monkeypatch):
+    calls = []
+    normalize = model._normalize_edge
+
+    def counted(e, n):
+        calls.append(n)
+        return normalize(e, n)
+
+    monkeypatch.setattr(model, "_normalize_edge", counted)
+    H = parse_hypergraph("h 5 3\ne 4 3\ne 0 1\ne 2 1 0\n")
+    assert len(calls) == 3
+    assert H == Hypergraph(5, ((3, 4), (0, 1), (0, 1, 2)))
+    assert H.edges == ((3, 4), (0, 1), (0, 1, 2)) and H.m == 3
 
 
 def test_degree_against_brute_force():
@@ -360,10 +388,10 @@ def test_uncrossing_inequality_random():
         assert lhs <= rhs
 
 
-def test_side_boundaries_cover_every_side_in_order():
-    """Every nonempty proper side containing vertex 0, once, in increasing
-    mask order, each with its boundary size; on the corpus and on random
-    instances with multi-edges and isolated vertices."""
+def test_side_boundaries_cover_every_side_once():
+    """Every nonempty proper side containing vertex 0, exactly once, each
+    with its boundary size; on the corpus and on random instances with
+    multi-edges and isolated vertices.  The kernel promises no order."""
     instances = [H for _, H in builtin_corpus() if H.n <= 12]
     rng = SplitMix64(61)
     for _ in range(60):
@@ -379,11 +407,13 @@ def test_side_boundaries_cover_every_side_in_order():
     assert any(H.n == 1 for H in instances)
     assert any(len(set(H.edges)) < H.m for H in instances)
     assert any(len({v for e in H.edges for v in e}) < H.n for H in instances)
+    assert list(_side_boundaries(Hypergraph(1, ()))) == []
+    assert list(_side_boundaries(Hypergraph(2, ()))) == [(1, 0)]
+    assert list(_side_boundaries(Hypergraph(2, ((0, 1), (0, 1))))) == [(1, 2)]
     for H in instances:
         pairs = list(_side_boundaries(H))
-        masks = [mask for mask, _ in pairs]
-        assert len(masks) == 2 ** (H.n - 1) - 1
-        assert masks == sorted(set(masks))
+        masks = {mask for mask, _ in pairs}
+        assert len(pairs) == len(masks) == 2 ** (H.n - 1) - 1
         for mask, value in pairs:
             assert mask & 1 and mask != (1 << H.n) - 1
             assert value == len(boundary(H, mask_set(mask, H.n)))
