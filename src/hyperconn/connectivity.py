@@ -2,17 +2,20 @@
 oracle, minimum-cut witnesses, and edge atoms.
 
 The flow route reduces "minimum number of edges separating s from t" to a
-unit-capacity max-flow problem: every hyperedge e becomes a node pair
-(e_in, e_out) joined by a capacity-1 arc, and every incidence v in e adds
-arcs v -> e_in and e_out -> v with capacity m + 1, which no minimum
-separating edge set can reach.  The max s-t flow then equals the minimum
-boundary over vertex sets separating s from t.  ``_Dinic`` finds it in
-phases: a BFS from s labels residual distances, then a walk from t back to
-s pushes one unit along each path that steps one level down.  The BFS that
-no longer reaches t has labelled the residual reach of s, and its vertex
-nodes form the witness side.  That side is the same for every maximum
-flow: it is the unique inclusion-minimal minimum side containing s
-(Picard & Queyranne, 1980).
+max-flow problem on a network with one node per vertex.  A 2-edge {u, v}
+is one arc pair, u -> v and v -> u, each of capacity 1.  An edge e of 3
+or more vertices becomes a node pair (e_in, e_out) joined by a capacity-1
+arc, and every incidence v in e adds arcs v -> e_in and e_out -> v with
+capacity m + 1, which no minimum separating edge set can reach.  Either
+way every vertex side X has cut capacity |boundary(X)|, so the max s-t
+flow equals the minimum boundary over vertex sets separating s from t.
+``_Dinic`` finds it in phases: a BFS from s labels residual distances,
+then a walk from t back to s pushes one unit along each path that steps
+one level down.  The BFS that no longer reaches t has labelled the
+residual reach of s, and its vertex nodes form the witness side.  That
+side is the same for every maximum flow, and whether a 2-edge is built as
+an arc pair or as a node pair: it is the unique inclusion-minimal minimum
+side containing s (Picard & Queyranne, 1980).
 
 ``edge_connectivity`` builds the network once per call and restores its
 capacities before each target.  Each flow is capped at the best value
@@ -89,10 +92,10 @@ class _Dinic:
     searches are iterative, so path length is bounded by memory, not by the
     interpreter's recursion limit.
 
-    One unit per path is always right: all flow through edge i crosses its
-    capacity-1 arc e_in -> e_out, so every residual arc out of e_in, or from
-    a vertex into e_out, has capacity at most 1, and a path between two
-    vertex nodes takes one of them.  ``_residual_side`` checks the value.
+    One unit per path is always right, even though an arc may have more
+    capacity left (a 2-edge's arc holds 2 after a push the other way): an
+    arc with capacity left stays under its node's cursor, so the next walk
+    from t takes it again.  ``_residual_side`` checks the value.
     """
 
     def __init__(self, size: int) -> None:
@@ -185,16 +188,22 @@ class _Dinic:
 
 
 def _build_network(H: Hypergraph) -> _Dinic:
-    # node ids: vertex v -> v, edge i -> (n + 2i, n + 2i + 1)
+    # node ids: vertex v -> v, then a pair (e_in, e_out) for each edge of 3
+    # or more vertices, in edge order
     big = H.m + 1
-    net = _Dinic(H.n + 2 * H.m)
-    for i, e in enumerate(H.edges):
-        e_in = H.n + 2 * i
+    net = _Dinic(H.n + 2 * sum(len(e) > 2 for e in H.edges))
+    e_in = H.n
+    for e in H.edges:
+        if len(e) == 2:
+            net.add(e[0], e[1], 1)
+            net.cap[-1] = 1  # the reverse arc is the edge's other direction
+            continue
         e_out = e_in + 1
         net.add(e_in, e_out, 1)
         for v in e:
             net.add(v, e_in, big)
             net.add(e_out, v, big)
+        e_in += 2
     return net
 
 
@@ -215,7 +224,8 @@ def st_edge_connectivity(H: Hypergraph, s: int, t: int) -> CutResult:
     if s == t:
         raise HypergraphError("source and target must differ")
     net = _build_network(H)
-    # every unit of flow crosses its own capacity-1 edge arc, so m + 1 is no cap
+    # each unit leaves s through a distinct edge of s, so deg(s) <= m bounds
+    # the flow and m + 1 is no cap
     return _residual_side(H, *net.max_flow(s, t, H.m + 1))
 
 

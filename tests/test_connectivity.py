@@ -33,6 +33,7 @@ from hyperconn import (
     random_uniform_hypergraph,
     st_edge_connectivity,
 )
+from hyperconn.connectivity import _build_network
 from hyperconn.constructions import affine_doubled_family
 
 
@@ -98,6 +99,16 @@ def all_min_atom_sides(H):
             sides.append(X)
     min_size = min(len(s) for s in sides)
     return best_value, sorted(s for s in sides if len(s) == min_size)
+
+
+def mixed_hypergraph(rng, n, m, pool=None):
+    """n vertices, m random edges of 2 to 5 vertices drawn from the first
+    ``pool`` vertices (all by default; any others are isolated), and one
+    more random 2-edge, repeated."""
+    pool = n if pool is None else pool
+    edges = [rng.subset(pool, 2 + rng.below(min(pool, 5) - 1)) for _ in range(m)]
+    pair = rng.subset(pool, 2)
+    return Hypergraph(n, tuple(edges) + (pair, pair))
 
 
 def path_graph(n):
@@ -182,7 +193,7 @@ def test_st_matches_removal_oracle_random():
 
 
 def test_st_deep_path():
-    # the augmenting path runs through about 15 000 network nodes
+    # the augmenting path runs through all 5000 network nodes
     cut = st_edge_connectivity(path_graph(5000), 0, 4999)
     assert cut.value == 1
     assert cut.side == (0,)
@@ -214,6 +225,19 @@ def test_edge_connectivity_matches_uncapped_reference():
         checked += 1
         with_kappa_one += cut.value == 1
     assert with_kappa_one >= 5
+    # mixed edge sizes with a repeated 2-edge: arc pairs and node pairs in one network
+    mixed_rng = SplitMix64(29)
+    mixed = 0
+    while mixed < 30:
+        n = 3 + mixed_rng.below(12) if mixed < 25 else 21 + mixed_rng.below(10)
+        H = mixed_hypergraph(mixed_rng, n, n // 2 + mixed_rng.below(n))
+        if not is_connected(H):
+            continue
+        cut = edge_connectivity(H)
+        assert cut == first_strict_minimum(H), H
+        if n <= 20:
+            assert cut.value == edge_connectivity_oracle(H).value, H
+        mixed += 1
     for name, H in builtin_corpus():
         if not is_connected(H):
             continue
@@ -236,11 +260,18 @@ def test_st_witness_is_the_minimal_minimum_side():
     """The witness is the intersection of all minimum sides holding s and
     not t (Picard & Queyranne 1980), found here by enumerating the sides."""
     rng = SplitMix64(23)
-    pairs = wider = 0
+    instances = []
     for i in range(30):
         n = 2 + rng.below(9)
         k = 2 + rng.below(min(n, 4) - 1)
-        H = random_uniform_hypergraph(n, k, 1 + rng.below(2 * n), seed=900 + i)
+        instances.append(random_uniform_hypergraph(n, k, 1 + rng.below(2 * n), seed=900 + i))
+    for _ in range(15):
+        n = 2 + rng.below(9)
+        pool = n - rng.below(2) if n > 2 else n
+        instances.append(mixed_hypergraph(rng, n, rng.below(2 * n), pool))
+    pairs = wider = 0
+    for i, H in enumerate(instances):
+        n = H.n
         emasks = [sum(1 << v for v in e) for e in H.edges]
         for s in range(n):
             for t in range(n):
@@ -279,6 +310,88 @@ def test_edge_connectivity_matches_networkx_on_graphs():
         G.add_edges_from(H.edges)
         assert G.number_of_edges() == H.m  # no multi-edges collapsed
         assert edge_connectivity(H).value == nx.edge_connectivity(G), H
+
+
+def gadget_network(H, nx):
+    """The classic edge-node network, built in networkx: every edge, a 2-edge
+    too, is a node pair joined by a capacity-1 arc, entered from each of its
+    vertices and left to each of them by arcs with no capacity bound."""
+    G = nx.DiGraph()
+    G.add_nodes_from(range(H.n))
+    for i, e in enumerate(H.edges):
+        G.add_edge(("in", i), ("out", i), capacity=1)
+        for v in e:
+            G.add_edge(v, ("in", i))
+            G.add_edge(("out", i), v)
+    return G
+
+
+def test_st_matches_networkx_on_the_gadget_network():
+    """Value and witness of every st flow against networkx on the classic
+    network; the witness is the vertices of s's residual reach there."""
+    nx = pytest.importorskip("networkx")
+    rng = SplitMix64(31)
+    instances = [Hypergraph(2, ()), Hypergraph(3, ((0, 1), (0, 1), (0, 1, 2)))]
+    for _ in range(40):
+        n = 2 + rng.below(11)
+        pool = n - rng.below(2) if n > 2 else n
+        instances.append(mixed_hypergraph(rng, n, rng.below(2 * n), pool))
+    assert sum(not is_connected(H) for H in instances) >= 10
+    assert sum(len({v for e in H.edges for v in e}) < H.n for H in instances) >= 10
+    assert sum(any(len(e) > 2 for e in H.edges) for H in instances) >= 30
+    for H in instances:
+        G = gadget_network(H, nx)
+        for s in range(H.n):
+            for t in range(s + 1, H.n):
+                value, flow = nx.maximum_flow(G, s, t)
+                reach, stack = {s}, [s]
+                while stack:
+                    x = stack.pop()
+                    arcs = G[x]
+                    ahead = [y for y in arcs if flow[x][y] < arcs[y].get("capacity", float("inf"))]
+                    back = [y for y in G.predecessors(x) if flow[y][x] > 0]
+                    for y in ahead + back:
+                        if y not in reach:
+                            reach.add(y)
+                            stack.append(y)
+                cut = st_edge_connectivity(H, s, t)
+                assert cut.value == value, (H, s, t)
+                assert cut.side == tuple(sorted(v for v in reach if isinstance(v, int))), (H, s, t)
+
+
+def test_max_flow_leaves_a_consistent_residual_network():
+    """After a flow, capped or not: each arc pair keeps its total capacity,
+    flow is conserved away from s and t, and s sends out the value."""
+    rng = SplitMix64(37)
+    multi_unit = 0
+    for _ in range(40):
+        n = 2 + rng.below(14)
+        H = mixed_hypergraph(rng, n, rng.below(3 * n))
+        net = _build_network(H)
+        base = list(net.cap)
+        for s in range(n):
+            t = rng.below(n - 1)
+            t += t >= s
+            for limit in (H.m + 1, 1 + rng.below(3)):
+                net.cap[:] = base
+                value, _ = net.max_flow(s, t, limit)
+                for a in range(0, len(base), 2):
+                    assert net.cap[a] + net.cap[a + 1] == base[a] + base[a + 1], (H, s, t, a)
+                    assert net.cap[a] >= 0 and net.cap[a + 1] >= 0
+                out = [sum(base[a] - net.cap[a] for a in net.adj[x]) for x in range(net.size)]
+                assert out[s] == value and out[t] == -value, (H, s, t)
+                assert not any(out[x] for x in range(net.size) if x not in (s, t)), (H, s, t)
+                multi_unit += value > 1
+    assert multi_unit >= 100
+
+
+def test_network_has_a_node_pair_only_for_wide_edges():
+    H = Hypergraph(6, ((0, 1), (0, 1), (1, 2, 3), (3, 4), (2, 3, 4, 5)))
+    for G in (H, circulant_graph(12, (1, 2))):
+        wide = [e for e in G.edges if len(e) > 2]
+        net = _build_network(G)
+        assert net.size == G.n + 2 * len(wide)
+        assert len(net.to) == 2 * (G.m - len(wide)) + 2 * sum(1 + 2 * len(e) for e in wide)
 
 
 def test_edge_connectivity_examples():
