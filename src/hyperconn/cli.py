@@ -33,7 +33,7 @@ from .model import (
     Hypergraph,
     HypergraphError,
     _mask_vertices,
-    _side_boundaries,
+    _side_blocks,
     boundary,
     components,
     degree_extremes,
@@ -338,10 +338,14 @@ def cmd_verify_lemma(args: argparse.Namespace) -> int:
         H = random_uniform_hypergraph(n, k, m, seed=rng.next_u64())
         x_mask = rng.below(1 << n)
         y_mask = rng.below(1 << n)
-        xs = frozenset(_mask_vertices(x_mask, n))
-        ys = frozenset(_mask_vertices(y_mask, n))
-        lhs = len(boundary(H, xs | ys)) + len(boundary(H, xs & ys))
-        rhs = len(boundary(H, xs)) + len(boundary(H, ys))
+        union, meet = x_mask | y_mask, x_mask & y_mask
+        lhs = rhs = 0
+        for e in H.edges:  # an edge crosses side s when 0 < |s & e| < |e|
+            em = 0
+            for v in e:
+                em |= 1 << v
+            lhs += (0 < union & em != em) + (0 < meet & em != em)
+            rhs += (0 < x_mask & em != em) + (0 < y_mask & em != em)
         if lhs > rhs:
             _print_uncrossing_violation(f"random trial {trial}", H, x_mask, y_mask)
             print("FAIL")
@@ -434,8 +438,13 @@ def _boundary_size_table(H: Hypergraph) -> list[int]:
     """|boundary(X)| for every vertex subset X, indexed by bitmask."""
     full = (1 << H.n) - 1
     table = [0] * (full + 1)
-    for mask, value in _side_boundaries(H):
-        table[mask] = table[full ^ mask] = value
+    for base, sides, counter in _side_blocks(H):
+        for p in range(sides.bit_length()):
+            if sides >> p & 1:
+                mask = base | p << 1 | 1
+                table[mask] = table[full ^ mask] = sum(
+                    (c >> p & 1) << b for b, c in enumerate(counter)
+                )
     return table
 
 

@@ -27,13 +27,18 @@ the witness of the first target reaching the minimum, exactly as if every
 flow had been solved in full.
 
 The oracle and the edge atom enumerate vertex sides outright.  Both read
-the boundary size of each side from one kernel, ``model._side_boundaries``,
-and neither shares any code with the flow route, so the oracle and the
-flow route can check each other.  The kernel walks the sides in Gray order,
-toggling one vertex per step and recounting only that vertex's edges, so
-both consumers pick their answer by a key that does not depend on order:
-the oracle the least ``(value, mask)``, with no early stop, and the atom
-the least value, then size, then sorted vertex sequence.
+the boundary sizes from one kernel, ``model._side_blocks``, and neither
+shares any code with the flow route, so the oracle and the flow route can
+check each other.  The kernel is bit-sliced: a block fixes the vertices
+above L = min(n - 1, 13) and covers the 2**L sides that differ in vertices
+1..L, bit p of each plane standing for one side.  Each vertex has a plane
+of the sides that hold it, each edge a plane of the sides it crosses, and
+a ripple carry adds those into counter planes, plane b holding bit b of
+every side's boundary size.  Inside a block each consumer picks its answer
+with a few operations on the planes; across blocks it keeps the best by a
+key that does not depend on block order: the oracle the least
+``(value, mask)``, and the atom the least value, then size, then sorted
+vertex sequence.
 """
 
 from __future__ import annotations
@@ -44,10 +49,14 @@ from .model import (
     GuardError,
     Hypergraph,
     HypergraphError,
+    _add_plane,
+    _block_width,
     _check_vertex,
     _degrees,
+    _least,
     _mask_vertices,
-    _side_boundaries,
+    _position_bits,
+    _side_blocks,
     boundary,
     components,
     degree_extremes,
@@ -266,17 +275,18 @@ def edge_connectivity_oracle(H: Hypergraph) -> CutResult:
     """Brute-force reference: minimize the boundary over all vertex sides.
 
     By complement symmetry only sides containing vertex 0 are enumerated.
-    The kernel yields them in Gray order, so the witness is the side least
-    by ``(value, mask)``: the first minimum in increasing mask order.  Every
-    side is read, with no stop at a zero, since in Gray order the first zero
-    need not have the least mask.  Independent of the flow route by
-    construction.  Guarded to n <= 20.
+    The witness is the side least by ``(value, mask)``: the first minimum in
+    increasing mask order, whatever order the blocks come in.  Independent
+    of the flow route by construction.  Guarded to n <= 20.
     """
     if not 2 <= H.n <= _ENUM_GUARD:
         raise GuardError(f"oracle enumeration requires 2 <= n <= {_ENUM_GUARD}, got n={H.n}")
     best_val, best_mask = H.m + 1, 0
-    for mask, val in _side_boundaries(H):
-        if val < best_val or val == best_val and mask < best_mask:
+    for base, sides, counter in _side_blocks(H):
+        val, at = _least(counter, sides)
+        p = (at & -at).bit_length() - 1  # the lowest position holding val
+        mask = base | p << 1 | 1
+        if (val, mask) < (best_val, best_mask):
             best_val, best_mask = val, mask
     return CutResult.from_side(H, _mask_vertices(best_mask, H.n))
 
@@ -294,20 +304,46 @@ def edge_atom(H: Hypergraph) -> CutResult:
         raise GuardError(f"atom enumeration requires 2 <= n <= {_ENUM_GUARD}, got n={H.n}")
     n = H.n
     full = (1 << n) - 1
+    low = _block_width(n)
+    ones = (1 << (1 << low)) - 1
+    bits = _position_bits(low)  # bits[v - 1]: the positions whose side holds v
+    present: list[int] = []  # how many of vertices 1..L each side holds
+    absent: list[int] = []  # how many of vertices 1..L its complement holds
+    for x in bits:
+        _add_plane(present, x)
+        _add_plane(absent, ones ^ x)
     best_val, best_size, best_mask = H.m + 1, n, 0
-    for mask, val in _side_boundaries(H):
+    for base, sides, counter in _side_blocks(H):
+        val, cand = _least(counter, sides)
         if val > best_val:
             continue
-        for side in (mask, full ^ mask):
-            size = side.bit_count()
-            if val < best_val or size < best_size:
-                best_val, best_size, best_mask = val, size, side
-            elif size == best_size:
-                # Of two sides of one size, the one holding the lowest vertex
-                # where they differ has the smaller sorted vertex sequence.
-                diff = side ^ best_mask
-                if side & diff & -diff:
-                    best_mask = side
+        # this block's best side, by size over the sides and their complements
+        high = base.bit_count()
+        held, at_held = _least(present, cand)
+        left, at_left = _least(absent, cand)
+        size, comp_size = 1 + high + held, n - 1 - low - high + left
+        if size <= comp_size:
+            # At equal size the side wins, as it holds vertex 0.  No other
+            # side of val and this size ties with it: two, X and Y, would make
+            # X | Y a proper side (both have at most n/2 vertices), and as
+            # boundary sizes are submodular the smaller X & Y would hold val.
+            side = base | (at_held.bit_length() - 1) << 1 | 1
+        else:
+            # of complements of one size, the one holding the lowest vertex
+            # where they differ
+            size = comp_size
+            for x in bits:
+                at_left = at_left & ~x or at_left
+            side = full ^ (base | (at_left.bit_length() - 1) << 1 | 1)
+        # then across blocks, by the same rule on whole masks
+        if val < best_val or size < best_size:
+            best_val, best_size, best_mask = val, size, side
+        elif size == best_size:
+            # Of two sides of one size, the one holding the lowest vertex
+            # where they differ has the smaller sorted vertex sequence.
+            diff = side ^ best_mask
+            if side & diff & -diff:
+                best_mask = side
     return CutResult.from_side(H, _mask_vertices(best_mask, n))
 
 

@@ -358,51 +358,92 @@ def _incidence(H: Hypergraph) -> list[list[int]]:
     return incident
 
 
-def _side_boundaries(H: Hypergraph) -> Iterator[tuple[int, int]]:
-    """``(mask, |boundary|)`` for every nonempty proper side containing vertex
-    0, each exactly once and in no promised order.  A side's complement has
-    the same boundary, so these 2**(n-1) - 1 sides cover every nonempty
-    proper side.
+_BLOCK_BITS = 13  # vertices 1..13 vary inside one block of 2**13 sides
 
-    Vertex 0 stays inside; the free vertices 1..n-1 are walked in reflected
-    Gray order, so step i toggles the one vertex ``(i & -i).bit_length()``.
-    Each edge keeps its inside count, and the edge crosses the cut when
-    0 < count < |e|, so a step updates the boundary size through the toggled
-    vertex's incidence list alone.  The full vertex set comes up mid-walk
-    and is skipped there.
+
+def _side_blocks(H: Hypergraph) -> Iterator[tuple[int, int, list[int]]]:
+    """The boundary size of every nonempty proper side containing vertex 0,
+    bit-sliced: one big integer holds one bit of many sides' sizes.
+
+    Yields ``(base, sides, counter)`` once per block, in no promised order.
+    With L = min(n - 1, _BLOCK_BITS), a block covers the 2**L sides
+    ``base | p << 1 | 1`` for positions p < 2**L: ``base`` fixes vertices
+    L+1..n-1 and bit v - 1 of p places vertex v for v = 1..L.  Bit p of
+    ``sides`` is set when that side is a proper subset (only the full vertex
+    set is not), and bit p of ``counter[b]`` is bit b of its boundary size.
+    A side's complement has the same boundary, so these 2**(n-1) - 1 sides
+    cover every nonempty proper side.
+
+    Each low vertex v has a plane, bit p set when side p holds v; vertex 0's
+    plane is all ones and a high vertex's is all ones or zero by ``base``.
+    An edge crosses at the positions where its planes' OR and AND differ,
+    and that crossing plane is added into the counter by a ripple carry.
+    Blocks keep the planes at 2**L bits however large n is.
     """
     n = H.n
-    incident = _incidence(H)
-    top = [len(e) - 1 for e in H.edges]
-    inside = [0] * H.m
-    for i in incident[0]:
-        inside[i] = 1
-    val = len(incident[0])  # every edge has a second vertex outside {0}
-    mask, full = 1, (1 << n) - 1
-    if n > 1:
-        yield mask, val
-    for step in range(1, 1 << (n - 1)):
-        v = (step & -step).bit_length()
-        bit = 1 << v
-        mask ^= bit
-        if mask & bit:
-            for i in incident[v]:
-                c = inside[i]
-                inside[i] = c + 1
-                if not c:
-                    val += 1
-                elif c == top[i]:
-                    val -= 1
+    low = _block_width(n)
+    ones = (1 << (1 << low)) - 1
+    low_verts, full = (2 << low) - 1, (1 << n) - 1
+    planes = [ones] + _position_bits(low)
+    for base in range(0, 1 << n, 2 << low):
+        planes[low + 1 :] = [ones if base >> v & 1 else 0 for v in range(low + 1, n)]
+        counter: list[int] = []
+        for e in H.edges:
+            any_in = all_in = planes[e[0]]
+            for v in e[1:]:
+                x = planes[v]
+                any_in |= x
+                all_in &= x
+            _add_plane(counter, any_in ^ all_in)
+        sides = ones >> 1 if base | low_verts == full else ones
+        yield base, sides, counter
+
+
+def _block_width(n: int) -> int:
+    """L, the number of vertices that vary inside one block of n-vertex sides."""
+    return min(n - 1, _BLOCK_BITS)
+
+
+def _position_bits(width: int) -> list[int]:
+    """For b < ``width``, the 2**width-bit integer whose bit p is bit b of p.
+
+    Each is grown from one period by doubling, which is much faster than
+    building it by big-integer division.
+    """
+    out = []
+    for b in range(width):
+        half = 1 << b
+        x, span = ((1 << half) - 1) << half, 2 * half
+        while span < 1 << width:
+            x |= x << span
+            span *= 2
+        out.append(x)
+    return out
+
+
+def _add_plane(counter: list[int], x: int) -> None:
+    """Add the one-bit-per-position plane x into the bit-sliced counter,
+    whose plane b holds bit b of every position's count."""
+    for b, c in enumerate(counter):
+        if not x:
+            return
+        counter[b] = c ^ x
+        x &= c
+    if x:
+        counter.append(x)
+
+
+def _least(counter: list[int], cand: int) -> tuple[int, int]:
+    """The least count over the positions in ``cand`` (nonzero) and the
+    positions that hold it, read from the top bit down."""
+    value = 0
+    for b in range(len(counter) - 1, -1, -1):
+        rest = cand & ~counter[b]
+        if rest:
+            cand = rest
         else:
-            for i in incident[v]:
-                c = inside[i] - 1
-                inside[i] = c
-                if not c:
-                    val -= 1
-                elif c == top[i]:
-                    val += 1
-        if mask != full:
-            yield mask, val
+            value |= 1 << b
+    return value, cand
 
 
 def _mask_vertices(mask: int, n: int) -> tuple[int, ...]:

@@ -7,13 +7,16 @@ finishes orders of magnitude faster.
 """
 
 import time
+from itertools import combinations
 
 from hyperconn import (
+    Hypergraph,
     SplitMix64,
     affine_hypergraph,
     boundary,
     builtin_corpus,
     circulant_graph,
+    complete_uniform,
     degree_extremes,
     edge_atom,
     edge_connectivity,
@@ -332,14 +335,33 @@ def test_criterion_11_affine_transitivity_scales():
     print(f"[pass] criterion 11: affine transitivity, {', '.join(timings)}")
 
 
+def least_side_of_value(H, value):
+    """The least side by (size, sorted vertex sequence) among those whose
+    boundary has ``value`` edges, searched by increasing size."""
+    for size in range(1, H.n):
+        for X in combinations(range(H.n), size):
+            if len(boundary(H, X)) == value:
+                return X
+    return None
+
+
 def test_criterion_12_oracle_enumerates_twenty_vertices(capsys, tmp_path):
     """`hyperconn oracle` on 20 vertices, 2**19 - 1 sides, agrees with the
-    flow route: circulant(20, {1, 2}) and a connected random 3-uniform
-    instance with 60 edges."""
-    timings = []
+    flow route and finds the atom: circulant(20, {1, 2}), a connected random
+    3-uniform instance with 60 edges, complete_uniform(20, 3), whose
+    boundary sizes need an 11-bit counter, and a path plus one edge over all
+    20 vertices, whose 38 minimum sides lie in many blocks."""
+    timings, answers = [], {}
     random_20 = random_uniform_hypergraph(20, 3, 60, seed=1)
     assert random_20.m == 60 and is_connected(random_20)
-    for name, H in (("circulant_20_12", circulant_graph(20, (1, 2))), ("random_20_3_60", random_20)):
+    path_20 = Hypergraph(20, tuple((v, v + 1) for v in range(19)) + (tuple(range(20)),))
+    cases = (
+        ("circulant_20_12", circulant_graph(20, (1, 2))),
+        ("random_20_3_60", random_20),
+        ("complete_20_3", complete_uniform(20, 3)),
+        ("path_20_full", path_20),
+    )
+    for name, H in cases:
         path = tmp_path / f"{name}.hg"
         path.write_text(serialize_hypergraph(H))
         start = time.perf_counter()
@@ -349,8 +371,12 @@ def test_criterion_12_oracle_enumerates_twenty_vertices(capsys, tmp_path):
         got = machine_dict(out)
         kappa = edge_connectivity(H).value
         assert int(got["kappa"]) == kappa, name
-        atom = [int(v) for v in got["atom"].split()]
+        atom = tuple(int(v) for v in got["atom"].split())
         assert len(boundary(H, atom)) == kappa, name
+        assert atom == least_side_of_value(H, kappa), name
         assert elapsed < 10.0, name
         timings.append(f"{name} {elapsed:.2f}s < 10s")
+        answers[name] = (got["kappa"], got["atom"])
+    assert answers["complete_20_3"] == ("171", "0")
+    assert answers["path_20_full"] == ("2", "0")
     print(f"[pass] criterion 12: oracle at n=20, {', '.join(timings)}")

@@ -18,7 +18,7 @@ from hyperconn import (
 )
 from hyperconn.cli import _verdict_exit_code, analyze, main, render_machine
 from hyperconn.constructions import affine_hypergraph, complete_uniform
-from hyperconn.model import _side_boundaries
+from hyperconn.model import _side_blocks
 
 MACHINE_KEY_ORDER = [
     "n",
@@ -380,9 +380,9 @@ def test_oracle_command_connected(capsys, tmp_path, monkeypatch):
 
     def counted(H):
         runs.append(H.n)
-        return _side_boundaries(H)
+        return _side_blocks(H)
 
-    monkeypatch.setattr(connectivity, "_side_boundaries", counted)
+    monkeypatch.setattr(connectivity, "_side_blocks", counted)
     code, out, err = run_cli(capsys, "oracle", str(path))
     assert code == 0
     assert out == "kappa=3\natom=0\ncut=0 1 2\n"

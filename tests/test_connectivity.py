@@ -33,6 +33,7 @@ from hyperconn import (
     random_uniform_hypergraph,
     st_edge_connectivity,
 )
+from hyperconn import model
 from hyperconn.connectivity import _build_network
 from hyperconn.constructions import affine_doubled_family
 
@@ -469,10 +470,12 @@ def test_oracle_witness_is_first_improvement():
     assert edge_connectivity_oracle(complete_uniform(4, 2)).side == (0,)
 
 
-def test_oracle_witness_is_first_minimum_in_mask_order():
+def test_oracle_witness_is_first_minimum_in_mask_order(monkeypatch):
     """Differential check of the oracle's witness on seeded instances with
     n <= 10, among them disconnected ones with several zero sides,
-    multi-edges, isolated vertices and n = 2."""
+    multi-edges, isolated vertices and n = 2; at the real block width and
+    with blocks 2 vertices wide, so that the witness is chosen across many
+    blocks."""
     rng = SplitMix64(73)
     instances = [
         Hypergraph(2, ()),
@@ -490,14 +493,16 @@ def test_oracle_witness_is_first_minimum_in_mask_order():
     assert sum(H.n == 2 for H in instances) >= 5
     assert sum(len(set(H.edges)) < H.m for H in instances) >= 20
     assert sum(len({v for e in H.edges for v in e}) < H.n for H in instances) >= 20
-    several_zeros = 0
-    for H in instances:
-        value, side = first_minimum_side(H)
-        oracle = edge_connectivity_oracle(H)
-        assert (oracle.value, oracle.side) == (value, side), H
-        if value == 0 and len(components(H)) > 2:
-            several_zeros += 1
+    expected = [first_minimum_side(H) for H in instances]
+    several_zeros = sum(
+        value == 0 and len(components(H)) > 2 for H, (value, _) in zip(instances, expected)
+    )
     assert several_zeros >= 10
+    for width in (model._BLOCK_BITS, 2):
+        monkeypatch.setattr(model, "_BLOCK_BITS", width)
+        for H, (value, side) in zip(instances, expected):
+            oracle = edge_connectivity_oracle(H)
+            assert (oracle.value, oracle.side) == (value, side), (width, H)
 
 
 def test_oracle_disconnected_witness():
@@ -525,24 +530,21 @@ def test_edge_atom_examples():
     assert glued.value == 5
 
 
-def test_edge_atom_canonical_choice():
+def test_edge_atom_canonical_choice(monkeypatch):
+    """The atom against brute force, at the real block width and with
+    blocks 2 vertices wide, so that it is chosen across many blocks."""
     rng = SplitMix64(9)
+    cases = []
     for name, H in builtin_corpus():
         if H.n > 10 or not is_connected(H):
             continue
-        atom = edge_atom(H)
-        best_value, sides = all_min_atom_sides(H)
-        assert atom.value == best_value, name
-        assert atom.side == sides[0], name
-        assert len(atom.side) <= H.n / 2, name
+        cases.append((name, H))
     for i in range(15):
         n = 3 + rng.below(6)
         H = random_uniform_hypergraph(n, 2, n + rng.below(n), seed=400 + i)
         if not is_connected(H):
             continue
-        atom = edge_atom(H)
-        best_value, sides = all_min_atom_sides(H)
-        assert (atom.value, atom.side) == (best_value, sides[0]), i
+        cases.append((i, H))
     checked = 0
     for i in range(40):
         n = 4 + rng.below(7)
@@ -553,10 +555,15 @@ def test_edge_atom_canonical_choice():
         if not is_connected(H):
             continue
         checked += 1
-        atom = edge_atom(H)
-        best_value, sides = all_min_atom_sides(H)
-        assert (atom.value, atom.side) == (best_value, sides[0]), i
+        cases.append((i, H))
     assert checked >= 25
+    expected = [all_min_atom_sides(H) for _, H in cases]
+    for width in (model._BLOCK_BITS, 2):
+        monkeypatch.setattr(model, "_BLOCK_BITS", width)
+        for (name, H), (best_value, sides) in zip(cases, expected):
+            atom = edge_atom(H)
+            assert (atom.value, atom.side) == (best_value, sides[0]), (width, name)
+            assert len(atom.side) <= H.n / 2, (width, name)
 
 
 def test_edge_atom_errors():

@@ -30,7 +30,7 @@ from hyperconn import (
     vertex_profile,
 )
 from hyperconn import model
-from hyperconn.model import _incidence, _side_boundaries
+from hyperconn.model import _incidence, _side_blocks
 
 
 def brute_degree(H, v):
@@ -388,10 +388,24 @@ def test_uncrossing_inequality_random():
         assert lhs <= rhs
 
 
-def test_side_boundaries_cover_every_side_once():
+def side_values(H):
+    """The kernel's blocks expanded into ``(mask, |boundary|)`` pairs."""
+    pairs = []
+    for base, sides, counter in _side_blocks(H):
+        for p in range(sides.bit_length()):
+            if sides >> p & 1:
+                value = sum((c >> p & 1) << b for b, c in enumerate(counter))
+                pairs.append((base | p << 1 | 1, value))
+    return pairs
+
+
+def test_side_blocks_cover_every_side_once(monkeypatch):
     """Every nonempty proper side containing vertex 0, exactly once, each
     with its boundary size; on the corpus and on random instances with
-    multi-edges and isolated vertices.  The kernel promises no order."""
+    multi-edges and isolated vertices.  The kernel promises no order.
+
+    Blocks 1 and 2 vertices wide make the small instances span many blocks;
+    one 15-vertex instance spans two blocks at the real width."""
     instances = [H for _, H in builtin_corpus() if H.n <= 12]
     rng = SplitMix64(61)
     for _ in range(60):
@@ -407,13 +421,24 @@ def test_side_boundaries_cover_every_side_once():
     assert any(H.n == 1 for H in instances)
     assert any(len(set(H.edges)) < H.m for H in instances)
     assert any(len({v for e in H.edges for v in e}) < H.n for H in instances)
-    assert list(_side_boundaries(Hypergraph(1, ()))) == []
-    assert list(_side_boundaries(Hypergraph(2, ()))) == [(1, 0)]
-    assert list(_side_boundaries(Hypergraph(2, ((0, 1), (0, 1))))) == [(1, 2)]
-    for H in instances:
-        pairs = list(_side_boundaries(H))
+    wide = random_uniform_hypergraph(15, 3, 30, seed=61)
+    wide = Hypergraph(15, wide.edges + (wide.edges[0], (3, 14)))
+
+    def check(H):
+        pairs = side_values(H)
         masks = {mask for mask, _ in pairs}
         assert len(pairs) == len(masks) == 2 ** (H.n - 1) - 1
         for mask, value in pairs:
             assert mask & 1 and mask != (1 << H.n) - 1
             assert value == len(boundary(H, mask_set(mask, H.n)))
+
+    for width in (1, 2):
+        monkeypatch.setattr(model, "_BLOCK_BITS", width)
+        assert side_values(Hypergraph(1, ())) == []
+        assert side_values(Hypergraph(2, ())) == [(1, 0)]
+        assert side_values(Hypergraph(2, ((0, 1), (0, 1)))) == [(1, 2)]
+        for H in instances:
+            check(H)
+    monkeypatch.undo()
+    assert model._block_width(wide.n) < wide.n - 1  # so it spans several blocks
+    check(wide)
