@@ -33,7 +33,6 @@ from .model import (
     Hypergraph,
     HypergraphError,
     _mask_vertices,
-    _side_blocks,
     boundary,
     components,
     degree_extremes,
@@ -338,15 +337,8 @@ def cmd_verify_lemma(args: argparse.Namespace) -> int:
         H = random_uniform_hypergraph(n, k, m, seed=rng.next_u64())
         x_mask = rng.below(1 << n)
         y_mask = rng.below(1 << n)
-        union, meet = x_mask | y_mask, x_mask & y_mask
-        lhs = rhs = 0
-        for e in H.edges:  # an edge crosses side s when 0 < |s & e| < |e|
-            em = 0
-            for v in e:
-                em |= 1 << v
-            lhs += (0 < union & em != em) + (0 < meet & em != em)
-            rhs += (0 < x_mask & em != em) + (0 < y_mask & em != em)
-        if lhs > rhs:
+        bu, bm, bx, by = _uncrossing_sizes(H, x_mask, y_mask)
+        if bu + bm > bx + by:
             _print_uncrossing_violation(f"random trial {trial}", H, x_mask, y_mask)
             print("FAIL")
             return 1
@@ -436,16 +428,25 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def _boundary_size_table(H: Hypergraph) -> list[int]:
     """|boundary(X)| for every vertex subset X, indexed by bitmask."""
-    full = (1 << H.n) - 1
-    table = [0] * (full + 1)
-    for base, sides, counter in _side_blocks(H):
-        for p in range(sides.bit_length()):
-            if sides >> p & 1:
-                mask = base | p << 1 | 1
-                table[mask] = table[full ^ mask] = sum(
-                    (c >> p & 1) << b for b, c in enumerate(counter)
-                )
-    return table
+    edge_masks = [sum(1 << v for v in e) for e in H.edges]
+    # an edge crosses side s when 0 < |s & e| < |e|
+    return [sum(0 < s & em != em for em in edge_masks) for s in range(1 << H.n)]
+
+
+def _uncrossing_sizes(H: Hypergraph, x_mask: int, y_mask: int) -> tuple[int, int, int, int]:
+    """|boundary| of X u Y, X n Y, X and Y, for the vertex bitmasks of X and
+    Y, counted in one pass over the edges."""
+    union, meet = x_mask | y_mask, x_mask & y_mask
+    bu = bm = bx = by = 0
+    for e in H.edges:
+        em = 0
+        for v in e:
+            em |= 1 << v
+        bu += 0 < union & em != em
+        bm += 0 < meet & em != em
+        bx += 0 < x_mask & em != em
+        by += 0 < y_mask & em != em
+    return bu, bm, bx, by
 
 
 def _print_uncrossing_violation(name: str, H: Hypergraph, x_mask: int, y_mask: int) -> None:

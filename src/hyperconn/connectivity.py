@@ -27,36 +27,25 @@ the witness of the first target reaching the minimum, exactly as if every
 flow had been solved in full.
 
 The oracle and the edge atom enumerate vertex sides outright.  Both read
-the boundary sizes from one kernel, ``model._side_blocks``, and neither
-shares any code with the flow route, so the oracle and the flow route can
-check each other.  The kernel is bit-sliced: a block fixes the vertices
-above L = min(n - 1, 13) and covers the 2**L sides that differ in vertices
-1..L, bit p of each plane standing for one side.  Each vertex has a plane
-of the sides that hold it, each edge a plane of the sides it crosses, and
-a ripple carry adds those into counter planes, plane b holding bit b of
-every side's boundary size.  Inside a block each consumer picks its answer
-with a few operations on the planes; across blocks it keeps the best by a
-key that does not depend on block order: the oracle the least
-``(value, mask)``, and the atom the least value, then size, then sorted
-vertex sequence.
+the boundary sizes from one kernel, ``_side_blocks``, and neither shares
+any code with the flow route, so the oracle and the flow route can check
+each other.  The kernel promises no block order, so each keeps its answer
+across blocks by a key: the oracle the least ``(value, mask)``, and the
+atom the least value, then size, then sorted vertex sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .model import (
     GuardError,
     Hypergraph,
     HypergraphError,
-    _add_plane,
-    _block_width,
     _check_vertex,
     _degrees,
-    _least,
     _mask_vertices,
-    _position_bits,
-    _side_blocks,
     boundary,
     components,
     degree_extremes,
@@ -352,3 +341,90 @@ def is_maximally_edge_connected(H: Hypergraph) -> bool:
     minimum degree."""
     return edge_connectivity(H).value == degree_extremes(H)[0]
 
+
+_BLOCK_BITS = 13  # vertices 1..13 vary inside one block of 2**13 sides
+
+
+def _side_blocks(H: Hypergraph) -> Iterator[tuple[int, int, list[int]]]:
+    """The boundary size of every nonempty proper side containing vertex 0,
+    bit-sliced: one big integer holds one bit of many sides' sizes.
+
+    Yields ``(base, sides, counter)`` once per block, in no promised order.
+    With L = min(n - 1, _BLOCK_BITS), a block covers the 2**L sides
+    ``base | p << 1 | 1`` for positions p < 2**L: ``base`` fixes vertices
+    L+1..n-1 and bit v - 1 of p places vertex v for v = 1..L.  Bit p of
+    ``sides`` is set when that side is a proper subset (only the full vertex
+    set is not), and bit p of ``counter[b]`` is bit b of its boundary size.
+    A side's complement has the same boundary, so these 2**(n-1) - 1 sides
+    cover every nonempty proper side.
+
+    Each low vertex v has a plane, bit p set when side p holds v; vertex 0's
+    plane is all ones and a high vertex's is all ones or zero by ``base``.
+    An edge crosses at the positions where its planes' OR and AND differ,
+    and that crossing plane is added into the counter by a ripple carry.
+    Blocks keep the planes at 2**L bits however large n is.
+    """
+    n = H.n
+    low = _block_width(n)
+    ones = (1 << (1 << low)) - 1
+    low_verts, full = (2 << low) - 1, (1 << n) - 1
+    planes = [ones] + _position_bits(low)
+    for base in range(0, 1 << n, 2 << low):
+        planes[low + 1 :] = [ones if base >> v & 1 else 0 for v in range(low + 1, n)]
+        counter: list[int] = []
+        for e in H.edges:
+            any_in = all_in = planes[e[0]]
+            for v in e[1:]:
+                x = planes[v]
+                any_in |= x
+                all_in &= x
+            _add_plane(counter, any_in ^ all_in)
+        sides = ones >> 1 if base | low_verts == full else ones
+        yield base, sides, counter
+
+
+def _block_width(n: int) -> int:
+    """L, the number of vertices that vary inside one block of n-vertex sides."""
+    return min(n - 1, _BLOCK_BITS)
+
+
+def _position_bits(width: int) -> list[int]:
+    """For b < ``width``, the 2**width-bit integer whose bit p is bit b of p.
+
+    Each is grown from one period by doubling, which is much faster than
+    building it by big-integer division.
+    """
+    out = []
+    for b in range(width):
+        half = 1 << b
+        x, span = ((1 << half) - 1) << half, 2 * half
+        while span < 1 << width:
+            x |= x << span
+            span *= 2
+        out.append(x)
+    return out
+
+
+def _add_plane(counter: list[int], x: int) -> None:
+    """Add the one-bit-per-position plane x into the bit-sliced counter,
+    whose plane b holds bit b of every position's count."""
+    for b, c in enumerate(counter):
+        if not x:
+            return
+        counter[b] = c ^ x
+        x &= c
+    if x:
+        counter.append(x)
+
+
+def _least(counter: list[int], cand: int) -> tuple[int, int]:
+    """The least count over the positions in ``cand`` (nonzero) and the
+    positions that hold it, read from the top bit down."""
+    value = 0
+    for b in range(len(counter) - 1, -1, -1):
+        rest = cand & ~counter[b]
+        if rest:
+            cand = rest
+        else:
+            value |= 1 << b
+    return value, cand

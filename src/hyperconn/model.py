@@ -9,7 +9,8 @@ pure, so instances can be shared freely between threads.
 File format (UTF-8 text, LF line endings):
 
 * lines starting with ``#`` are comments and may appear anywhere,
-* the first content line is a header ``h <n> <m>`` with n >= 1, m >= 0,
+* the first content line is a header ``h <n> <m>`` with 1 <= n <= 2**20
+  and m >= 0; a larger n is refused before anything is sized by it,
 * exactly m further content lines ``e v1 v2 ... vk`` follow, each with
   0 <= vi < n and k >= 2 (vertices in any order, no repeats),
 * the serializer emits no comments, edges in lexicographic order, single
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "HypergraphError",
@@ -42,6 +43,9 @@ __all__ = [
     "boundary_profile",
     "vertex_profile",
 ]
+
+
+_MAX_VERTICES = 1 << 20  # the largest n a file header may declare
 
 
 class HypergraphError(ValueError):
@@ -125,7 +129,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the text file format described in the module docstring.
 
     Raises:
-        ParseError: on a malformed header, a malformed edge line, a vertex
+        ParseError: on a malformed header, a header declaring more than
+            ``_MAX_VERTICES`` vertices, a malformed edge line, a vertex
             out of range, an edge of size < 2, a repeated vertex within an
             edge, or an edge count mismatch; the message names the line.
     """
@@ -147,6 +152,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 raise ParseError(line_no, "malformed header, counts must be integers") from None
             if n < 1 or m < 0:
                 raise ParseError(line_no, "malformed header, need n >= 1 and m >= 0")
+            if n > _MAX_VERTICES:
+                raise ParseError(line_no, f"too many vertices, header declares {n}, limit {_MAX_VERTICES}")
             header = (n, m)
             continue
         n, m = header
@@ -356,94 +363,6 @@ def _incidence(H: Hypergraph) -> list[list[int]]:
         for v in e:
             incident[v].append(i)
     return incident
-
-
-_BLOCK_BITS = 13  # vertices 1..13 vary inside one block of 2**13 sides
-
-
-def _side_blocks(H: Hypergraph) -> Iterator[tuple[int, int, list[int]]]:
-    """The boundary size of every nonempty proper side containing vertex 0,
-    bit-sliced: one big integer holds one bit of many sides' sizes.
-
-    Yields ``(base, sides, counter)`` once per block, in no promised order.
-    With L = min(n - 1, _BLOCK_BITS), a block covers the 2**L sides
-    ``base | p << 1 | 1`` for positions p < 2**L: ``base`` fixes vertices
-    L+1..n-1 and bit v - 1 of p places vertex v for v = 1..L.  Bit p of
-    ``sides`` is set when that side is a proper subset (only the full vertex
-    set is not), and bit p of ``counter[b]`` is bit b of its boundary size.
-    A side's complement has the same boundary, so these 2**(n-1) - 1 sides
-    cover every nonempty proper side.
-
-    Each low vertex v has a plane, bit p set when side p holds v; vertex 0's
-    plane is all ones and a high vertex's is all ones or zero by ``base``.
-    An edge crosses at the positions where its planes' OR and AND differ,
-    and that crossing plane is added into the counter by a ripple carry.
-    Blocks keep the planes at 2**L bits however large n is.
-    """
-    n = H.n
-    low = _block_width(n)
-    ones = (1 << (1 << low)) - 1
-    low_verts, full = (2 << low) - 1, (1 << n) - 1
-    planes = [ones] + _position_bits(low)
-    for base in range(0, 1 << n, 2 << low):
-        planes[low + 1 :] = [ones if base >> v & 1 else 0 for v in range(low + 1, n)]
-        counter: list[int] = []
-        for e in H.edges:
-            any_in = all_in = planes[e[0]]
-            for v in e[1:]:
-                x = planes[v]
-                any_in |= x
-                all_in &= x
-            _add_plane(counter, any_in ^ all_in)
-        sides = ones >> 1 if base | low_verts == full else ones
-        yield base, sides, counter
-
-
-def _block_width(n: int) -> int:
-    """L, the number of vertices that vary inside one block of n-vertex sides."""
-    return min(n - 1, _BLOCK_BITS)
-
-
-def _position_bits(width: int) -> list[int]:
-    """For b < ``width``, the 2**width-bit integer whose bit p is bit b of p.
-
-    Each is grown from one period by doubling, which is much faster than
-    building it by big-integer division.
-    """
-    out = []
-    for b in range(width):
-        half = 1 << b
-        x, span = ((1 << half) - 1) << half, 2 * half
-        while span < 1 << width:
-            x |= x << span
-            span *= 2
-        out.append(x)
-    return out
-
-
-def _add_plane(counter: list[int], x: int) -> None:
-    """Add the one-bit-per-position plane x into the bit-sliced counter,
-    whose plane b holds bit b of every position's count."""
-    for b, c in enumerate(counter):
-        if not x:
-            return
-        counter[b] = c ^ x
-        x &= c
-    if x:
-        counter.append(x)
-
-
-def _least(counter: list[int], cand: int) -> tuple[int, int]:
-    """The least count over the positions in ``cand`` (nonzero) and the
-    positions that hold it, read from the top bit down."""
-    value = 0
-    for b in range(len(counter) - 1, -1, -1):
-        rest = cand & ~counter[b]
-        if rest:
-            cand = rest
-        else:
-            value |= 1 << b
-    return value, cand
 
 
 def _mask_vertices(mask: int, n: int) -> tuple[int, ...]:

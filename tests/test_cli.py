@@ -8,17 +8,21 @@ import pytest
 
 import hyperconn
 from hyperconn import (
+    SplitMix64,
+    boundary,
     builtin_corpus,
+    cli,
     connectivity,
     edge_atom,
     edge_connectivity_oracle,
     is_connected,
+    is_uniform,
     parse_hypergraph,
     serialize_hypergraph,
 )
 from hyperconn.cli import _verdict_exit_code, analyze, main, render_machine
 from hyperconn.constructions import affine_hypergraph, complete_uniform
-from hyperconn.model import _side_blocks
+from hyperconn.connectivity import _side_blocks
 
 MACHINE_KEY_ORDER = [
     "n",
@@ -274,6 +278,25 @@ def test_non_utf8_instance_exits_2(capsys, tmp_path):
         assert "latin.hg" in err
 
 
+def test_over_cap_instance_exits_2(capsys, tmp_path):
+    """A header declaring more vertices than the parser reads is refused on
+    line 1, before anything is sized by n."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "huge.hg"
+    path.write_text("h 1048577 0\n")
+    expected = f"error: {path}: line 1: too many vertices, header declares 1048577, limit 1048576\n"
+    for argv in (
+        ("analyze", str(path)),
+        ("oracle", str(path)),
+        ("verify", "theorem", "--corpus", str(corpus), "--which", "main"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == expected
+
+
 def test_verify_theorem_names_a_bad_file(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -305,6 +328,77 @@ def test_verify_lemma_passes_and_is_deterministic(capsys):
     code, out3, err = run_cli(capsys, "verify", "lemma", "--trials", "120", "--seed", "6")
     assert code == 0
     assert out3 != out2 or "seed=6" in out3
+
+
+def lemma_instances():
+    """The instances the lemma checks exhaustively: uniform, n <= 8."""
+    return [
+        (name, H)
+        for name, H in builtin_corpus()
+        if H.n <= 8 and H.m > 0 and is_uniform(H) is not None
+    ]
+
+
+def violation_block(name, H, X, Y):
+    sizes = [len(boundary(H, S)) for S in (X | Y, X & Y, X, Y)]
+    return (
+        f"violation in {name}:\n"
+        f"  X = {' '.join(map(str, sorted(X)))}\n"
+        f"  Y = {' '.join(map(str, sorted(Y)))}\n"
+        f"  |boundary(X u Y)|={sizes[0]} |boundary(X n Y)|={sizes[1]}"
+        f" |boundary(X)|={sizes[2]} |boundary(Y)|={sizes[3]}\n"
+        + serialize_hypergraph(H)
+        + "FAIL\n"
+    )
+
+
+def test_verify_lemma_counts_are_boundary_sizes():
+    """Both halves of the lemma count what ``boundary`` counts: the table at
+    every mask, and the one-pass count of a trial at sampled mask pairs."""
+    rng = SplitMix64(17)
+    instances = lemma_instances()
+    assert len(instances) >= 10
+    for name, H in instances:
+        table = cli._boundary_size_table(H)
+        sets = [{v for v in range(H.n) if mask >> v & 1} for mask in range(1 << H.n)]
+        assert table == [len(boundary(H, X)) for X in sets], name
+        for _ in range(100):
+            x_mask, y_mask = rng.below(1 << H.n), rng.below(1 << H.n)
+            assert cli._uncrossing_sizes(H, x_mask, y_mask) == (
+                table[x_mask | y_mask], table[x_mask & y_mask], table[x_mask], table[y_mask]
+            ), name
+
+
+def test_verify_lemma_exhaustive_half_reports_a_violation(capsys, monkeypatch):
+    """A table that breaks submodularity first at X = {0}, Y = {1} fails the
+    run, which prints the true sizes and the instance."""
+    name, H = lemma_instances()[0]
+    monkeypatch.setattr(
+        cli, "_boundary_size_table", lambda H: [int(mask == 3) for mask in range(1 << H.n)]
+    )
+    code, out, err = run_cli(capsys, "verify", "lemma", "--trials", "0")
+    assert code == 1
+    assert out == violation_block(name, H, {0}, {1})
+
+
+def test_verify_lemma_random_half_reports_a_violation(capsys, monkeypatch):
+    """Counts that break submodularity fail the first random trial."""
+    trials = []
+
+    def broken(H, x_mask, y_mask):
+        trials.append((H, x_mask, y_mask))
+        return 1, 0, 0, 0
+
+    monkeypatch.setattr(cli, "_uncrossing_sizes", broken)
+    code, out, err = run_cli(capsys, "verify", "lemma", "--trials", "50", "--seed", "3")
+    assert code == 1
+    assert len(trials) == 1
+    H, x_mask, y_mask = trials[0]
+    X = {v for v in range(H.n) if x_mask >> v & 1}
+    Y = {v for v in range(H.n) if y_mask >> v & 1}
+    head, sep, tail = out.partition("violation in")
+    assert head.startswith("uncrossing exhaustive:") and "random" not in head
+    assert sep + tail == violation_block("random trial 0", H, X, Y)
 
 
 def test_verify_lemma_rejects_bad_parameters(capsys):

@@ -33,8 +33,8 @@ from hyperconn import (
     random_uniform_hypergraph,
     st_edge_connectivity,
 )
-from hyperconn import model
-from hyperconn.connectivity import _build_network
+from hyperconn import connectivity
+from hyperconn.connectivity import _build_network, _side_blocks
 from hyperconn.constructions import affine_doubled_family
 
 
@@ -442,6 +442,64 @@ def test_whitney_bound_on_corpus():
         assert edge_connectivity(H).value <= delta, name
 
 
+def side_values(H):
+    """The kernel's blocks expanded into ``(mask, |boundary|)`` pairs."""
+    pairs = []
+    for base, sides, counter in _side_blocks(H):
+        for p in range(sides.bit_length()):
+            if sides >> p & 1:
+                value = sum((c >> p & 1) << b for b, c in enumerate(counter))
+                pairs.append((base | p << 1 | 1, value))
+    return pairs
+
+
+def test_side_blocks_cover_every_side_once(monkeypatch):
+    """Every nonempty proper side containing vertex 0, exactly once, each
+    with its boundary size; on the corpus and on random instances with
+    multi-edges and isolated vertices.  The kernel promises no order.
+
+    Blocks 1 and 2 vertices wide make the small instances span many blocks;
+    one 15-vertex instance spans two blocks at the real width."""
+    instances = [H for _, H in builtin_corpus() if H.n <= 12]
+    rng = SplitMix64(61)
+    for _ in range(60):
+        n = 1 + rng.below(10)
+        pool = n - rng.below(2) if n > 2 else n  # vertex n - 1 may be isolated
+        edges = []
+        if pool >= 2:
+            for _ in range(rng.below(2 * n)):
+                edges.append(rng.subset(pool, 2 + rng.below(min(pool, 4) - 1)))
+            if edges:
+                edges.append(edges[rng.below(len(edges))])
+        instances.append(Hypergraph(n, tuple(edges)))
+    assert any(H.n == 1 for H in instances)
+    assert any(len(set(H.edges)) < H.m for H in instances)
+    assert any(len({v for e in H.edges for v in e}) < H.n for H in instances)
+    wide = random_uniform_hypergraph(15, 3, 30, seed=61)
+    wide = Hypergraph(15, wide.edges + (wide.edges[0], (3, 14)))
+
+    def check(H):
+        pairs = side_values(H)
+        masks = {mask for mask, _ in pairs}
+        assert len(pairs) == len(masks) == 2 ** (H.n - 1) - 1
+        for mask, value in pairs:
+            assert mask & 1 and mask != (1 << H.n) - 1
+            assert value == len(boundary(H, {v for v in range(H.n) if mask >> v & 1}))
+
+    for width in (1, 2):
+        monkeypatch.setattr(connectivity, "_BLOCK_BITS", width)
+        assert side_values(Hypergraph(1, ())) == []
+        assert side_values(Hypergraph(2, ())) == [(1, 0)]
+        assert side_values(Hypergraph(2, ((0, 1), (0, 1)))) == [(1, 2)]
+        # the patch reaches the kernel: 2**(n - 1 - width) blocks, not one
+        assert sum(1 for _ in _side_blocks(Hypergraph(6, ()))) == 2 ** (5 - width)
+        for H in instances:
+            check(H)
+    monkeypatch.undo()
+    assert connectivity._block_width(wide.n) < wide.n - 1  # so it spans several blocks
+    check(wide)
+
+
 def test_oracle_agreement_on_corpus():
     for name, H in builtin_corpus():
         if H.n > 12:
@@ -498,8 +556,8 @@ def test_oracle_witness_is_first_minimum_in_mask_order(monkeypatch):
         value == 0 and len(components(H)) > 2 for H, (value, _) in zip(instances, expected)
     )
     assert several_zeros >= 10
-    for width in (model._BLOCK_BITS, 2):
-        monkeypatch.setattr(model, "_BLOCK_BITS", width)
+    for width in (connectivity._BLOCK_BITS, 2):
+        monkeypatch.setattr(connectivity, "_BLOCK_BITS", width)
         for H, (value, side) in zip(instances, expected):
             oracle = edge_connectivity_oracle(H)
             assert (oracle.value, oracle.side) == (value, side), (width, H)
@@ -558,8 +616,8 @@ def test_edge_atom_canonical_choice(monkeypatch):
         cases.append((i, H))
     assert checked >= 25
     expected = [all_min_atom_sides(H) for _, H in cases]
-    for width in (model._BLOCK_BITS, 2):
-        monkeypatch.setattr(model, "_BLOCK_BITS", width)
+    for width in (connectivity._BLOCK_BITS, 2):
+        monkeypatch.setattr(connectivity, "_BLOCK_BITS", width)
         for (name, H), (best_value, sides) in zip(cases, expected):
             atom = edge_atom(H)
             assert (atom.value, atom.side) == (best_value, sides[0]), (width, name)

@@ -30,7 +30,7 @@ from hyperconn import (
     vertex_profile,
 )
 from hyperconn import model
-from hyperconn.model import _incidence, _side_blocks
+from hyperconn.model import _incidence
 
 
 def brute_degree(H, v):
@@ -117,6 +117,7 @@ def test_round_trip_on_corpus():
         ("x 3 1\ne 0 1\n", 1, "malformed header"),
         ("h three 1\ne 0 1\n", 1, "counts must be integers"),
         ("h 0 0\n", 1, "need n >= 1"),
+        ("h 1048577 0\n", 1, "too many vertices, header declares 1048577, limit 1048576"),
         ("h 3 1\nq 0 1\n", 2, "malformed edge line"),
         ("h 3 1\ne 0 1\ne 1 2\n", 3, "edge count mismatch"),
         ("h 3 1\ne 0 one\n", 2, "vertices must be integers"),
@@ -145,6 +146,12 @@ def test_parse_errors(text, line_no, fragment):
     assert err.value.line_no == line_no
     assert fragment in str(err.value)
     assert str(err.value).startswith(f"line {line_no}:")
+
+
+def test_parse_accepts_the_vertex_cap():
+    assert model._MAX_VERTICES == 1 << 20
+    H = parse_hypergraph("h 1048576 0\n")
+    assert (H.n, H.m) == (1 << 20, 0)
 
 
 def test_parse_normalizes_each_edge_once(monkeypatch):
@@ -386,59 +393,3 @@ def test_uncrossing_inequality_random():
         lhs = len(boundary(H, X | Y)) + len(boundary(H, X & Y))
         rhs = len(boundary(H, X)) + len(boundary(H, Y))
         assert lhs <= rhs
-
-
-def side_values(H):
-    """The kernel's blocks expanded into ``(mask, |boundary|)`` pairs."""
-    pairs = []
-    for base, sides, counter in _side_blocks(H):
-        for p in range(sides.bit_length()):
-            if sides >> p & 1:
-                value = sum((c >> p & 1) << b for b, c in enumerate(counter))
-                pairs.append((base | p << 1 | 1, value))
-    return pairs
-
-
-def test_side_blocks_cover_every_side_once(monkeypatch):
-    """Every nonempty proper side containing vertex 0, exactly once, each
-    with its boundary size; on the corpus and on random instances with
-    multi-edges and isolated vertices.  The kernel promises no order.
-
-    Blocks 1 and 2 vertices wide make the small instances span many blocks;
-    one 15-vertex instance spans two blocks at the real width."""
-    instances = [H for _, H in builtin_corpus() if H.n <= 12]
-    rng = SplitMix64(61)
-    for _ in range(60):
-        n = 1 + rng.below(10)
-        pool = n - rng.below(2) if n > 2 else n  # vertex n - 1 may be isolated
-        edges = []
-        if pool >= 2:
-            for _ in range(rng.below(2 * n)):
-                edges.append(rng.subset(pool, 2 + rng.below(min(pool, 4) - 1)))
-            if edges:
-                edges.append(edges[rng.below(len(edges))])
-        instances.append(Hypergraph(n, tuple(edges)))
-    assert any(H.n == 1 for H in instances)
-    assert any(len(set(H.edges)) < H.m for H in instances)
-    assert any(len({v for e in H.edges for v in e}) < H.n for H in instances)
-    wide = random_uniform_hypergraph(15, 3, 30, seed=61)
-    wide = Hypergraph(15, wide.edges + (wide.edges[0], (3, 14)))
-
-    def check(H):
-        pairs = side_values(H)
-        masks = {mask for mask, _ in pairs}
-        assert len(pairs) == len(masks) == 2 ** (H.n - 1) - 1
-        for mask, value in pairs:
-            assert mask & 1 and mask != (1 << H.n) - 1
-            assert value == len(boundary(H, mask_set(mask, H.n)))
-
-    for width in (1, 2):
-        monkeypatch.setattr(model, "_BLOCK_BITS", width)
-        assert side_values(Hypergraph(1, ())) == []
-        assert side_values(Hypergraph(2, ())) == [(1, 0)]
-        assert side_values(Hypergraph(2, ((0, 1), (0, 1)))) == [(1, 2)]
-        for H in instances:
-            check(H)
-    monkeypatch.undo()
-    assert model._block_width(wide.n) < wide.n - 1  # so it spans several blocks
-    check(wide)

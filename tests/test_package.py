@@ -1,4 +1,8 @@
-"""The package surface: exactly the library modules' ``__all__`` lists."""
+"""The package surface: exactly the library modules' ``__all__`` lists, and
+no module importing a name it never uses."""
+
+import ast
+from pathlib import Path
 
 import hyperconn
 
@@ -38,3 +42,28 @@ def test_package_exports_exactly_the_module_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(hyperconn, name) is getattr(module, name)
+
+
+def unused_imports(source):
+    """The names a module's imports bind that nothing in it reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_modules_use_every_name_they_import():
+    stale = "from typing import Iterable, Iterator\nimport os.path\n\ndef f(x: Iterable): ...\n"
+    assert unused_imports(stale) == [(1, "Iterator"), (2, "os")]
+    modules = sorted(Path(hyperconn.__file__).parent.glob("*.py"))
+    assert len(modules) >= 6
+    for path in modules:
+        if path.name != "__init__.py":
+            assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
