@@ -17,7 +17,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .connectivity import CutResult, edge_atom, edge_connectivity, edge_connectivity_oracle
+from .connectivity import (
+    CutResult,
+    _check_enumeration_guard,
+    edge_atom,
+    edge_connectivity,
+    edge_connectivity_oracle,
+)
 from .constructions import (
     SplitMix64,
     affine_doubled_family,
@@ -415,6 +421,8 @@ def _hypothesis_gap(H: Hypergraph, which: str) -> str | None:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     H = _read_instance(args.path)
+    # refuse an instance beyond the guard before walking it
+    _check_enumeration_guard(H, "oracle")
     if is_connected(H):
         # the atom's boundary is a minimum one, so one enumeration gives both
         result, label = edge_atom(H), "atom"

@@ -9,22 +9,34 @@ arc, and every incidence v in e adds arcs v -> e_in and e_out -> v with
 capacity m + 1, which no minimum separating edge set can reach.  Either
 way every vertex side X has cut capacity |boundary(X)|, so the max s-t
 flow equals the minimum boundary over vertex sets separating s from t.
-``_Dinic`` finds it in phases: a BFS from s labels residual distances,
-then a walk from t back to s pushes one unit along each path that steps
-one level down.  The BFS that no longer reaches t has labelled the
-residual reach of s, and its vertex nodes form the witness side.  That
-side is the same for every maximum flow, and whether a 2-edge is built as
-an arc pair or as a node pair: it is the unique inclusion-minimal minimum
-side containing s (Picard & Queyranne, 1980).
+``_Dinic`` finds it in phases: a BFS from the source set labels residual
+distances, then a walk from t back to the source set pushes one unit along
+each path that steps one level down.  The BFS that no longer reaches t has
+labelled the residual reach of the source set, and its vertex nodes form
+the witness side.  That side is the same for every maximum flow, and
+whether a 2-edge is built as an arc pair or as a node pair: it is the
+unique inclusion-minimal minimum side containing the source set (Picard &
+Queyranne, 1980).
 
-``edge_connectivity`` builds the network once per call and restores its
-capacities before each target.  Each flow is capped at the best value
-found so far; a flow that reaches the cap cannot improve the answer, so it
-is stopped there and no witness is built for it.  A witness is built only
-when a flow ends strictly below the best so far, and the loop stops once
-the best is 1, the least value of a connected input.  The answer is thus
-the witness of the first target reaching the minimum, exactly as if every
-flow had been solved in full.
+``edge_connectivity`` builds the network once per call and takes the
+targets in index order, skipping the source s.  After a target's flow the
+target joins a source set S that starts as {s}, and the next flow starts
+from the flow already in the network: it is conserved at every node
+outside S and the next target, so it is a feasible flow of value 0
+(Hao & Orlin, 1994).  Each flow is capped at the best value found so far;
+a flow that reaches the cap cannot improve the answer, so it is stopped
+there and no witness is built for it.  A witness is built only when a
+flow ends strictly below the best so far, and the loop stops once the best
+is 1, the least value of a connected input.
+
+The answer is the one n - 1 separate s-t flows would give: the minimal
+minimum side X of the first target t* with lambda(s, t*) = kappa'.  An
+earlier target t outside X would have lambda(s, t) <= kappa', against the
+choice of t*, so X holds every earlier target.  Hence X is also the
+minimal minimum side holding S and not t*.  An earlier target's S-t value
+is at least its s-t value, which is above kappa', so the cap at t* is
+above kappa' and t*'s flow ends at kappa' with X as its witness; no later
+flow goes below kappa'.
 
 The oracle and the edge atom enumerate vertex sides outright.  Both read
 the boundary sizes from one kernel, ``_side_blocks``, and neither shares
@@ -64,6 +76,11 @@ __all__ = [
 _ENUM_GUARD = 20  # exhaustive subset enumeration beyond this is refused
 
 
+def _check_enumeration_guard(H: Hypergraph, what: str) -> None:
+    if not 2 <= H.n <= _ENUM_GUARD:
+        raise GuardError(f"{what} enumeration requires 2 <= n <= {_ENUM_GUARD}, got n={H.n}")
+
+
 @dataclass(frozen=True)
 class CutResult:
     """A vertex side and the edge cut it induces; ``value == len(cut_edges)``."""
@@ -82,13 +99,20 @@ class CutResult:
 
 
 class _Dinic:
-    """Dinic's max-flow on the edge network of ``_build_network``.
+    """Dinic's max-flow on the edge network of ``_build_network``, from a
+    source set S (a ``_SourceSet``) to a target t.
 
     Arcs are stored in pairs, so ``a ^ 1`` is the reverse of arc ``a``.
-    Levels are labelled from s and paths are walked from t, so every node
-    the walk enters was reached from s and the walk does not wander.  Both
-    searches are iterative, so path length is bounded by memory, not by the
+    Every node of S has level 0, and the BFS starts from S's frontier, the
+    S nodes that still have an arc leaving S.  Paths are walked from t and
+    end at the first level-0 node, so every node the walk enters was
+    reached from S and the walk does not wander.  Both searches are
+    iterative, so path length is bounded by memory, not by the
     interpreter's recursion limit.
+
+    A flow is not undone between calls: it starts from whatever flow the
+    capacities already hold.  That is a feasible start as long as it is
+    conserved at every node outside S and t.
 
     One unit per path is always right, even though an arc may have more
     capacity left (a 2-edge's arc holds 2 after a push the other way): an
@@ -110,29 +134,29 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0)
 
-    def max_flow(self, s: int, t: int, limit: int) -> tuple[int, list[int] | None]:
-        """Push flow from s to t until it is maximum or reaches ``limit``.
+    def max_flow(self, source: _SourceSet, t: int, limit: int) -> tuple[int, list[int] | None]:
+        """Push flow from the source set to t (not in it) until it is
+        maximum or reaches ``limit``.
 
         Returns ``(value, reach)``.  Below ``limit`` the value is the maximum
         flow, and the last BFS, which found no path to t, labelled exactly
-        the residual reach of s: node x is reached when ``reach[x] >= 0``.
+        the residual reach of S: node x is reached when ``reach[x] >= 0``.
         ``reach`` is None when the flow stopped at ``limit``.
         """
         total = 0
         while total < limit:
-            level = self._levels(s, t)
+            level = self._levels(source, t)
             if level[t] < 0:
                 return total, level
-            total += self._blocking_flow(s, t, level, limit - total)
+            total += self._blocking_flow(t, level, limit - total)
         return total, None
 
-    def _levels(self, s: int, t: int) -> list[int]:
-        """Residual distances from s, by a BFS that returns once t is
-        labelled; -1 marks a node not labelled."""
+    def _levels(self, source: _SourceSet, t: int) -> list[int]:
+        """Residual distances from S, by a BFS from its frontier that returns
+        once t is labelled; -1 marks a node not labelled."""
         adj, to, cap = self.adj, self.to, self.cap
-        level = [-1] * self.size
-        level[s] = 0
-        queue = [s]
+        level = source.level[:]
+        queue = source.frontier[:]
         for u in queue:
             d = level[u] + 1
             for a in adj[u]:
@@ -144,8 +168,8 @@ class _Dinic:
                     queue.append(v)
         return level
 
-    def _blocking_flow(self, s: int, t: int, level: list[int], limit: int) -> int:
-        """Push one unit along each path from s to t whose every arc steps
+    def _blocking_flow(self, t: int, level: list[int], limit: int) -> int:
+        """Push one unit along each path from S to t whose every arc steps
         one level up, until none is left or ``limit`` units have been pushed.
 
         The walk starts at t and keeps its path as a stack of the arcs it
@@ -159,7 +183,7 @@ class _Dinic:
         total = 0
         v = t
         while True:
-            if v == s:
+            if not level[v]:
                 for a in path:
                     cap[a] -= 1
                     cap[a ^ 1] += 1
@@ -183,6 +207,43 @@ class _Dinic:
                 if not path:
                     return total
                 v = to[path.pop()]
+
+
+class _SourceSet:
+    """The source set S of a ``_Dinic`` network, grown one node at a time.
+
+    ``level`` is 0 on S and -1 elsewhere, the start of every BFS, and
+    ``frontier`` lists the S nodes that still have an arc to a node outside
+    S, the only ones a BFS starts from.  Nodes from ``vertices`` on are
+    edge nodes; an edge's (e_in, e_out) pair joins S once all of the edge's
+    vertices have, so neither the frontier nor a BFS grows with |S|.
+    """
+
+    def __init__(self, net: _Dinic, vertices: int, s: int) -> None:
+        self.net, self.vertices = net, vertices
+        self.level = [-1] * net.size
+        self.frontier: list[int] = []
+        self.outside = [len(arcs) for arcs in net.adj]  # arcs to nodes outside S
+        self.add(s)
+
+    def add(self, v: int) -> None:
+        """Put node v in S, then every edge node whose vertices now all are."""
+        level, outside, to = self.level, self.outside, self.net.to
+        level[v] = 0
+        closed = []
+        for a in self.net.adj[v]:
+            w = to[a]
+            outside[w] -= 1
+            # once its vertices are in S, an edge node's one arc leaving S
+            # goes to its partner
+            if w >= self.vertices and outside[w] <= 1 and level[w] < 0:
+                closed.append(w)
+        self.frontier = [u for u in self.frontier if outside[u]]
+        if outside[v]:
+            self.frontier.append(v)
+        for w in closed:
+            if level[w] < 0:
+                self.add(w)
 
 
 def _build_network(H: Hypergraph) -> _Dinic:
@@ -224,17 +285,20 @@ def st_edge_connectivity(H: Hypergraph, s: int, t: int) -> CutResult:
     net = _build_network(H)
     # each unit leaves s through a distinct edge of s, so deg(s) <= m bounds
     # the flow and m + 1 is no cap
-    return _residual_side(H, *net.max_flow(s, t, H.m + 1))
+    return _residual_side(H, *net.max_flow(_SourceSet(net, H.n, s), t, H.m + 1))
 
 
 def edge_connectivity(H: Hypergraph) -> CutResult:
-    """Global edge-connectivity via flows from one fixed source.
+    """Global edge-connectivity via flows from a growing source set.
 
-    The source is the lowest-indexed minimum-degree vertex; the minimum over
-    all other targets is the global value because the witness side of a
-    global minimum cut either contains or excludes the source.  The result
-    is the witness of the first target that reaches that minimum.
-    Disconnected input yields value 0 with a component as witness.
+    The source s is the lowest-indexed minimum-degree vertex, and each
+    finished target joins the source set.  The least flow value is the
+    global value: for a minimum side X holding s, every target before the
+    first one outside X lies in X, so that target's flow is at most
+    |boundary(X)|.  The result is the witness of the first target that
+    reaches that minimum, the one separate s-t flows would give (see the
+    module docstring).  Disconnected input yields value 0 with a component
+    as witness.
     """
     if H.n < 2:
         raise HypergraphError("edge-connectivity is undefined for fewer than 2 vertices")
@@ -244,18 +308,18 @@ def edge_connectivity(H: Hypergraph) -> CutResult:
     degs = _degrees(H)
     s = degs.index(min(degs))
     net = _build_network(H)
-    base = list(net.cap)
+    source = _SourceSet(net, H.n, s)
     best: CutResult | None = None
     for t in range(H.n):
         if t == s:
             continue
         limit = H.m + 1 if best is None else best.value
-        net.cap[:] = base
-        value, reach = net.max_flow(s, t, limit)
+        value, reach = net.max_flow(source, t, limit)
         if value < limit:
             best = _residual_side(H, value, reach)
             if value == 1:
                 break  # connected, so no target goes below 1
+        source.add(t)
     assert best is not None
     return best
 
@@ -268,8 +332,7 @@ def edge_connectivity_oracle(H: Hypergraph) -> CutResult:
     increasing mask order, whatever order the blocks come in.  Independent
     of the flow route by construction.  Guarded to n <= 20.
     """
-    if not 2 <= H.n <= _ENUM_GUARD:
-        raise GuardError(f"oracle enumeration requires 2 <= n <= {_ENUM_GUARD}, got n={H.n}")
+    _check_enumeration_guard(H, "oracle")
     best_val, best_mask = H.m + 1, 0
     for base, sides, counter in _side_blocks(H):
         val, at = _least(counter, sides)
@@ -289,8 +352,7 @@ def edge_atom(H: Hypergraph) -> CutResult:
     """
     if not is_connected(H):
         raise HypergraphError("edge atom is undefined for a disconnected hypergraph")
-    if not 2 <= H.n <= _ENUM_GUARD:
-        raise GuardError(f"atom enumeration requires 2 <= n <= {_ENUM_GUARD}, got n={H.n}")
+    _check_enumeration_guard(H, "atom")
     n = H.n
     full = (1 << n) - 1
     low = _block_width(n)

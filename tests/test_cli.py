@@ -523,6 +523,20 @@ def test_oracle_guard_exits_2(capsys, tmp_path):
     assert "2 <= n <= 20" in err
 
 
+def test_oracle_guard_comes_before_any_walk(capsys, tmp_path, monkeypatch):
+    """The largest header the parser accepts is refused by the n <= 20 guard
+    before anything walks its million vertices."""
+    path = tmp_path / "wide.hg"
+    path.write_text("h 1048576 0\n")
+    walks = []
+    monkeypatch.setattr(cli, "is_connected", lambda H: walks.append(H.n) or True)
+    code, out, err = run_cli(capsys, "oracle", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: oracle enumeration requires 2 <= n <= 20, got n=1048576\n"
+    assert walks == []
+
+
 def test_module_entry_point(tmp_path, monkeypatch):
     # the subprocesses import the same package as this test, installed or not
     src = os.path.dirname(os.path.dirname(hyperconn.__file__))

@@ -34,7 +34,7 @@ from hyperconn import (
     st_edge_connectivity,
 )
 from hyperconn import connectivity
-from hyperconn.connectivity import _build_network, _side_blocks
+from hyperconn.connectivity import _build_network, _residual_side, _side_blocks, _SourceSet
 from hyperconn.constructions import affine_doubled_family
 
 
@@ -202,10 +202,14 @@ def test_st_deep_path():
 
 
 def test_edge_connectivity_deep_inputs():
+    """Long paths, and long sparse cycles whose targets are cheap only
+    because each finished target joins the source set and the next flow
+    starts from the flow already found."""
     assert edge_connectivity(path_graph(10000)).value == 1
-    cycle = edge_connectivity(circulant_graph(400, (1,)))
-    assert cycle.value == 2
-    assert cycle.side == (0,)
+    cycle = edge_connectivity(circulant_graph(10000, (1,)))
+    assert (cycle.value, cycle.side) == (2, (0,))
+    circulant = edge_connectivity(circulant_graph(2000, (1, 2)))
+    assert (circulant.value, circulant.side) == (4, (0,))
 
 
 def test_edge_connectivity_matches_uncapped_reference():
@@ -255,6 +259,88 @@ def test_edge_connectivity_matches_uncapped_reference():
         cut = edge_connectivity(H)
         assert cut == first_strict_minimum(H), H.n
         assert cut.value == kappa, H.n
+
+
+def minimal_minimum_sides_by_masks(H):
+    """For each target t in index order, skipping the lowest-indexed
+    minimum-degree vertex s: lambda(s, t) and the minimal minimum side, the
+    intersection of every least-boundary side holding s and not t.  Side
+    masks only, no flow."""
+    n = H.n
+    emasks = [sum(1 << v for v in e) for e in H.edges]
+    sizes = [sum(0 < mask & em != em for em in emasks) for mask in range(1 << n)]
+    degs = [sum(em >> v & 1 for em in emasks) for v in range(n)]
+    s = degs.index(min(degs))
+    targets = []
+    for t in range(n):
+        if t == s:
+            continue
+        best, meet = H.m + 1, 0
+        for mask in range(1 << n):
+            if mask >> s & 1 and not mask >> t & 1:
+                if sizes[mask] < best:
+                    best, meet = sizes[mask], mask
+                elif sizes[mask] == best:
+                    meet &= mask
+        targets.append((best, tuple(v for v in range(n) if meet >> v & 1)))
+    return targets
+
+
+def cluster_tree(rng, n):
+    """Vertices 0..n-1 in clusters of 3 or 4 (the first of 3, the last
+    maybe smaller), each a clique with one more edge of 3 vertices when it
+    has 4; each cluster after the first joins a random earlier one by one
+    2- or 3-edge.  When two join the first, which holds the source,
+    minimizing targets in different branches have different minimal
+    sides."""
+    clusters, v = [], 0
+    while v < n:
+        size = 3 + rng.below(2) if clusters else 3
+        clusters.append(list(range(v, min(v + size, n))))
+        v += size
+    edges = []
+    for i, c in enumerate(clusters):
+        edges += [(u, w) for k, u in enumerate(c) for w in c[k + 1 :]]
+        if len(c) == 4:
+            edges.append(tuple(c[:3]))
+        if i:
+            other = clusters[rng.below(i)]
+            joint = (other[rng.below(len(other))], c[rng.below(len(c))])
+            edges.append(joint + (c[-1],) if rng.below(2) and c[-1] != joint[1] else joint)
+    return Hypergraph(n, tuple(edges))
+
+
+def test_edge_connectivity_witness_by_side_masks():
+    """The witness is the minimal minimum side of the first target reaching
+    kappa', found by enumerating side masks.  On the chain of three K4s
+    (middle block first), kappa' = 1 < delta = 3 and the two minimizing
+    blocks cut off different sides, so the first one is pinned."""
+    k4 = lambda b: [(b + i, b + j) for i in range(4) for j in range(i + 1, 4)]
+    chain = Hypergraph(12, tuple(k4(0) + k4(4) + k4(8) + [(2, 4), (3, 8)]))
+    rng = SplitMix64(41)
+    instances = [chain]
+    while len(instances) < 60:
+        if len(instances) % 3 == 1:
+            n = 3 + rng.below(10)
+            H = mixed_hypergraph(rng, n, n // 2 + rng.below(n))
+        else:
+            H = cluster_tree(rng, 9 + rng.below(4))
+        if is_connected(H):
+            instances.append(H)
+    split = 0
+    for H in instances:
+        targets = minimal_minimum_sides_by_masks(H)
+        kappa = min(value for value, _ in targets)
+        expected = next(pair for pair in targets if pair[0] == kappa)
+        cut = edge_connectivity(H)
+        assert (cut.value, cut.side) == expected, H
+        split += len({side for value, side in targets if value == kappa}) > 1
+    targets = minimal_minimum_sides_by_masks(chain)
+    assert targets[3] == (1, (0, 1, 2, 3, 8, 9, 10, 11))  # t = 4
+    assert targets[7] == (1, (0, 1, 2, 3, 4, 5, 6, 7))  # t = 8
+    assert edge_connectivity(chain).side == targets[3][1]
+    assert degree_extremes(chain)[0] == 3
+    assert split >= 10, split
 
 
 def test_st_witness_is_the_minimal_minimum_side():
@@ -360,11 +446,27 @@ def test_st_matches_networkx_on_the_gadget_network():
                 assert cut.side == tuple(sorted(v for v in reach if isinstance(v, int))), (H, s, t)
 
 
+def assert_consistent_flow(net, base, source, t, value):
+    """Each arc pair keeps its total capacity and none goes negative, flow
+    is conserved at every node outside S and t, S sends out the value and
+    t takes it in."""
+    for a in range(0, len(base), 2):
+        assert net.cap[a] + net.cap[a + 1] == base[a] + base[a + 1], a
+        assert net.cap[a] >= 0 and net.cap[a + 1] >= 0, a
+    out = [sum(base[a] - net.cap[a] for a in net.adj[x]) for x in range(net.size)]
+    inside = {x for x in range(net.size) if source.level[x] == 0}
+    assert sum(out[x] for x in inside) == value
+    assert out[t] == -value
+    assert not any(out[x] for x in range(net.size) if x != t and x not in inside)
+
+
 def test_max_flow_leaves_a_consistent_residual_network():
-    """After a flow, capped or not: each arc pair keeps its total capacity,
-    flow is conserved away from s and t, and s sends out the value."""
+    """After a flow, capped or not, from a single source on restored
+    capacities and along a whole warm-started target sequence, where each
+    finished target joins the source set and the next flow starts from the
+    flow already there."""
     rng = SplitMix64(37)
-    multi_unit = 0
+    multi_unit = warm = closed_pairs = 0
     for _ in range(40):
         n = 2 + rng.below(14)
         H = mixed_hypergraph(rng, n, rng.below(3 * n))
@@ -375,15 +477,33 @@ def test_max_flow_leaves_a_consistent_residual_network():
             t += t >= s
             for limit in (H.m + 1, 1 + rng.below(3)):
                 net.cap[:] = base
-                value, _ = net.max_flow(s, t, limit)
-                for a in range(0, len(base), 2):
-                    assert net.cap[a] + net.cap[a + 1] == base[a] + base[a + 1], (H, s, t, a)
-                    assert net.cap[a] >= 0 and net.cap[a + 1] >= 0
-                out = [sum(base[a] - net.cap[a] for a in net.adj[x]) for x in range(net.size)]
-                assert out[s] == value and out[t] == -value, (H, s, t)
-                assert not any(out[x] for x in range(net.size) if x not in (s, t)), (H, s, t)
+                source = _SourceSet(net, n, s)
+                value, _ = net.max_flow(source, t, limit)
+                assert_consistent_flow(net, base, source, t, value)
                 multi_unit += value > 1
-    assert multi_unit >= 100
+        net.cap[:] = base
+        s = rng.below(n)
+        source = _SourceSet(net, n, s)
+        for t in range(n):
+            if t == s:
+                continue
+            limit = H.m + 1 if rng.below(2) else 1 + rng.below(3)
+            value, reach = net.max_flow(source, t, limit)
+            assert_consistent_flow(net, base, source, t, value)
+            if reach is not None:
+                # a side holding S and not t whose boundary is the flow's
+                # value: both are optimal
+                side = set(_residual_side(H, value, reach).side)
+                assert {v for v in range(n) if source.level[v] == 0} <= side
+                assert t not in side
+            warm += value > 1
+            source.add(t)
+            inside = {x for x in range(net.size) if source.level[x] == 0}
+            assert set(source.frontier) == {
+                x for x in inside if any(net.to[a] not in inside for a in net.adj[x])
+            }
+        closed_pairs += sum(not level for level in source.level[n:])
+    assert multi_unit >= 100 and warm >= 100 and closed_pairs >= 300, (multi_unit, warm, closed_pairs)
 
 
 def test_network_has_a_node_pair_only_for_wide_edges():
