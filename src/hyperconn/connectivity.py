@@ -348,11 +348,12 @@ def edge_atom(H: Hypergraph) -> CutResult:
     lexicographically smallest sorted vertex sequence.
 
     The complement of an optimal side is optimal too, so the atom never has
-    more than n/2 vertices.  Requires a connected input; guarded to n <= 20.
+    more than n/2 vertices.  Requires a connected input; guarded to n <= 20,
+    and the guard comes first, so a large input is refused without a walk.
     """
+    _check_enumeration_guard(H, "atom")
     if not is_connected(H):
         raise HypergraphError("edge atom is undefined for a disconnected hypergraph")
-    _check_enumeration_guard(H, "atom")
     n = H.n
     full = (1 << n) - 1
     low = _block_width(n)

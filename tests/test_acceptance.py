@@ -17,7 +17,6 @@ from hyperconn import (
     builtin_corpus,
     circulant_graph,
     complete_uniform,
-    degree_extremes,
     edge_atom,
     edge_connectivity,
     edge_connectivity_oracle,

@@ -751,6 +751,23 @@ def test_edge_atom_errors():
     big = circulant_graph(21, (1,))
     with pytest.raises(GuardError):
         edge_atom(big)
+    # a disconnected input beyond the guard gets the guard's message
+    with pytest.raises(GuardError):
+        edge_atom(Hypergraph(21, ((0, 1),)))
+
+
+def test_edge_atom_guard_comes_before_any_walk(monkeypatch):
+    """The largest header the parser accepts is refused by the n <= 20 guard
+    before is_connected walks its million vertices."""
+    walks = []
+    monkeypatch.setattr(connectivity, "is_connected", lambda H: walks.append(H.n) or True)
+    with pytest.raises(GuardError) as err:
+        edge_atom(Hypergraph(1 << 20, ()))
+    assert str(err.value) == "atom enumeration requires 2 <= n <= 20, got n=1048576"
+    assert walks == []
+    # the spy does see the walk of an instance within the guard
+    assert edge_atom(Hypergraph(3, ((0, 1), (1, 2)))).value == 1
+    assert walks == [3]
 
 
 def test_maximality():

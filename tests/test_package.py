@@ -1,5 +1,5 @@
 """The package surface: exactly the library modules' ``__all__`` lists, and
-no module importing a name it never uses."""
+no module or test file importing a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -63,7 +63,8 @@ def test_modules_use_every_name_they_import():
     stale = "from typing import Iterable, Iterator\nimport os.path\n\ndef f(x: Iterable): ...\n"
     assert unused_imports(stale) == [(1, "Iterator"), (2, "os")]
     modules = sorted(Path(hyperconn.__file__).parent.glob("*.py"))
-    assert len(modules) >= 6
-    for path in modules:
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert len(modules) >= 6 and len(tests) >= 8
+    for path in modules + tests:
         if path.name != "__init__.py":
             assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name

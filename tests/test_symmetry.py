@@ -19,10 +19,12 @@ from hyperconn import (
     builtin_corpus,
     circulant_graph,
     complete_uniform,
+    cyclic_difference_hypergraph,
     degree,
     edge_atom,
     enumerate_automorphisms,
     find_automorphism_mapping,
+    glued_complete_family,
     is_automorphism,
     is_block_of_imprimitivity,
     is_vertex_transitive,
@@ -100,6 +102,15 @@ def test_search_deep_inputs(tmp_path, capsys):
     assert find_automorphism_mapping(P, 0, 4999) == tuple(range(4999, -1, -1))
     assert find_automorphism_mapping(P, 1, 2) is None
     assert sys.getrecursionlimit() == limit
+
+
+def test_search_deep_affine_planes():
+    """A wrong early image on affine_11 and affine_13 is refuted within a few
+    forced levels, so both finish well inside tier-1's time."""
+    assert is_vertex_transitive(affine_hypergraph(13))
+    H = affine_hypergraph(11)
+    p = find_automorphism_mapping(H, 0, 11)
+    assert p is not None and p[0] == 11 and is_automorphism(H, p)
 
 
 def test_find_mapping_matches_networkx_isomorphism():
@@ -183,6 +194,22 @@ def test_enumerated_group_is_closed():
             assert tuple(p.index(v) for v in range(H.n)) in group
             for q in group:
                 assert tuple(p[q[i]] for i in range(H.n)) in group
+
+
+def test_enumerated_group_orders():
+    """Orders too large for the brute oracle.  A pruning rule that cuts a
+    branch holding an automorphism shows up here as a smaller group."""
+    cases = [
+        (affine_hypergraph(3), 108),
+        (affine_hypergraph(5), 2000),
+        (glued_complete_family(5, 3), 720),
+        # PG(2, 2), the Fano plane: its group is PGL(3, 2) of order 168
+        (cyclic_difference_hypergraph(7, (0, 1, 3)), 168),
+    ]
+    for H, order in cases:
+        autos = enumerate_automorphisms(H, cap=10000)
+        assert len(autos) == len(set(autos)) == order
+        assert all(is_automorphism(H, p) for p in autos)
 
 
 def test_enumerate_cap_behavior():
