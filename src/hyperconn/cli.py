@@ -26,6 +26,7 @@ from .connectivity import (
 )
 from .constructions import (
     SplitMix64,
+    _draw_subsets,
     affine_doubled_family,
     affine_hypergraph,
     builtin_corpus,
@@ -340,11 +341,13 @@ def cmd_verify_lemma(args: argparse.Namespace) -> int:
         n = 2 + rng.below(args.nmax - 1)
         k = 2 + rng.below(min(n, 4) - 1)
         m = 1 + rng.below(2 * n)
-        H = random_uniform_hypergraph(n, k, m, seed=rng.next_u64())
+        seed = rng.next_u64()
+        edge_masks = _random_edge_masks(n, k, m, seed)
         x_mask = rng.below(1 << n)
         y_mask = rng.below(1 << n)
-        bu, bm, bx, by = _uncrossing_sizes(H, x_mask, y_mask)
+        bu, bm, bx, by = _uncrossing_sizes(edge_masks, x_mask, y_mask)
         if bu + bm > bx + by:
+            H = random_uniform_hypergraph(n, k, m, seed)
             _print_uncrossing_violation(f"random trial {trial}", H, x_mask, y_mask)
             print("FAIL")
             return 1
@@ -441,15 +444,24 @@ def _boundary_size_table(H: Hypergraph) -> list[int]:
     return [sum(0 < s & em != em for em in edge_masks) for s in range(1 << H.n)]
 
 
-def _uncrossing_sizes(H: Hypergraph, x_mask: int, y_mask: int) -> tuple[int, int, int, int]:
+def _random_edge_masks(n: int, k: int, m: int, seed: int) -> set[int]:
+    """The vertex bitmasks of the edges of random_uniform_hypergraph(n, k, m,
+    seed), drawn without building the instance."""
+    edge_masks = set()
+    for chosen in _draw_subsets(SplitMix64(seed), n, k, m):
+        em = 0
+        for v in chosen:
+            em |= 1 << v
+        edge_masks.add(em)
+    return edge_masks
+
+
+def _uncrossing_sizes(edge_masks: set[int], x_mask: int, y_mask: int) -> tuple[int, int, int, int]:
     """|boundary| of X u Y, X n Y, X and Y, for the vertex bitmasks of X and
-    Y, counted in one pass over the edges."""
+    Y and the vertex bitmasks of the edges, counted in one pass."""
     union, meet = x_mask | y_mask, x_mask & y_mask
     bu = bm = bx = by = 0
-    for e in H.edges:
-        em = 0
-        for v in e:
-            em |= 1 << v
+    for em in edge_masks:
         bu += 0 < union & em != em
         bm += 0 < meet & em != em
         bx += 0 < x_mask & em != em

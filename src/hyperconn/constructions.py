@@ -9,9 +9,10 @@ comments the CLI writes).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import Hypergraph, HypergraphError
 
@@ -33,6 +34,20 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+# SplitMix64._block evaluates this many outputs at once, one per 128-bit lane
+# of a Python int; lane i is bits 128*i .. 128*i + 127.
+_LANES = 256
+
+
+def _pack_lanes(values: list[int]) -> int:
+    return int.from_bytes(b"".join([v.to_bytes(16, "little") for v in values]), "little")
+
+
+_LANE_ONES = _pack_lanes([1] * _LANES)
+_LANE_STEPS = _pack_lanes([(i + 1) * _GAMMA for i in range(_LANES)])
+_LANE_LOW64 = _pack_lanes([_MASK64] * _LANES)
 
 
 class SplitMix64:
@@ -45,13 +60,22 @@ class SplitMix64:
 
     Identical seeds give identical streams on every platform, so corpora
     sampled through this class are reproducible across implementations.
+
+    Output i (from 1) depends only on a counter: it is the mix of
+    state_i = seed + i * 0x9E3779B97F4A7C15 mod 2**64 (Steele, Lea & Flood,
+    OOPSLA 2014).  So the next outputs need not be taken one step at a time:
+    ``_block`` puts the states of a run of outputs into the 128-bit lanes of
+    one int and applies each xor-shift and multiply to all lanes at once.  A
+    lane holds a value below 2**64 and a product of two such values fits in
+    128 bits, so after masking each lane back to 64 bits no step carries
+    between lanes, and every lane ends with exactly the scalar output.
     """
 
     def __init__(self, seed: int) -> None:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -69,11 +93,32 @@ class SplitMix64:
 
     def subset(self, n: int, k: int) -> tuple[int, ...]:
         """Uniform k-subset of range(n) via a partial Fisher-Yates shuffle."""
-        pool = list(range(n))
-        for i in range(k):
-            j = i + self.below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return tuple(sorted(pool[:k]))
+        if not 0 <= k <= n:
+            raise ValueError(f"subset needs 0 <= k <= n, got n={n}, k={k}")
+        (chosen,) = _draw_subsets(self, n, k, 1)
+        return tuple(sorted(chosen))
+
+    def _block(self, count: int) -> list[int]:
+        """The next ``count`` outputs, as ``count`` calls of ``next_u64``
+        would return them, evaluated ``_LANES`` at a time."""
+        out: list[int] = []
+        while count > 0:
+            c = min(count, _LANES)
+            low = (1 << 128 * c) - 1
+            mask = _LANE_LOW64 & low
+            z = (self.state * (_LANE_ONES & low) + (_LANE_STEPS & low)) & mask
+            z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+            z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+            # the shift leaks the next lane's low bits into this lane's high
+            # half only, which the read below drops
+            z ^= z >> 31
+            # native-order 64-bit words: lane i's low half is word 2i on a
+            # little-endian host, word 2c - 1 - 2i on a big-endian one
+            words = memoryview(z.to_bytes(16 * c, sys.byteorder)).cast("Q")
+            out += (words[::2] if sys.byteorder == "little" else words[::-2]).tolist()
+            self.state = (self.state + c * _GAMMA) & _MASK64
+            count -= c
+        return out
 
 
 @dataclass(frozen=True)
@@ -204,14 +249,55 @@ def circulant_graph(n: int, offsets: Iterable[int]) -> Hypergraph:
 
 def random_uniform_hypergraph(n: int, k: int, m: int, seed: int) -> Hypergraph:
     """m k-subsets of range(n) drawn uniformly with replacement through
-    :class:`SplitMix64`, then deduplicated, so at most m edges are emitted."""
+    :class:`SplitMix64`, then deduplicated, so at most m edges are emitted.
+
+    The edges are the ones m calls of ``SplitMix64(seed).subset(n, k)``
+    would draw: the draw is taken from the same output stream, only
+    evaluated in blocks (see :func:`_draw_subsets`).
+    """
     if not 2 <= k <= n:
         raise HypergraphError(f"random uniform requires 2 <= k <= n, got k={k}, n={n}")
     if m < 0:
         raise HypergraphError(f"edge count must be >= 0, got {m}")
-    rng = SplitMix64(seed)
-    edges = {rng.subset(n, k) for _ in range(m)}
+    edges = {tuple(sorted(chosen)) for chosen in _draw_subsets(SplitMix64(seed), n, k, m)}
     return Hypergraph(n, tuple(sorted(edges)))
+
+
+def _draw_subsets(rng: SplitMix64, n: int, k: int, m: int) -> Iterator[list[int]]:
+    """Yield m uniform k-subsets of range(n), 0 <= k <= n, each as its
+    members in draw order, taking outputs of ``rng`` in stream order.
+
+    Each subset is a partial Fisher-Yates shuffle: step i swaps position i
+    with i + u mod (n - i), where an output u is rejected, and the next one
+    taken, when u is at or past the largest multiple of n - i below 2**64,
+    exactly as :meth:`SplitMix64.below` does.  Only swapped positions are
+    stored, so a subset costs O(k), not O(n).  Outputs come from
+    ``rng._block`` no more than are still needed, so ``rng`` ends in the
+    state that m scalar draws would leave.
+    """
+    bounds = range(n, n - k, -1)
+    steps = list(zip(range(k), bounds, [((1 << 64) // b) * b for b in bounds]))
+    need = m * k  # accepted outputs still to take
+    outputs: Iterator[int] = iter(())
+    for _ in range(m):
+        moved: dict[int, int] = {}
+        chosen = []
+        for i, bound, threshold in steps:
+            for u in outputs:
+                if u < threshold:
+                    break
+            else:  # outputs ran out: refill until one is accepted
+                u = threshold
+                while u >= threshold:
+                    outputs = iter(rng._block(min(need, _LANES)))
+                    for u in outputs:
+                        if u < threshold:
+                            break
+            need -= 1
+            j = i + u % bound
+            chosen.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        yield chosen
 
 
 def transitive_graph_corpus() -> list[tuple[str, Hypergraph]]:

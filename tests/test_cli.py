@@ -18,6 +18,7 @@ from hyperconn import (
     is_connected,
     is_uniform,
     parse_hypergraph,
+    random_uniform_hypergraph,
     serialize_hypergraph,
 )
 from hyperconn.cli import _verdict_exit_code, analyze, main, render_machine
@@ -354,7 +355,8 @@ def violation_block(name, H, X, Y):
 
 def test_verify_lemma_counts_are_boundary_sizes():
     """Both halves of the lemma count what ``boundary`` counts: the table at
-    every mask, and the one-pass count of a trial at sampled mask pairs."""
+    every mask, and the one-pass count of a trial, on the edge masks the
+    trials draw, at sampled mask pairs."""
     rng = SplitMix64(17)
     instances = lemma_instances()
     assert len(instances) >= 10
@@ -362,11 +364,26 @@ def test_verify_lemma_counts_are_boundary_sizes():
         table = cli._boundary_size_table(H)
         sets = [{v for v in range(H.n) if mask >> v & 1} for mask in range(1 << H.n)]
         assert table == [len(boundary(H, X)) for X in sets], name
+        edge_masks = {sum(1 << v for v in e) for e in H.edges}
         for _ in range(100):
             x_mask, y_mask = rng.below(1 << H.n), rng.below(1 << H.n)
-            assert cli._uncrossing_sizes(H, x_mask, y_mask) == (
+            assert cli._uncrossing_sizes(edge_masks, x_mask, y_mask) == (
                 table[x_mask | y_mask], table[x_mask & y_mask], table[x_mask], table[y_mask]
             ), name
+    # trial-shaped draws, whose masks the trials take without building H
+    for _ in range(200):
+        n = 2 + rng.below(15)
+        k = 2 + rng.below(min(n, 4) - 1)
+        m, seed = 1 + rng.below(2 * n), rng.next_u64()
+        H = random_uniform_hypergraph(n, k, m, seed)
+        edge_masks = cli._random_edge_masks(n, k, m, seed)
+        assert edge_masks == {sum(1 << v for v in e) for e in H.edges}
+        X = {v for v in range(n) if rng.below(2)}
+        Y = {v for v in range(n) if rng.below(2)}
+        x_mask, y_mask = sum(1 << v for v in X), sum(1 << v for v in Y)
+        assert cli._uncrossing_sizes(edge_masks, x_mask, y_mask) == tuple(
+            len(boundary(H, S)) for S in (X | Y, X & Y, X, Y)
+        )
 
 
 def test_verify_lemma_exhaustive_half_reports_a_violation(capsys, monkeypatch):
@@ -382,20 +399,29 @@ def test_verify_lemma_exhaustive_half_reports_a_violation(capsys, monkeypatch):
 
 
 def test_verify_lemma_random_half_reports_a_violation(capsys, monkeypatch):
-    """Counts that break submodularity fail the first random trial."""
+    """Counts that break submodularity fail the first random trial, which
+    prints the instance that trial drew."""
     trials = []
 
-    def broken(H, x_mask, y_mask):
-        trials.append((H, x_mask, y_mask))
+    def broken(edge_masks, x_mask, y_mask):
+        trials.append((set(edge_masks), x_mask, y_mask))
         return 1, 0, 0, 0
 
     monkeypatch.setattr(cli, "_uncrossing_sizes", broken)
-    code, out, err = run_cli(capsys, "verify", "lemma", "--trials", "50", "--seed", "3")
+    code, out, err = run_cli(capsys, "verify", "lemma", "--trials", "50", "--seed", "1")
     assert code == 1
     assert len(trials) == 1
-    H, x_mask, y_mask = trials[0]
-    X = {v for v in range(H.n) if x_mask >> v & 1}
-    Y = {v for v in range(H.n) if y_mask >> v & 1}
+    # replay trial 0's draws at the default --nmax 10
+    rng = SplitMix64(1)
+    n = 2 + rng.below(9)
+    k = 2 + rng.below(min(n, 4) - 1)
+    m = 1 + rng.below(2 * n)
+    H = random_uniform_hypergraph(n, k, m, seed=rng.next_u64())
+    assert H.m == 9  # large enough that a draw from another seed would differ
+    x_mask, y_mask = rng.below(1 << n), rng.below(1 << n)
+    assert trials[0] == ({sum(1 << v for v in e) for e in H.edges}, x_mask, y_mask)
+    X = {v for v in range(n) if x_mask >> v & 1}
+    Y = {v for v in range(n) if y_mask >> v & 1}
     head, sep, tail = out.partition("violation in")
     assert head.startswith("uncrossing exhaustive:") and "random" not in head
     assert sep + tail == violation_block("random trial 0", H, X, Y)

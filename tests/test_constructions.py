@@ -1,7 +1,8 @@
 """Generators: counts, regularity, design properties, determinism."""
 
+import hashlib
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -24,8 +25,10 @@ from hyperconn import (
     is_uniform,
     linear_uniform_corpus,
     random_uniform_hypergraph,
+    serialize_hypergraph,
     transitive_graph_corpus,
 )
+from hyperconn.constructions import _LANES, _draw_subsets
 
 
 def test_splitmix64_reference_sequence():
@@ -52,6 +55,109 @@ def test_splitmix64_below_and_subset():
     assert sub == tuple(sorted(sub))
     assert all(0 <= v < 10 for v in sub)
     assert SplitMix64(3).subset(5, 5) == (0, 1, 2, 3, 4)
+    assert SplitMix64(3).subset(5, 0) == ()
+    # the draw keeps only swapped positions, so n far beyond memory is fine
+    huge = SplitMix64(3).subset(10**15, 3)
+    assert len(set(huge)) == 3 and all(0 <= v < 10**15 for v in huge)
+
+
+def test_splitmix64_subset_rejects_k_outside_0_to_n():
+    for k in (-1, 6):
+        with pytest.raises(ValueError, match=f"n=5, k={k}"):
+            SplitMix64(1).subset(5, k)
+
+
+def test_random_draws_match_pinned_values():
+    """Known answers of the subset stream; any change to the draw fails here."""
+    assert SplitMix64(7).subset(10, 4) == (0, 4, 6, 7)
+    assert random_uniform_hypergraph(8, 3, 10, seed=42).edges == (
+        (0, 1, 6), (0, 2, 7), (0, 3, 6), (1, 3, 6), (2, 4, 5),
+        (2, 4, 7), (2, 5, 6), (2, 5, 7), (3, 5, 7), (4, 5, 6),
+    )
+    # n = 200, k = n, and draws of several blocks (m * k > _LANES)
+    grid = [(8, 3, 10, 42), (200, 3, 400, 1), (6, 6, 4, 5), (12, 2, 300, 7),
+            (30, 4, 700, 11), (2, 2, 3, 0), (9, 5, 0, 3)]
+    assert max(m for _, _, m, _ in grid) > _LANES
+    digest = hashlib.sha256()
+    for n, k, m, seed in grid:
+        digest.update(serialize_hypergraph(random_uniform_hypergraph(n, k, m, seed)).encode())
+    assert digest.hexdigest() == "fe3621ec383e5544b1343573662d7f91616e388e7d0158b64841c80c4dc634a6"
+
+
+def reference_outputs(seed):
+    """SplitMix64 one scalar step at a time, written out independently."""
+    state = seed % 2**64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        yield z ^ (z >> 31)
+
+
+def reference_subsets(outputs, n, k, m):
+    """m partial Fisher-Yates shuffles of a full list(range(n)), members in
+    draw order; an output at or past the last whole multiple of the bound
+    below 2**64 is skipped."""
+    drawn = []
+    for _ in range(m):
+        pool = list(range(n))
+        for i in range(k):
+            bound = n - i
+            u = next(outputs)
+            while u >= 2**64 - 2**64 % bound:
+                u = next(outputs)
+            j = i + u % bound
+            pool[i], pool[j] = pool[j], pool[i]
+        drawn.append(pool[:k])
+    return drawn
+
+
+def test_block_and_drawer_match_scalar_reference():
+    for seed in (0, 7, 2**64 - 1):
+        for count in (0, 1, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 3):
+            rng, ref = SplitMix64(seed), reference_outputs(seed)
+            assert rng._block(count) == list(islice(ref, count)), (seed, count)
+            assert rng.next_u64() == next(ref), (seed, count)
+    cases = [(10, 4, 1), (7, 7, 3), (5, 5, 200), (40, 3, _LANES), (300, 300, 2), (9, 0, 4)]
+    rng = SplitMix64(99)
+    for _ in range(40):
+        n = 1 + rng.below(30)
+        cases.append((n, rng.below(n + 1), rng.below(2 * _LANES)))
+    for n, k, m in cases:
+        seed = 1000 * n + 10 * k + m
+        rng, ref = SplitMix64(seed), reference_outputs(seed)
+        assert list(_draw_subsets(rng, n, k, m)) == reference_subsets(ref, n, k, m), (n, k, m)
+        # the drawer took no output beyond the ones it used
+        assert rng.next_u64() == next(ref), (n, k, m)
+
+
+def test_drawer_takes_the_next_output_after_a_rejection():
+    """2**64 - 1 is rejected for every bound that is not a power of two, so
+    a stream with it spliced in forces a rejection at a small bound.  For
+    bound 3 it is the smallest rejected output, the edge of the rule."""
+    rejected = 2**64 - 1
+    # bounds 7, 6 and 5, then bound 3 alone; both draws span two blocks
+    for n, k, m in ((7, 3, _LANES // 2), (3, 1, _LANES + 10)):
+        # the last splice leaves a refill of one output that is rejected too
+        for spliced_at in (0, 1, 5, _LANES - 1, _LANES, _LANES + 2, m * k - 1):
+            scripted = list(islice(reference_outputs(5), m * k))
+            scripted[spliced_at:spliced_at] = [rejected, rejected]
+            expected = list(scripted)
+            requests = []
+
+            class Scripted(SplitMix64):
+                def _block(self, count):
+                    requests.append(count)
+                    assert count <= len(scripted), "asked past the outputs it needs"
+                    taken = scripted[:count]
+                    del scripted[:count]
+                    return taken
+
+            drawn = list(_draw_subsets(Scripted(0), n, k, m))
+            assert drawn == reference_subsets(iter(expected), n, k, m), (n, spliced_at)
+            # every output handed out was used: m * k accepted plus two rejected
+            assert sum(requests) == m * k + 2 and not scripted, (n, spliced_at)
+            assert all(count <= _LANES for count in requests)
 
 
 def test_complete_uniform():
