@@ -9,11 +9,13 @@ arc, and every incidence v in e adds arcs v -> e_in and e_out -> v with
 capacity m + 1, which no minimum separating edge set can reach.  Either
 way every vertex side X has cut capacity |boundary(X)|, so the max s-t
 flow equals the minimum boundary over vertex sets separating s from t.
-``_Dinic`` finds it in phases: a BFS from the source set labels residual
+One ``_Dinic`` object holds the network, the source set and the labels,
+and finds the flow in phases: a BFS from the source set labels residual
 distances, then a walk from t back to the source set pushes one unit along
-each path that steps one level down.  The BFS that no longer reaches t has
-labelled the residual reach of the source set, and its vertex nodes form
-the witness side.  That side is the same for every maximum flow, and
+each path that steps one level down, and the phase then resets only the
+nodes its BFS labelled.  The BFS that no longer reaches t has labelled the
+residual reach of the source set, and its vertex nodes form the witness
+side.  That side is the same for every maximum flow, and
 whether a 2-edge is built as an arc pair or as a node pair: it is the
 unique inclusion-minimal minimum side containing the source set (Picard &
 Queyranne, 1980).
@@ -55,6 +57,7 @@ from .model import (
     GuardError,
     Hypergraph,
     HypergraphError,
+    _as_vertex_set,
     _check_vertex,
     _degrees,
     _mask_vertices,
@@ -91,7 +94,7 @@ class CutResult:
 
     @classmethod
     def from_side(cls, H: Hypergraph, side) -> "CutResult":
-        verts = tuple(sorted(side))
+        verts = tuple(sorted(_as_vertex_set(H, side)))
         if not verts or len(verts) >= H.n:
             raise HypergraphError("cut side must be a nonempty proper vertex subset")
         cut = tuple(sorted(boundary(H, verts)))
@@ -99,16 +102,22 @@ class CutResult:
 
 
 class _Dinic:
-    """Dinic's max-flow on the edge network of ``_build_network``, from a
-    source set S (a ``_SourceSet``) to a target t.
+    """Dinic's max-flow on the edge network of H, from a source set S that
+    starts as {s} and grows by ``join``, to a target t outside S.
 
-    Arcs are stored in pairs, so ``a ^ 1`` is the reverse of arc ``a``.
-    Every node of S has level 0, and the BFS starts from S's frontier, the
-    S nodes that still have an arc leaving S.  Paths are walked from t and
-    end at the first level-0 node, so every node the walk enters was
-    reached from S and the walk does not wander.  Both searches are
-    iterative, so path length is bounded by memory, not by the
-    interpreter's recursion limit.
+    Node ids: vertex v is node v, then each edge of 3 or more vertices gets
+    a pair (e_in, e_out), in edge order.  Arcs are stored in pairs, so
+    ``a ^ 1`` is the reverse of arc ``a``.
+
+    ``level`` and ``cursor`` last the object's life.  Between flows
+    ``level`` is 0 on S and -1 elsewhere, the start of every BFS, and every
+    cursor is 0.  A BFS starts from S's ``frontier``, the S nodes that
+    still have an arc to a node outside S, and each phase resets exactly the
+    nodes its BFS labelled, so a phase costs what it touches, not the size
+    of the network.  Paths are walked from t and end at the first level-0
+    node, so every node the walk enters was reached from S and the walk
+    does not wander.  Both searches are iterative, so path length is
+    bounded by memory, not by the interpreter's recursion limit.
 
     A flow is not undone between calls: it starts from whatever flow the
     capacities already hold.  That is a feasible start as long as it is
@@ -120,55 +129,104 @@ class _Dinic:
     from t takes it again.  ``_residual_side`` checks the value.
     """
 
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.adj: list[list[int]] = [[] for _ in range(size)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+    def __init__(self, H: Hypergraph, s: int) -> None:
+        self.vertices = H.n
+        size = H.n + 2 * sum(len(e) > 2 for e in H.edges)
+        adj: list[list[int]] = [[] for _ in range(size)]
+        to: list[int] = []
+        cap: list[int] = []
 
-    def add(self, u: int, v: int, capacity: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
+        def add(u: int, v: int, forward: int, back: int) -> None:
+            adj[u].append(len(to))
+            to.append(v)
+            cap.append(forward)
+            adj[v].append(len(to))
+            to.append(u)
+            cap.append(back)
 
-    def max_flow(self, source: _SourceSet, t: int, limit: int) -> tuple[int, list[int] | None]:
-        """Push flow from the source set to t (not in it) until it is
-        maximum or reaches ``limit``.
+        big = H.m + 1
+        e_in = H.n
+        for e in H.edges:
+            if len(e) == 2:
+                add(e[0], e[1], 1, 1)  # the reverse arc is the edge's other direction
+                continue
+            e_out = e_in + 1
+            add(e_in, e_out, 1, 0)
+            for v in e:
+                add(v, e_in, big, 0)
+                add(e_out, v, big, 0)
+            e_in += 2
+        self.adj, self.to, self.cap = adj, to, cap
+        self.level = [-1] * size
+        self.cursor = [0] * size
+        self.frontier: list[int] = []
+        self.outside = [len(arcs) for arcs in adj]  # arcs to nodes outside S
+        self.join(s)
 
-        Returns ``(value, reach)``.  Below ``limit`` the value is the maximum
-        flow, and the last BFS, which found no path to t, labelled exactly
-        the residual reach of S: node x is reached when ``reach[x] >= 0``.
-        ``reach`` is None when the flow stopped at ``limit``.
+    def join(self, v: int) -> None:
+        """Put node v in S, then every edge node whose vertices now all are.
+
+        An edge's (e_in, e_out) pair joins S once all of the edge's vertices
+        have, so neither the frontier nor a BFS grows with |S|.
         """
-        total = 0
-        while total < limit:
-            level = self._levels(source, t)
-            if level[t] < 0:
-                return total, level
-            total += self._blocking_flow(t, level, limit - total)
-        return total, None
+        level, outside, to = self.level, self.outside, self.to
+        level[v] = 0
+        closed = []
+        for a in self.adj[v]:
+            w = to[a]
+            outside[w] -= 1
+            # once its vertices are in S, an edge node's one arc leaving S
+            # goes to its partner
+            if w >= self.vertices and outside[w] <= 1 and level[w] < 0:
+                closed.append(w)
+        self.frontier = [u for u in self.frontier if outside[u]]
+        if outside[v]:
+            self.frontier.append(v)
+        for w in closed:
+            if level[w] < 0:
+                self.join(w)
 
-    def _levels(self, source: _SourceSet, t: int) -> list[int]:
-        """Residual distances from S, by a BFS from its frontier that returns
-        once t is labelled; -1 marks a node not labelled."""
-        adj, to, cap = self.adj, self.to, self.cap
-        level = source.level[:]
-        queue = source.frontier[:]
+    def max_flow(self, t: int, limit: int) -> tuple[int, list[int] | None]:
+        """Push flow from S to t (not in it) until it is maximum or reaches
+        ``limit``.
+
+        Returns ``(value, side)``.  Below ``limit`` the value is the maximum
+        flow, and the last BFS, which found no path to t, labelled exactly
+        the residual reach of S; ``side`` lists its vertices in increasing
+        order.  ``side`` is None when the flow stopped at ``limit``.
+        """
+        level, cursor = self.level, self.cursor
+        total = 0
+        side = None
+        while total < limit and side is None:
+            labelled = self._levels(t)
+            if level[t] < 0:
+                side = [v for v in range(self.vertices) if level[v] >= 0]
+            else:
+                total += self._blocking_flow(t, limit - total)
+            for x in labelled:
+                level[x] = -1
+                cursor[x] = 0
+        return total, side
+
+    def _levels(self, t: int) -> list[int]:
+        """Label residual distances from S, by a BFS from its frontier that
+        stops once t is labelled, and return the nodes it labelled."""
+        adj, to, cap, level = self.adj, self.to, self.cap, self.level
+        queue = self.frontier[:]
+        start = len(queue)
         for u in queue:
             d = level[u] + 1
             for a in adj[u]:
                 v = to[a]
                 if cap[a] and level[v] < 0:
                     level[v] = d
-                    if v == t:
-                        return level
                     queue.append(v)
-        return level
+                    if v == t:
+                        return queue[start:]
+        return queue[start:]
 
-    def _blocking_flow(self, t: int, level: list[int], limit: int) -> int:
+    def _blocking_flow(self, t: int, limit: int) -> int:
         """Push one unit along each path from S to t whose every arc steps
         one level up, until none is left or ``limit`` units have been pushed.
 
@@ -177,8 +235,7 @@ class _Dinic:
         are exhausted is a dead end: its level is cleared to -1 so no later
         walk enters it.  After each push the walk restarts from t.
         """
-        adj, to, cap = self.adj, self.to, self.cap
-        cursor = [0] * self.size
+        adj, to, cap, level, cursor = self.adj, self.to, self.cap, self.level, self.cursor
         path: list[int] = []
         total = 0
         v = t
@@ -209,67 +266,10 @@ class _Dinic:
                 v = to[path.pop()]
 
 
-class _SourceSet:
-    """The source set S of a ``_Dinic`` network, grown one node at a time.
-
-    ``level`` is 0 on S and -1 elsewhere, the start of every BFS, and
-    ``frontier`` lists the S nodes that still have an arc to a node outside
-    S, the only ones a BFS starts from.  Nodes from ``vertices`` on are
-    edge nodes; an edge's (e_in, e_out) pair joins S once all of the edge's
-    vertices have, so neither the frontier nor a BFS grows with |S|.
-    """
-
-    def __init__(self, net: _Dinic, vertices: int, s: int) -> None:
-        self.net, self.vertices = net, vertices
-        self.level = [-1] * net.size
-        self.frontier: list[int] = []
-        self.outside = [len(arcs) for arcs in net.adj]  # arcs to nodes outside S
-        self.add(s)
-
-    def add(self, v: int) -> None:
-        """Put node v in S, then every edge node whose vertices now all are."""
-        level, outside, to = self.level, self.outside, self.net.to
-        level[v] = 0
-        closed = []
-        for a in self.net.adj[v]:
-            w = to[a]
-            outside[w] -= 1
-            # once its vertices are in S, an edge node's one arc leaving S
-            # goes to its partner
-            if w >= self.vertices and outside[w] <= 1 and level[w] < 0:
-                closed.append(w)
-        self.frontier = [u for u in self.frontier if outside[u]]
-        if outside[v]:
-            self.frontier.append(v)
-        for w in closed:
-            if level[w] < 0:
-                self.add(w)
-
-
-def _build_network(H: Hypergraph) -> _Dinic:
-    # node ids: vertex v -> v, then a pair (e_in, e_out) for each edge of 3
-    # or more vertices, in edge order
-    big = H.m + 1
-    net = _Dinic(H.n + 2 * sum(len(e) > 2 for e in H.edges))
-    e_in = H.n
-    for e in H.edges:
-        if len(e) == 2:
-            net.add(e[0], e[1], 1)
-            net.cap[-1] = 1  # the reverse arc is the edge's other direction
-            continue
-        e_out = e_in + 1
-        net.add(e_in, e_out, 1)
-        for v in e:
-            net.add(v, e_in, big)
-            net.add(e_out, v, big)
-        e_in += 2
-    return net
-
-
-def _residual_side(H: Hypergraph, value: int, reach: list[int]) -> CutResult:
-    """The witness of a maximum flow of ``value``, the vertices in its
-    residual ``reach``, checked against it."""
-    result = CutResult.from_side(H, (v for v in range(H.n) if reach[v] >= 0))
+def _residual_side(H: Hypergraph, value: int, side: list[int]) -> CutResult:
+    """The witness of a maximum flow of ``value``, its residual ``side``,
+    checked against it."""
+    result = CutResult.from_side(H, side)
     if result.value != value:
         raise AssertionError("flow value disagrees with boundary size of the residual side")
     return result
@@ -282,10 +282,9 @@ def st_edge_connectivity(H: Hypergraph, s: int, t: int) -> CutResult:
     _check_vertex(H, t)
     if s == t:
         raise HypergraphError("source and target must differ")
-    net = _build_network(H)
     # each unit leaves s through a distinct edge of s, so deg(s) <= m bounds
     # the flow and m + 1 is no cap
-    return _residual_side(H, *net.max_flow(_SourceSet(net, H.n, s), t, H.m + 1))
+    return _residual_side(H, *_Dinic(H, s).max_flow(t, H.m + 1))
 
 
 def edge_connectivity(H: Hypergraph) -> CutResult:
@@ -307,19 +306,17 @@ def edge_connectivity(H: Hypergraph) -> CutResult:
         return CutResult.from_side(H, comps[0])
     degs = _degrees(H)
     s = degs.index(min(degs))
-    net = _build_network(H)
-    source = _SourceSet(net, H.n, s)
+    net = _Dinic(H, s)
     best: CutResult | None = None
     for t in range(H.n):
         if t == s:
             continue
-        limit = H.m + 1 if best is None else best.value
-        value, reach = net.max_flow(source, t, limit)
-        if value < limit:
-            best = _residual_side(H, value, reach)
+        value, side = net.max_flow(t, H.m + 1 if best is None else best.value)
+        if side is not None:
+            best = _residual_side(H, value, side)
             if value == 1:
                 break  # connected, so no target goes below 1
-        source.add(t)
+        net.join(t)
     assert best is not None
     return best
 

@@ -6,6 +6,7 @@ The library's own enumeration oracle is additionally cross-checked
 against the flow route, which shares no code with it.
 """
 
+import time
 from itertools import combinations
 
 import pytest
@@ -34,7 +35,7 @@ from hyperconn import (
     st_edge_connectivity,
 )
 from hyperconn import connectivity
-from hyperconn.connectivity import _build_network, _residual_side, _side_blocks, _SourceSet
+from hyperconn.connectivity import _Dinic, _residual_side, _side_blocks
 from hyperconn.constructions import affine_doubled_family
 
 
@@ -210,6 +211,16 @@ def test_edge_connectivity_deep_inputs():
     assert (cycle.value, cycle.side) == (2, (0,))
     circulant = edge_connectivity(circulant_graph(2000, (1, 2)))
     assert (circulant.value, circulant.side) == (4, (0,))
+
+
+def test_edge_connectivity_long_cycle_is_near_linear():
+    """A BFS phase resets only the nodes it labelled, so a target on a long
+    cycle costs a handful of nodes' work, not the size of the network."""
+    start = time.perf_counter()
+    cycle = edge_connectivity(circulant_graph(40000, (1,)))
+    elapsed = time.perf_counter() - start
+    assert (cycle.value, cycle.side) == (2, (0,))
+    assert elapsed < 5.0, elapsed
 
 
 def test_edge_connectivity_matches_uncapped_reference():
@@ -446,63 +457,81 @@ def test_st_matches_networkx_on_the_gadget_network():
                 assert cut.side == tuple(sorted(v for v in reach if isinstance(v, int))), (H, s, t)
 
 
-def assert_consistent_flow(net, base, source, t, value):
+def source_nodes(H, joined):
+    """The network nodes of the source set once the vertices in ``joined``
+    have joined it: those vertices, and the node pair of every edge of 3 or
+    more vertices that all have."""
+    nodes = set(joined)
+    e_in = H.n
+    for e in H.edges:
+        if len(e) > 2:
+            if joined.issuperset(e):
+                nodes |= {e_in, e_in + 1}
+            e_in += 2
+    return nodes
+
+
+def assert_consistent_flow(net, base, inside, t, value):
     """Each arc pair keeps its total capacity and none goes negative, flow
     is conserved at every node outside S and t, S sends out the value and
-    t takes it in."""
+    t takes it in.  Between flows the level list is 0 exactly on S and -1
+    elsewhere, and every cursor is 0."""
+    size = len(net.adj)
     for a in range(0, len(base), 2):
         assert net.cap[a] + net.cap[a + 1] == base[a] + base[a + 1], a
         assert net.cap[a] >= 0 and net.cap[a + 1] >= 0, a
-    out = [sum(base[a] - net.cap[a] for a in net.adj[x]) for x in range(net.size)]
-    inside = {x for x in range(net.size) if source.level[x] == 0}
+    out = [sum(base[a] - net.cap[a] for a in net.adj[x]) for x in range(size)]
     assert sum(out[x] for x in inside) == value
     assert out[t] == -value
-    assert not any(out[x] for x in range(net.size) if x != t and x not in inside)
+    assert not any(out[x] for x in range(size) if x != t and x not in inside)
+    assert net.level == [0 if x in inside else -1 for x in range(size)]
+    assert not any(net.cursor)
 
 
 def test_max_flow_leaves_a_consistent_residual_network():
-    """After a flow, capped or not, from a single source on restored
-    capacities and along a whole warm-started target sequence, where each
-    finished target joins the source set and the next flow starts from the
-    flow already there."""
+    """After a flow, capped or not, from a single source on a new network
+    and along a whole warm-started target sequence, where each finished
+    target joins the source set and the next flow starts from the flow
+    already there."""
     rng = SplitMix64(37)
     multi_unit = warm = closed_pairs = 0
     for _ in range(40):
         n = 2 + rng.below(14)
         H = mixed_hypergraph(rng, n, rng.below(3 * n))
-        net = _build_network(H)
-        base = list(net.cap)
+        base = _Dinic(H, 0).cap
         for s in range(n):
             t = rng.below(n - 1)
             t += t >= s
             for limit in (H.m + 1, 1 + rng.below(3)):
-                net.cap[:] = base
-                source = _SourceSet(net, n, s)
-                value, _ = net.max_flow(source, t, limit)
-                assert_consistent_flow(net, base, source, t, value)
+                net = _Dinic(H, s)
+                value, _ = net.max_flow(t, limit)
+                assert_consistent_flow(net, base, {s}, t, value)
                 multi_unit += value > 1
-        net.cap[:] = base
         s = rng.below(n)
-        source = _SourceSet(net, n, s)
+        net = _Dinic(H, s)
+        joined = {s}
         for t in range(n):
             if t == s:
                 continue
+            inside = source_nodes(H, joined)
             limit = H.m + 1 if rng.below(2) else 1 + rng.below(3)
-            value, reach = net.max_flow(source, t, limit)
-            assert_consistent_flow(net, base, source, t, value)
-            if reach is not None:
+            value, side = net.max_flow(t, limit)
+            assert_consistent_flow(net, base, inside, t, value)
+            if side is not None:
                 # a side holding S and not t whose boundary is the flow's
                 # value: both are optimal
-                side = set(_residual_side(H, value, reach).side)
-                assert {v for v in range(n) if source.level[v] == 0} <= side
+                side = set(_residual_side(H, value, side).side)
+                assert joined <= side
                 assert t not in side
             warm += value > 1
-            source.add(t)
-            inside = {x for x in range(net.size) if source.level[x] == 0}
-            assert set(source.frontier) == {
+            net.join(t)
+            joined.add(t)
+            inside = source_nodes(H, joined)
+            assert net.level == [0 if x in inside else -1 for x in range(len(net.adj))]
+            assert set(net.frontier) == {
                 x for x in inside if any(net.to[a] not in inside for a in net.adj[x])
             }
-        closed_pairs += sum(not level for level in source.level[n:])
+        closed_pairs += sum(not level for level in net.level[n:])
     assert multi_unit >= 100 and warm >= 100 and closed_pairs >= 300, (multi_unit, warm, closed_pairs)
 
 
@@ -510,8 +539,8 @@ def test_network_has_a_node_pair_only_for_wide_edges():
     H = Hypergraph(6, ((0, 1), (0, 1), (1, 2, 3), (3, 4), (2, 3, 4, 5)))
     for G in (H, circulant_graph(12, (1, 2))):
         wide = [e for e in G.edges if len(e) > 2]
-        net = _build_network(G)
-        assert net.size == G.n + 2 * len(wide)
+        net = _Dinic(G, 0)
+        assert len(net.adj) == G.n + 2 * len(wide)
         assert len(net.to) == 2 * (G.m - len(wide)) + 2 * sum(1 + 2 * len(e) for e in wide)
 
 
@@ -803,3 +832,7 @@ def test_cut_result_from_side():
         CutResult.from_side(H, set())
     with pytest.raises(HypergraphError):
         CutResult.from_side(H, set(range(6)))
+    # a repeated vertex counts once
+    path = Hypergraph(3, ((0, 1), (1, 2)))
+    assert CutResult.from_side(path, [0, 0]) == CutResult((0,), (0,), 1)
+    assert CutResult.from_side(path, [0, 0, 1]) == CutResult((0, 1), (1,), 1)
