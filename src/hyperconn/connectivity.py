@@ -29,7 +29,14 @@ outside S and the next target, so it is a feasible flow of value 0
 a flow that reaches the cap cannot improve the answer, so it is stopped
 there and no witness is built for it.  A witness is built only when a
 flow ends strictly below the best so far, and the loop stops once the best
-is 1, the least value of a connected input.
+is 1, the least value of a connected input.  Most capped flows need not
+run at all: ``_Dinic.lower_bound`` reads a lower bound on the S-t flow
+from t's own arcs, and a target whose bound reaches the cap joins S with
+no flow.  Its flow would have stopped at the cap and built no witness.
+A skip pushes nothing, and the flow already in the network has value 0 at
+t, so it stays a feasible start once t joins S.  Later flows then reach
+the same values, and their witnesses, each the unique minimal minimum
+side, are the same too.
 
 The answer is the one n - 1 separate s-t flows would give: the minimal
 minimum side X of the first target t* with lambda(s, t*) = kappa'.  An
@@ -209,6 +216,43 @@ class _Dinic:
                 cursor[x] = 0
         return total, side
 
+    def lower_bound(self, t: int) -> int:
+        """A lower bound on the S-t max flow, read from t's own arcs between
+        flows; the larger of two counts.
+
+        The edges through t that meet S, multi-edges counted, are disjoint
+        one-edge paths, so their number bounds the S-t max flow of the
+        network with no flow in it.  The other count is a flow in the
+        residual network, on disjoint arcs: every S-t arc of a 2-edge, for
+        each 2-edge neighbour u outside S the least of the residual capacity
+        of its arcs to t and of the arcs into it from S, each summed over
+        parallel arcs, and the e_in -> e_out arc of every wide edge meeting S
+        (its incidence arcs keep at least m of their m + 1).  Both bound the
+        flow ``max_flow`` would find, since the flow already in the network
+        has value 0 at t.
+        """
+        adj, to, cap, level, n = self.adj, self.to, self.cap, self.level, self.vertices
+        meet = residual = 0
+        through: dict[int, int] = {}  # 2-edge neighbour outside S -> residual into t
+        for b in adj[t]:
+            u = to[b]
+            if u < n:
+                if level[u]:
+                    through[u] = through.get(u, 0) + cap[b ^ 1]
+                else:
+                    meet += 1
+                    residual += cap[b ^ 1]
+            elif not (u - n) & 1 and self.outside[u] < len(adj[u]):
+                # the e_in of a wide edge with a vertex in S
+                meet += 1
+                residual += cap[adj[u][0]]
+        for u, out in through.items():
+            if out:
+                # an edge node next to u is outside S, as u is
+                into = sum(cap[a ^ 1] for a in adj[u] if not level[to[a]])
+                residual += min(out, into)
+        return max(meet, residual)
+
     def _levels(self, t: int) -> list[int]:
         """Label residual distances from S, by a BFS from its frontier that
         stops once t is labelled, and return the nodes it labelled."""
@@ -296,8 +340,11 @@ def edge_connectivity(H: Hypergraph) -> CutResult:
     first one outside X lies in X, so that target's flow is at most
     |boundary(X)|.  The result is the witness of the first target that
     reaches that minimum, the one separate s-t flows would give (see the
-    module docstring).  Disconnected input yields value 0 with a component
-    as witness.
+    module docstring).  A target whose ``lower_bound`` already reaches the
+    best value joins the source set with no flow: its capped flow would
+    build no witness, and as a skip pushes nothing, the flow left in the
+    network stays feasible and every later value and witness is unchanged.
+    Disconnected input yields value 0 with a component as witness.
     """
     if H.n < 2:
         raise HypergraphError("edge-connectivity is undefined for fewer than 2 vertices")
@@ -311,11 +358,13 @@ def edge_connectivity(H: Hypergraph) -> CutResult:
     for t in range(H.n):
         if t == s:
             continue
-        value, side = net.max_flow(t, H.m + 1 if best is None else best.value)
-        if side is not None:
-            best = _residual_side(H, value, side)
-            if value == 1:
-                break  # connected, so no target goes below 1
+        # a flow the bound already takes to the cap would build no witness
+        if best is None or net.lower_bound(t) < best.value:
+            value, side = net.max_flow(t, H.m + 1 if best is None else best.value)
+            if side is not None:
+                best = _residual_side(H, value, side)
+                if value == 1:
+                    break  # connected, so no target goes below 1
         net.join(t)
     assert best is not None
     return best

@@ -6,6 +6,7 @@ The library's own enumeration oracle is additionally cross-checked
 against the flow route, which shares no code with it.
 """
 
+import copy
 import time
 from itertools import combinations
 
@@ -24,6 +25,7 @@ from hyperconn import (
     circulant_graph,
     complete_uniform,
     components,
+    cyclic_difference_hypergraph,
     degree_extremes,
     edge_atom,
     edge_connectivity,
@@ -542,6 +544,70 @@ def test_network_has_a_node_pair_only_for_wide_edges():
         net = _Dinic(G, 0)
         assert len(net.adj) == G.n + 2 * len(wide)
         assert len(net.to) == 2 * (G.m - len(wide)) + 2 * sum(1 + 2 * len(e) for e in wide)
+
+
+def test_lower_bound_never_exceeds_the_max_flow():
+    """Along warm target sequences on inputs with repeated 2-edges, where a
+    target either joins S with no flow, as a skipped target does, or after a
+    capped flow, t's bound is at most the flow a copy of the network finds.
+    The flows after skips still leave a consistent residual network."""
+    # four 2-edges from t = 0 to its outside neighbour 1, which only two
+    # arcs reach from S = {2}: taken per arc, the paths through 1 would
+    # count 4, not 2, and the bound would be 6
+    H = Hypergraph(3, ((0, 1), (1, 2), (0, 1), (1, 2), (0, 1, 2), (0, 2), (0, 1), (0, 1), (0, 1)))
+    net = _Dinic(H, 2)
+    assert net.lower_bound(0) == 4
+    assert net.max_flow(0, H.m + 1)[0] == 4
+    rng = SplitMix64(53)
+    targets = tight = skipped = 0
+    for _ in range(150):
+        n = 2 + rng.below(14)
+        H = mixed_hypergraph(rng, n, rng.below(3 * n), pool=max(2, n - rng.below(3)))
+        base = _Dinic(H, 0).cap
+        s = rng.below(n)
+        net = _Dinic(H, s)
+        joined = {s}
+        for t in range(n):
+            if t == s:
+                continue
+            bound = net.lower_bound(t)
+            value, _ = copy.deepcopy(net).max_flow(t, H.m + 1)
+            assert bound <= value, (H, s, t, joined)
+            targets += 1
+            tight += 0 < bound == value
+            if rng.below(2):
+                skipped += 1
+            else:
+                limit = 1 + rng.below(value + 1)
+                assert_consistent_flow(net, base, source_nodes(H, joined), t, net.max_flow(t, limit)[0])
+            net.join(t)
+            joined.add(t)
+    assert targets >= 1000 and tight >= 400 and skipped >= 400, (targets, tight, skipped)
+
+
+def test_edge_connectivity_skips_flows_the_bound_certifies(monkeypatch):
+    """A target whose bound reaches the best value so far joins the source
+    set with no flow, and the witness is still the one separate s-t flows
+    give.  The flow counts are ceilings: the planes and the doubled family
+    run at most two fifths of their n - 1 flows, the cycle and K_30 one, and
+    the circulant half, as its last path goes round the ring."""
+    cases = (
+        (affine_hypergraph(7), 6),
+        (affine_hypergraph(11), 10),
+        (cyclic_difference_hypergraph(31, (0, 1, 3, 8, 12, 18)), 12),  # PG(2,5)
+        (affine_doubled_family(7), 19),
+        (circulant_graph(400, (1, 2)), 199),
+        (circulant_graph(300, (1,)), 1),
+        (complete_uniform(30, 2), 1),
+    )
+    flows = []
+    run = _Dinic.max_flow
+    monkeypatch.setattr(_Dinic, "max_flow", lambda net, t, limit: flows.append(t) or run(net, t, limit))
+    for H, ceiling in cases:
+        flows.clear()
+        cut = edge_connectivity(H)
+        assert len(flows) <= ceiling, (H.n, len(flows))
+        assert cut == first_strict_minimum(H), H.n
 
 
 def test_edge_connectivity_examples():
