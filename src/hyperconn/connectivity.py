@@ -25,27 +25,27 @@ targets in index order, skipping the source s.  After a target's flow the
 target joins a source set S that starts as {s}, and the next flow starts
 from the flow already in the network: it is conserved at every node
 outside S and the next target, so it is a feasible flow of value 0
-(Hao & Orlin, 1994).  Each flow is capped at the best value found so far;
-a flow that reaches the cap cannot improve the answer, so it is stopped
-there and no witness is built for it.  A witness is built only when a
-flow ends strictly below the best so far, and the loop stops once the best
-is 1, the least value of a connected input.  Most capped flows need not
-run at all: ``_Dinic.lower_bound`` reads a lower bound on the S-t flow
-from t's own arcs, and a target whose bound reaches the cap joins S with
-no flow.  Its flow would have stopped at the cap and built no witness.
-A skip pushes nothing, and the flow already in the network has value 0 at
-t, so it stays a feasible start once t joins S.  Later flows then reach
-the same values, and their witnesses, each the unique minimal minimum
-side, are the same too.
+(Hao & Orlin, 1994).  The best cut starts as {s}, of value delta, and
+each flow is capped at the best value so far: a flow that reaches the cap
+cannot improve the answer, so it stops there and builds no witness.  The
+loop stops once the best is 1, the least value of a connected input.
+Most capped flows need not run at all: ``_Dinic.lower_bound`` reads a
+lower bound on the S-t flow from t's own arcs, and a target whose bound
+reaches the cap joins S with no flow.  A skip pushes nothing, and the
+flow already in the network has value 0 at t, so it stays a feasible
+start once t joins S.  Later flows then reach the same values, and their
+witnesses, each the unique minimal minimum side, are the same too.
 
 The answer is the one n - 1 separate s-t flows would give: the minimal
-minimum side X of the first target t* with lambda(s, t*) = kappa'.  An
-earlier target t outside X would have lambda(s, t) <= kappa', against the
-choice of t*, so X holds every earlier target.  Hence X is also the
-minimal minimum side holding S and not t*.  An earlier target's S-t value
-is at least its s-t value, which is above kappa', so the cap at t* is
-above kappa' and t*'s flow ends at kappa' with X as its witness; no later
-flow goes below kappa'.
+minimum side X of the first target t* with lambda(s, t*) = kappa'.  When
+kappa' = delta, t* is the first target and X is the start {s}: it is a
+minimum side, and no side holding s is smaller.  Otherwise an earlier
+target t outside X would have lambda(s, t) <= kappa', against the choice
+of t*, so X holds every earlier target.  Hence X is also the minimal
+minimum side holding S and not t*.  An earlier target's S-t value is at
+least its s-t value, which is above kappa', so the cap at t* is above
+kappa' and t*'s flow ends at kappa' with X as its witness; no later flow
+goes below kappa'.
 
 The oracle and the edge atom enumerate vertex sides outright.  Both read
 the boundary sizes from one kernel, ``_side_blocks``, and neither shares
@@ -334,16 +334,14 @@ def st_edge_connectivity(H: Hypergraph, s: int, t: int) -> CutResult:
 def edge_connectivity(H: Hypergraph) -> CutResult:
     """Global edge-connectivity via flows from a growing source set.
 
-    The source s is the lowest-indexed minimum-degree vertex, and each
-    finished target joins the source set.  The least flow value is the
-    global value: for a minimum side X holding s, every target before the
-    first one outside X lies in X, so that target's flow is at most
-    |boundary(X)|.  The result is the witness of the first target that
-    reaches that minimum, the one separate s-t flows would give (see the
-    module docstring).  A target whose ``lower_bound`` already reaches the
-    best value joins the source set with no flow: its capped flow would
-    build no witness, and as a skip pushes nothing, the flow left in the
-    network stays feasible and every later value and witness is unchanged.
+    The source s is the lowest-indexed minimum-degree vertex, the best cut
+    starts as {s}, and each finished target joins the source set.  A
+    target runs a flow capped at the best value unless its ``lower_bound``
+    already reaches that value.  The least value is the global value: for
+    a minimum side X holding s, every target before the first one outside
+    X lies in X, so that target's flow is at most |boundary(X)|.  The
+    result is the witness of the first target that reaches that minimum,
+    the one separate s-t flows would give (see the module docstring).
     Disconnected input yields value 0 with a component as witness.
     """
     if H.n < 2:
@@ -354,19 +352,18 @@ def edge_connectivity(H: Hypergraph) -> CutResult:
     degs = _degrees(H)
     s = degs.index(min(degs))
     net = _Dinic(H, s)
-    best: CutResult | None = None
+    best = CutResult.from_side(H, (s,))
     for t in range(H.n):
+        if best.value == 1:
+            break  # connected, so no target goes below 1
         if t == s:
             continue
         # a flow the bound already takes to the cap would build no witness
-        if best is None or net.lower_bound(t) < best.value:
-            value, side = net.max_flow(t, H.m + 1 if best is None else best.value)
+        if net.lower_bound(t) < best.value:
+            value, side = net.max_flow(t, best.value)
             if side is not None:
                 best = _residual_side(H, value, side)
-                if value == 1:
-                    break  # connected, so no target goes below 1
         net.join(t)
-    assert best is not None
     return best
 
 

@@ -121,12 +121,16 @@ def transitivity_generators(H: Hypergraph) -> list[tuple[int, ...]] | None:
     """Automorphisms whose orbit closure carries 0 everywhere, else None.
 
     Found automorphisms are kept as generators and the orbit of 0 is closed
-    under them before any fresh search, so most targets come for free.  The
-    list is empty when n is 1 (nothing to move).
+    under them before any fresh search, so most targets come for free.
+    Targets are taken from n - 1 down: a search tries the least images
+    first, so the automorphism it finds for 0 -> t tends to move only the
+    vertices up to t (on K_n, the cycle 0 -> t -> t - 1 -> ... -> 0), and
+    from the top one search often reaches every vertex (K_30 takes 1
+    generator, not 29).  The list is empty when n is 1 (nothing to move).
     """
     gens: list[tuple[int, ...]] = []
     reached = {0}
-    for target in range(1, H.n):
+    for target in range(H.n - 1, 0, -1):
         if target in reached:
             continue
         p = find_automorphism_mapping(H, 0, target)
@@ -232,7 +236,6 @@ def _tables(H: Hypergraph) -> SimpleNamespace:
     * ``incident[v]``, ``size[i]``;
     * ``emask[i]``: the vertices of edge i; ``incmask[v]``: the edges through v;
     * ``by_size[v][s]``: the edges of size s through v;
-    * ``same_size[i]``: the edges of edge i's size;
     * ``adj[v]``, ``near[v]``: the vertices sharing an edge with v, and those
       within distance 2 of v, v excluded;
     * ``edge_counter``: the edge multiset.
@@ -245,9 +248,6 @@ def _tables(H: Hypergraph) -> SimpleNamespace:
     size = [len(e) for e in H.edges]
     emask = [sum(1 << v for v in e) for e in H.edges]
     incmask = [sum(1 << i for i in incident[v]) for v in range(n)]
-    of_size: dict[int, int] = {}
-    for i, s in enumerate(size):
-        of_size[s] = of_size.get(s, 0) | 1 << i
     by_size: list[dict[int, int]] = []
     adj: list[int] = []
     for v in range(n):
@@ -278,7 +278,6 @@ def _tables(H: Hypergraph) -> SimpleNamespace:
         emask=emask,
         incmask=incmask,
         by_size=by_size,
-        same_size=[of_size[s] for s in size],
         adj=adj,
         near=near,
         edge_counter=Counter(H.edges),
@@ -297,10 +296,11 @@ def _search(
     incident, size, emask, incmask = T.incident, T.size, T.emask, T.incmask
     by_size, adj, near = T.by_size, T.adj, T.near
     # st[v] is vertex v's image domain, st[n + i] edge i's candidate images
-    # and st[claims + z] the free vertex that claimed image z, or -1.  Every
-    # change to st is logged on the trail and undone by popping it.
+    # (all edges until its first vertex is assigned) and st[claims + z] the
+    # free vertex that claimed image z, or -1.  Every change to st is logged
+    # on the trail and undone by popping it.
     claims = n + len(edges)
-    st = [*T.pool, *T.same_size, *[-1] * n]
+    st = [*T.pool, *[(1 << len(edges)) - 1] * len(edges), *[-1] * n]
     trail: list[tuple[int, int]] = []
 
     def claim(x: int, d: int) -> bool:

@@ -32,37 +32,13 @@ from hyperconn import (
     transitivity_generators,
     vertex_profile,
 )
-from hyperconn.cli import main
 from hyperconn.constructions import affine_doubled_family, glued_complete_family
 
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
+from helpers import all_min_atom_sides, mask_set, run_cli
 
 
 def machine_dict(out):
     return dict(line.split("=", 1) for line in out.splitlines())
-
-
-def mask_set(mask, n):
-    return {v for v in range(n) if mask >> v & 1}
-
-
-def min_atom_sides(H):
-    """All minimum-boundary then minimum-size sides, lexicographically."""
-    best = None
-    sides = []
-    for mask in range(1, (1 << H.n) - 1):
-        X = tuple(v for v in range(H.n) if mask >> v & 1)
-        value = len(boundary(H, set(X)))
-        if best is None or value < best:
-            best, sides = value, [X]
-        elif value == best:
-            sides.append(X)
-    smallest = min(len(s) for s in sides)
-    return best, sorted(s for s in sides if len(s) == smallest)
 
 
 def test_criterion_01_doubled_counterexample_k3(capsys, tmp_path):
@@ -250,7 +226,7 @@ def test_criterion_09_atom_block_property():
         if H.n > 12 or not is_connected(H) or not is_vertex_transitive(H):
             continue
         atom = edge_atom(H)
-        value, sides = min_atom_sides(H)
+        value, sides = all_min_atom_sides(H)
         assert atom.value == value, name
         assert atom.side in sides, name
         autos = enumerate_automorphisms(H, cap=100000)

@@ -25,6 +25,8 @@ from hyperconn.cli import _verdict_exit_code, analyze, main, render_machine
 from hyperconn.constructions import affine_hypergraph, complete_uniform
 from hyperconn.connectivity import _side_blocks
 
+from helpers import run_cli
+
 MACHINE_KEY_ORDER = [
     "n",
     "m",
@@ -37,12 +39,6 @@ MACHINE_KEY_ORDER = [
     "transitive",
     "maximal",
 ]
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
 
 
 def gen(capsys, tmp_path, name, *argv):
@@ -561,6 +557,23 @@ def test_oracle_guard_comes_before_any_walk(capsys, tmp_path, monkeypatch):
     assert out == ""
     assert err == "error: oracle enumeration requires 2 <= n <= 20, got n=1048576\n"
     assert walks == []
+
+
+def test_console_script_entry_point(tmp_path, monkeypatch, capsys):
+    """``cli.main_entry``, the target of the ``hyperconn`` console script,
+    reads sys.argv and exits with main's code."""
+    path = tmp_path / "a3.hg"
+    path.write_text(serialize_hypergraph(affine_hypergraph(3)))
+    missing = tmp_path / "missing.hg"
+    for file, code, out, err in (
+        (path, 0, "kappa=3\natom=0\ncut=0 1 2\n", ""),
+        (missing, 2, "", f"error: [Errno 2] No such file or directory: '{missing}'\n"),
+    ):
+        monkeypatch.setattr(sys, "argv", ["hyperconn", "oracle", str(file)])
+        with pytest.raises(SystemExit) as stop:
+            cli.main_entry()
+        assert stop.value.code == code
+        assert capsys.readouterr() == (out, err)
 
 
 def test_module_entry_point(tmp_path, monkeypatch):

@@ -40,6 +40,8 @@ from hyperconn import connectivity
 from hyperconn.connectivity import _Dinic, _residual_side, _side_blocks
 from hyperconn.constructions import affine_doubled_family
 
+from helpers import all_min_atom_sides
+
 
 def connects(edges, n, s, t):
     reach = {s}
@@ -87,22 +89,6 @@ def first_minimum_side(H):
         if best is None or value < best[0]:
             best = (value, X)
     return best
-
-
-def all_min_atom_sides(H):
-    """Every nonempty proper side hitting (min boundary, then min size)."""
-    best_value = None
-    sides = []
-    for mask in range(1, (1 << H.n) - 1):
-        X = tuple(v for v in range(H.n) if mask >> v & 1)
-        value = len(boundary(H, set(X)))
-        if best_value is None or value < best_value:
-            best_value = value
-            sides = [X]
-        elif value == best_value:
-            sides.append(X)
-    min_size = min(len(s) for s in sides)
-    return best_value, sorted(s for s in sides if len(s) == min_size)
 
 
 def mixed_hypergraph(rng, n, m, pool=None):
@@ -589,8 +575,10 @@ def test_edge_connectivity_skips_flows_the_bound_certifies(monkeypatch):
     """A target whose bound reaches the best value so far joins the source
     set with no flow, and the witness is still the one separate s-t flows
     give.  The flow counts are ceilings: the planes and the doubled family
-    run at most two fifths of their n - 1 flows, the cycle and K_30 one, and
-    the circulant half, as its last path goes round the ring."""
+    run at most two fifths of their n - 1 flows, the cycle one, and the
+    circulant half, as its last path goes round the ring.  The best value
+    starts at the source's degree, so K_30, whose every bound reaches it,
+    and the path, whose source has degree 1, run none."""
     cases = (
         (affine_hypergraph(7), 6),
         (affine_hypergraph(11), 10),
@@ -598,7 +586,8 @@ def test_edge_connectivity_skips_flows_the_bound_certifies(monkeypatch):
         (affine_doubled_family(7), 19),
         (circulant_graph(400, (1, 2)), 199),
         (circulant_graph(300, (1,)), 1),
-        (complete_uniform(30, 2), 1),
+        (complete_uniform(30, 2), 0),
+        (path_graph(700), 0),
     )
     flows = []
     run = _Dinic.max_flow

@@ -32,6 +32,8 @@ from hyperconn import (
 from hyperconn import model
 from hyperconn.model import _incidence
 
+from helpers import mask_set
+
 
 def brute_degree(H, v):
     return sum(1 for e in H.edges if v in e)
@@ -71,10 +73,6 @@ def pair_counts(H):
             for j in range(i + 1, len(e)):
                 pairs[(e[i], e[j])] += 1
     return pairs
-
-
-def mask_set(mask, n):
-    return {v for v in range(n) if mask >> v & 1}
 
 
 def test_hypergraph_normalizes_and_validates():

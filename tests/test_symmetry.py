@@ -5,6 +5,7 @@ result on small instances is checked against ground truth.
 """
 
 import sys
+import time
 from collections import Counter
 from itertools import permutations
 
@@ -264,21 +265,39 @@ def test_transitivity_examples():
     assert is_vertex_transitive(Hypergraph(1, ()))
 
 
-def test_transitivity_generators_cover_orbit():
-    gens = transitivity_generators(affine_hypergraph(3))
-    assert gens is not None
+def orbit_of_zero(H, gens):
+    """The orbit of vertex 0 under gens, each checked as an automorphism."""
+    assert all(is_automorphism(H, p) for p in gens)
     reached = {0}
     frontier = [0]
     while frontier:
         v = frontier.pop()
         for p in gens:
-            assert is_automorphism(affine_hypergraph(3), p)
             if p[v] not in reached:
                 reached.add(p[v])
                 frontier.append(p[v])
-    assert reached == set(range(9))
+    return reached
+
+
+def test_transitivity_generators_cover_orbit():
+    gens = transitivity_generators(affine_hypergraph(3))
+    assert gens is not None
+    assert orbit_of_zero(affine_hypergraph(3), gens) == set(range(9))
     assert transitivity_generators(PATH_3) is None
     assert transitivity_generators(Hypergraph(1, ())) == []
+
+
+def test_transitivity_generators_are_few_on_symmetric_inputs():
+    """Targets are searched from n - 1 down, so the one automorphism found
+    for 0 -> n - 1 carries 0 everywhere on K_30 and on one 500-vertex edge.
+    Searched from 1 up, K_30 took 29 generators and the edge 499, in about
+    a minute."""
+    assert len(transitivity_generators(complete_uniform(30, 2))) == 1
+    H = Hypergraph(500, (tuple(range(500)),))
+    start = time.perf_counter()
+    gens = transitivity_generators(H)
+    assert time.perf_counter() - start < 5.0
+    assert gens is not None and orbit_of_zero(H, gens) == set(range(500))
 
 
 def test_transitivity_agrees_with_orbit_count():
