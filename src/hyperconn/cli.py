@@ -26,6 +26,7 @@ from .connectivity import (
 )
 from .constructions import (
     SplitMix64,
+    _below,
     _draw_subsets,
     affine_doubled_family,
     affine_hypergraph,
@@ -336,15 +337,16 @@ def cmd_verify_lemma(args: argparse.Namespace) -> int:
         f"{pair_count} (X, Y) pairs, 0 violations"
     )
 
-    rng = SplitMix64(args.seed)
+    # the draws of SplitMix64(args.seed).below and next_u64, taken from blocks
+    outputs = SplitMix64(args.seed)._stream()
     for trial in range(args.trials):
-        n = 2 + rng.below(args.nmax - 1)
-        k = 2 + rng.below(min(n, 4) - 1)
-        m = 1 + rng.below(2 * n)
-        seed = rng.next_u64()
+        n = 2 + _below(outputs, args.nmax - 1)
+        k = 2 + _below(outputs, min(n, 4) - 1)
+        m = 1 + _below(outputs, 2 * n)
+        seed = next(outputs)
         edge_masks = _random_edge_masks(n, k, m, seed)
-        x_mask = rng.below(1 << n)
-        y_mask = rng.below(1 << n)
+        x_mask = _below(outputs, 1 << n)
+        y_mask = _below(outputs, 1 << n)
         bu, bm, bx, by = _uncrossing_sizes(edge_masks, x_mask, y_mask)
         if bu + bm > bx + by:
             H = random_uniform_hypergraph(n, k, m, seed)

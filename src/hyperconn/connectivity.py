@@ -83,7 +83,7 @@ __all__ = [
     "is_maximally_edge_connected",
 ]
 
-_ENUM_GUARD = 20  # exhaustive subset enumeration beyond this is refused
+_ENUM_GUARD = 26  # exhaustive subset enumeration beyond this is refused
 
 
 def _check_enumeration_guard(H: Hypergraph, what: str) -> None:
@@ -373,7 +373,7 @@ def edge_connectivity_oracle(H: Hypergraph) -> CutResult:
     By complement symmetry only sides containing vertex 0 are enumerated.
     The witness is the side least by ``(value, mask)``: the first minimum in
     increasing mask order, whatever order the blocks come in.  Independent
-    of the flow route by construction.  Guarded to n <= 20.
+    of the flow route by construction.  Guarded to n <= 26.
     """
     _check_enumeration_guard(H, "oracle")
     best_val, best_mask = H.m + 1, 0
@@ -391,7 +391,7 @@ def edge_atom(H: Hypergraph) -> CutResult:
     lexicographically smallest sorted vertex sequence.
 
     The complement of an optimal side is optimal too, so the atom never has
-    more than n/2 vertices.  Requires a connected input; guarded to n <= 20,
+    more than n/2 vertices.  Requires a connected input; guarded to n <= 26,
     and the guard comes first, so a large input is refused without a walk.
     """
     _check_enumeration_guard(H, "atom")
@@ -448,7 +448,7 @@ def is_maximally_edge_connected(H: Hypergraph) -> bool:
     return edge_connectivity(H).value == degree_extremes(H)[0]
 
 
-_BLOCK_BITS = 13  # vertices 1..13 vary inside one block of 2**13 sides
+_BLOCK_BITS = 15  # vertices 1..15 vary inside one block of 2**15 sides
 
 
 def _side_blocks(H: Hypergraph) -> Iterator[tuple[int, int, list[int]]]:

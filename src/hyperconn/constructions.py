@@ -85,11 +85,7 @@ class SplitMix64:
         """Uniform integer in [0, bound), bound <= 2**64, by rejection, so no modulo bias."""
         if not 0 < bound <= 1 << 64:
             raise ValueError(f"bound must be in [1, 2**64], got {bound}")
-        threshold = ((1 << 64) // bound) * bound
-        while True:
-            u = self.next_u64()
-            if u < threshold:
-                return u % bound
+        return _below(iter(self.next_u64, None), bound)
 
     def subset(self, n: int, k: int) -> tuple[int, ...]:
         """Uniform k-subset of range(n) via a partial Fisher-Yates shuffle."""
@@ -119,6 +115,29 @@ class SplitMix64:
             self.state = (self.state + c * _GAMMA) & _MASK64
             count -= c
         return out
+
+    def _stream(self) -> Iterator[int]:
+        """The outputs from here on, as ``next_u64`` would return them,
+        evaluated by ``_block`` a whole block ahead of the ones taken."""
+        while True:
+            yield from self._block(_LANES)
+
+
+def _threshold(bound: int) -> int:
+    """The one rejection rule of a draw below ``bound``: an output at or
+    past the largest multiple of ``bound`` not above 2**64 is rejected, so
+    ``u % bound`` of an accepted output u has no modulo bias."""
+    return (1 << 64) - (1 << 64) % bound
+
+
+def _below(outputs: Iterator[int], bound: int) -> int:
+    """A uniform integer in [0, bound) from the first output of ``outputs``
+    that ``_threshold`` accepts."""
+    threshold = _threshold(bound)
+    u = next(outputs)
+    while u >= threshold:
+        u = next(outputs)
+    return u % bound
 
 
 @dataclass(frozen=True)
@@ -268,36 +287,47 @@ def _draw_subsets(rng: SplitMix64, n: int, k: int, m: int) -> Iterator[list[int]
     members in draw order, taking outputs of ``rng`` in stream order.
 
     Each subset is a partial Fisher-Yates shuffle: step i swaps position i
-    with i + u mod (n - i), where an output u is rejected, and the next one
-    taken, when u is at or past the largest multiple of n - i below 2**64,
-    exactly as :meth:`SplitMix64.below` does.  Only swapped positions are
-    stored, so a subset costs O(k), not O(n).  Outputs come from
-    ``rng._block`` no more than are still needed, so ``rng`` ends in the
-    state that m scalar draws would leave.
+    with i + u mod (n - i), where an output u that ``_threshold`` rejects is
+    skipped and the next one taken, exactly as :meth:`SplitMix64.below`
+    does.  Only swapped positions are stored, so a subset costs O(k), not
+    O(n), and one loop walks a block's outputs, k to a subset.  Outputs
+    come from one ``rng._block`` per run of up to ``_LANES // k`` subsets.
+    Every bound is at most n, so every threshold is above 2**64 - n, and a
+    block whose largest output is at most that holds no rejected output.
+    Only a block that fails this one test is checked output by output, and
+    its rejected outputs are replaced from further blocks.  No block asks
+    for more outputs than are still needed, so ``rng`` ends in the state
+    that m scalar draws would leave.
     """
-    bounds = range(n, n - k, -1)
-    steps = list(zip(range(k), bounds, [((1 << 64) // b) * b for b in bounds]))
-    need = m * k  # accepted outputs still to take
-    outputs: Iterator[int] = iter(())
-    for _ in range(m):
+    if not k:  # an empty subset takes no output
+        for _ in range(m):
+            yield []
+        return
+    per_block = max(1, _LANES // k)
+    for first in range(0, m, per_block):
+        need = min(per_block, m - first) * k
+        outputs = rng._block(need)
+        if max(outputs) > (1 << 64) - n:
+            thresholds = [_threshold(n - i) for i in range(k)]
+            kept: list[int] = []
+            while outputs:
+                for u in outputs:
+                    if u < thresholds[len(kept) % k]:
+                        kept.append(u)
+                short = need - len(kept)
+                outputs = rng._block(short) if short else []
+            outputs = kept
+        chosen: list[int] = []
         moved: dict[int, int] = {}
-        chosen = []
-        for i, bound, threshold in steps:
-            for u in outputs:
-                if u < threshold:
-                    break
-            else:  # outputs ran out: refill until one is accepted
-                u = threshold
-                while u >= threshold:
-                    outputs = iter(rng._block(min(need, _LANES)))
-                    for u in outputs:
-                        if u < threshold:
-                            break
-            need -= 1
-            j = i + u % bound
+        i = 0  # the step the next output takes
+        for u in outputs:
+            j = i + u % (n - i)
             chosen.append(moved.get(j, j))
             moved[j] = moved.get(i, i)
-        yield chosen
+            i += 1
+            if i == k:
+                yield chosen
+                chosen, moved, i = [], {}, 0
 
 
 def transitive_graph_corpus() -> list[tuple[str, Hypergraph]]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -214,16 +215,22 @@ def is_uniform(H: Hypergraph) -> int | None:
 
 
 def is_linear(H: Hypergraph) -> LinearityVerdict:
-    """Whether every vertex pair lies in at most one edge, with a witness."""
+    """Whether every vertex pair lies in at most one edge, with a witness.
+
+    A vertex of degree 1 lies in one edge only, so no pair that holds it
+    can repeat.  The pairs of an edge of 3 or more vertices are taken over
+    its vertices of degree 2 or more, in the same order, so the first
+    repeated pair is the same, and one wide edge costs time linear in its
+    size.
+    """
+    degrees = _degrees(H)
     seen: dict[tuple[int, int], int] = {}
     for j, e in enumerate(H.edges):
-        for x in range(len(e)):
-            for y in range(x + 1, len(e)):
-                pair = (e[x], e[y])
-                i = seen.get(pair)
-                if i is not None:
-                    return LinearityVerdict(False, (pair, i, j))
-                seen[pair] = j
+        members = [v for v in e if degrees[v] > 1] if len(e) > 2 else e
+        for pair in combinations(members, 2):
+            i = seen.setdefault(pair, j)
+            if i != j:
+                return LinearityVerdict(False, (pair, i, j))
     return LinearityVerdict(True, None)
 
 

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import time
+from itertools import islice
 
 import pytest
 
@@ -22,7 +24,7 @@ from hyperconn import (
     serialize_hypergraph,
 )
 from hyperconn.cli import _verdict_exit_code, analyze, main, render_machine
-from hyperconn.constructions import affine_hypergraph, complete_uniform
+from hyperconn.constructions import _LANES, affine_hypergraph, complete_uniform
 from hyperconn.connectivity import _side_blocks
 
 from helpers import run_cli
@@ -233,12 +235,26 @@ def test_human_output_mentions_timings_and_witness(capsys, tmp_path):
 
 
 def test_analyze_guard_note_keeps_exit_zero(capsys, tmp_path):
-    path = gen(capsys, tmp_path, "big.hg", "--family", "circulant", "--n", "21", "--offsets", "1")
+    path = gen(capsys, tmp_path, "big.hg", "--family", "circulant", "--n", "27", "--offsets", "1")
     code, out, err = run_cli(capsys, "analyze", str(path), "--connectivity", "--atom")
     assert code == 0
     assert "edge connectivity: 2" in out
     assert "note: edge atom: skipped" in out
-    assert "2 <= n <= 20" in out
+    assert "2 <= n <= 26" in out
+
+
+def test_analyze_one_wide_edge_is_fast(capsys, tmp_path):
+    """The linearity check skips pairs through degree-1 vertices, so one
+    20 000-vertex edge (about 110 KB of file) is not 2 * 10**8 pairs."""
+    n = 20_000
+    path = tmp_path / "wide.hg"
+    path.write_text(f"h {n} 1\ne " + " ".join(map(str, range(n))) + "\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", str(path), "--machine")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and err == ""
+    assert "linear=true\nconnected=true\n" in out
+    assert out.startswith(f"n={n}\nm=1\ndelta=1\nDelta=1\nuniform_k={n}\n")
 
 
 def test_analyze_single_vertex_notes(capsys, tmp_path):
@@ -423,6 +439,93 @@ def test_verify_lemma_random_half_reports_a_violation(capsys, monkeypatch):
     assert sep + tail == violation_block("random trial 0", H, X, Y)
 
 
+def record_trials(capsys, monkeypatch, *argv):
+    """Run verify lemma and return the (edge masks, X, Y) of every trial."""
+    seen = []
+
+    def record(edge_masks, x_mask, y_mask):
+        seen.append((set(edge_masks), x_mask, y_mask))
+        return 0, 0, 0, 0
+
+    monkeypatch.setattr(cli, "_uncrossing_sizes", record)
+    code, out, err = run_cli(capsys, "verify", "lemma", *argv)
+    assert code == 0 and out.endswith("PASS\n")
+    return seen
+
+
+def replay_trials(below, next_u64, nmax, trials):
+    """The trials' draws made one scalar call at a time: the (edge masks, X,
+    Y) of each trial, and the (n, k, m) of its instance."""
+    drawn, shapes = [], []
+    for _ in range(trials):
+        n = 2 + below(nmax - 1)
+        k = 2 + below(min(n, 4) - 1)
+        m = 1 + below(2 * n)
+        H = random_uniform_hypergraph(n, k, m, seed=next_u64())
+        x_mask, y_mask = below(1 << n), below(1 << n)
+        drawn.append(({sum(1 << v for v in e) for e in H.edges}, x_mask, y_mask))
+        shapes.append((n, k, m))
+    return drawn, shapes
+
+
+@pytest.mark.parametrize("nmax", [2, 10, 16, 64])
+def test_verify_lemma_trials_replay_scalar_draws(capsys, monkeypatch, nmax):
+    """The trials draw from blocks of one output stream, yet each of the
+    first 300 counts the edge masks, X and Y that scalar calls of below,
+    next_u64 and random_uniform_hypergraph give."""
+    seen = record_trials(capsys, monkeypatch, "--trials", "300", "--seed", "29", "--nmax", str(nmax))
+    rng = SplitMix64(29)
+    drawn, shapes = replay_trials(rng.below, rng.next_u64, nmax, 300)
+    assert seen == drawn
+    if nmax == 64:
+        # some instance's draw spans several blocks of the drawer
+        assert max(m * k for _, k, m in shapes) > _LANES
+
+
+def test_verify_lemma_outer_draws_take_the_next_output_after_a_rejection(capsys, monkeypatch):
+    """2**64 - 1 is rejected below every bound that is not a power of two,
+    such as the bound 9 of n at --nmax 10.  Two copies spliced into the
+    trials' own stream, at its start, among the first trials' draws or at
+    its first block boundary, are skipped or taken as scalar draws would."""
+    rejected = 2**64 - 1
+    plain = list(islice(iter(SplitMix64(5).next_u64, None), 3000))
+    for spliced_at in (0, 1, 2, 3, 4, 5, 6, 7, _LANES - 1, _LANES, _LANES + 1):
+        script = list(plain)
+        script[spliced_at:spliced_at] = [rejected, rejected]
+        expected = iter(list(script))
+
+        class Scripted(SplitMix64):
+            def _block(self, count):
+                taken = script[:count]
+                del script[:count]
+                return taken
+
+        made = []
+
+        def make(seed):
+            # the first generator is the trials' own stream, the rest the
+            # instances', which stay real
+            made.append(seed)
+            return Scripted(seed) if len(made) == 1 else SplitMix64(seed)
+
+        monkeypatch.setattr(cli, "SplitMix64", make)
+        seen = record_trials(capsys, monkeypatch, "--trials", "60", "--seed", "5")
+
+        def below(bound):
+            u = next(expected)
+            while u >= 2**64 - 2**64 % bound:
+                u = next(expected)
+            return u % bound
+
+        drawn, _ = replay_trials(below, expected.__next__, 10, 60)
+        assert seen == drawn, spliced_at
+        if spliced_at == 0:
+            # both land on the draw of n and are skipped
+            rng = SplitMix64(5)
+            assert seen == replay_trials(rng.below, rng.next_u64, 10, 60)[0]
+        monkeypatch.undo()
+
+
 def test_verify_lemma_rejects_bad_parameters(capsys):
     code, out, err = run_cli(capsys, "verify", "lemma", "--trials", "-1")
     assert code == 2
@@ -539,14 +642,14 @@ def test_oracle_command_matches_library_on_corpus(capsys, tmp_path):
 
 
 def test_oracle_guard_exits_2(capsys, tmp_path):
-    path = gen(capsys, tmp_path, "big.hg", "--family", "circulant", "--n", "21", "--offsets", "1")
+    path = gen(capsys, tmp_path, "big.hg", "--family", "circulant", "--n", "27", "--offsets", "1")
     code, out, err = run_cli(capsys, "oracle", str(path))
     assert code == 2
-    assert "2 <= n <= 20" in err
+    assert "2 <= n <= 26" in err
 
 
 def test_oracle_guard_comes_before_any_walk(capsys, tmp_path, monkeypatch):
-    """The largest header the parser accepts is refused by the n <= 20 guard
+    """The largest header the parser accepts is refused by the n <= 26 guard
     before anything walks its million vertices."""
     path = tmp_path / "wide.hg"
     path.write_text("h 1048576 0\n")
@@ -555,7 +658,7 @@ def test_oracle_guard_comes_before_any_walk(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, "oracle", str(path))
     assert code == 2
     assert out == ""
-    assert err == "error: oracle enumeration requires 2 <= n <= 20, got n=1048576\n"
+    assert err == "error: oracle enumeration requires 2 <= n <= 26, got n=1048576\n"
     assert walks == []
 
 

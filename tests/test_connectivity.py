@@ -679,8 +679,8 @@ def test_side_blocks_cover_every_side_once(monkeypatch):
     assert any(H.n == 1 for H in instances)
     assert any(len(set(H.edges)) < H.m for H in instances)
     assert any(len({v for e in H.edges for v in e}) < H.n for H in instances)
-    wide = random_uniform_hypergraph(15, 3, 30, seed=61)
-    wide = Hypergraph(15, wide.edges + (wide.edges[0], (3, 14)))
+    wide = random_uniform_hypergraph(17, 3, 34, seed=61)
+    wide = Hypergraph(17, wide.edges + (wide.edges[0], (3, 16)))
 
     def check(H):
         pairs = side_values(H)
@@ -776,8 +776,8 @@ def test_oracle_disconnected_witness():
 
 def test_oracle_guard():
     with pytest.raises(GuardError) as err:
-        edge_connectivity_oracle(Hypergraph(21, ()))
-    assert "2 <= n <= 20" in str(err.value)
+        edge_connectivity_oracle(Hypergraph(27, ()))
+    assert "2 <= n <= 26" in str(err.value)
     with pytest.raises(GuardError):
         edge_connectivity_oracle(Hypergraph(1, ()))
 
@@ -832,22 +832,22 @@ def test_edge_atom_errors():
     with pytest.raises(HypergraphError) as err:
         edge_atom(Hypergraph(4, ((0, 1), (2, 3))))
     assert "disconnected" in str(err.value)
-    big = circulant_graph(21, (1,))
+    big = circulant_graph(27, (1,))
     with pytest.raises(GuardError):
         edge_atom(big)
     # a disconnected input beyond the guard gets the guard's message
     with pytest.raises(GuardError):
-        edge_atom(Hypergraph(21, ((0, 1),)))
+        edge_atom(Hypergraph(27, ((0, 1),)))
 
 
 def test_edge_atom_guard_comes_before_any_walk(monkeypatch):
-    """The largest header the parser accepts is refused by the n <= 20 guard
+    """The largest header the parser accepts is refused by the n <= 26 guard
     before is_connected walks its million vertices."""
     walks = []
     monkeypatch.setattr(connectivity, "is_connected", lambda H: walks.append(H.n) or True)
     with pytest.raises(GuardError) as err:
         edge_atom(Hypergraph(1 << 20, ()))
-    assert str(err.value) == "atom enumeration requires 2 <= n <= 20, got n=1048576"
+    assert str(err.value) == "atom enumeration requires 2 <= n <= 26, got n=1048576"
     assert walks == []
     # the spy does see the walk of an instance within the guard
     assert edge_atom(Hypergraph(3, ((0, 1), (1, 2)))).value == 1

@@ -131,6 +131,15 @@ def test_block_and_drawer_match_scalar_reference():
         assert rng.next_u64() == next(ref), (n, k, m)
 
 
+def test_stream_is_the_scalar_stream():
+    """``_stream`` hands out next_u64's outputs in order across its blocks."""
+    for seed in (0, 7, 2**64 - 1):
+        count = 2 * _LANES + 3
+        assert list(islice(SplitMix64(seed)._stream(), count)) == list(
+            islice(reference_outputs(seed), count)
+        ), seed
+
+
 def test_drawer_takes_the_next_output_after_a_rejection():
     """2**64 - 1 is rejected for every bound that is not a power of two, so
     a stream with it spliced in forces a rejection at a small bound.  For

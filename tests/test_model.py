@@ -228,6 +228,43 @@ def test_linear_witness_is_first_in_scan_order():
     assert verdict.witness == ((0, 1), 0, 1)
 
 
+def first_repeated_pair(H):
+    """The first pair, in scan order, that lies in an earlier edge too,
+    over every pair of every edge, degree-1 vertices included."""
+    seen = {}
+    for j, e in enumerate(H.edges):
+        for x in range(len(e)):
+            for y in range(x + 1, len(e)):
+                if (e[x], e[y]) in seen:
+                    return (e[x], e[y]), seen[(e[x], e[y])], j
+                seen[(e[x], e[y])] = j
+    return None
+
+
+def test_linear_witness_matches_a_pair_dict_reference():
+    """Leaving out degree-1 vertices changes no verdict and no witness, on
+    inputs with many of them: mixed edge sizes, a wide edge, repeated edges
+    and isolated vertices."""
+    rng = SplitMix64(41)
+    instances = [H for _, H in builtin_corpus()]
+    for _ in range(400):
+        n = 2 + rng.below(30)
+        pool = n - rng.below(3) if n > 4 else n
+        edges = [rng.subset(pool, 2 + rng.below(min(pool, 6) - 1)) for _ in range(rng.below(n))]
+        if rng.below(4) == 0:
+            edges.append(rng.subset(pool, pool))  # one edge through every vertex
+        if edges and rng.below(3) == 0:
+            edges.append(edges[rng.below(len(edges))])
+        instances.append(Hypergraph(n, tuple(edges)))
+    verdicts = Counter()
+    for H in instances:
+        verdict = is_linear(H)
+        assert verdict.witness == first_repeated_pair(H), H
+        assert verdict.linear == (verdict.witness is None)
+        verdicts[verdict.linear] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+
 def test_components_examples():
     assert components(Hypergraph(4, ((0, 1), (2, 3)))) == [[0, 1], [2, 3]]
     assert components(Hypergraph(3, ())) == [[0], [1], [2]]
