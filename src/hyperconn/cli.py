@@ -15,6 +15,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 from .connectivity import (
@@ -527,7 +528,11 @@ def _int_tuple(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing reads it and never changes it, and building it costs
+    about a millisecond, which an in-process caller would pay per command."""
     parser = argparse.ArgumentParser(
         prog="hyperconn",
         description="Edge-connectivity, boundary, and symmetry toolkit for small hypergraphs.",

@@ -66,10 +66,8 @@ from .model import (
     HypergraphError,
     _as_vertex_set,
     _check_vertex,
-    _degrees,
     _mask_vertices,
     boundary,
-    components,
     degree_extremes,
     is_connected,
 )
@@ -346,10 +344,10 @@ def edge_connectivity(H: Hypergraph) -> CutResult:
     """
     if H.n < 2:
         raise HypergraphError("edge-connectivity is undefined for fewer than 2 vertices")
-    comps = components(H)
+    comps = H._components
     if len(comps) > 1:
         return CutResult.from_side(H, comps[0])
-    degs = _degrees(H)
+    degs = H._degrees
     s = degs.index(min(degs))
     net = _Dinic(H, s)
     best = CutResult.from_side(H, (s,))

@@ -4,7 +4,11 @@ Vertices are the integers ``0..n-1``.  An edge is a strictly increasing
 tuple of at least two vertices.  Duplicate edges (multi-edges) are legal
 in the model; the generators in :mod:`hyperconn.constructions` never emit
 them.  ``Hypergraph`` values are immutable and every function here is
-pure, so instances can be shared freely between threads.
+pure, so instances can be shared freely between threads.  An instance
+fills its derived tables (degrees, incidence lists, components) on first
+use and keeps them; each is a tuple derived from ``n`` and ``edges``
+alone and plays no part in equality, hashing or ``repr``.  Two threads
+that fill one table at once compute the same value, so either may win.
 
 File format (UTF-8 text, LF line endings):
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -70,7 +75,8 @@ class Hypergraph:
     """An immutable hypergraph on vertices ``0..n-1``.
 
     Edges are normalized to sorted tuples at construction; edge order (and
-    hence edge indices) is preserved as given.
+    hence edge indices) is preserved as given.  The derived tables below
+    are built on first use and kept on the instance.
     """
 
     n: int
@@ -84,6 +90,55 @@ class Hypergraph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        """Every vertex's degree, indexed by vertex."""
+        degs = [0] * self.n
+        for e in self.edges:
+            for v in e:
+                degs[v] += 1
+        return tuple(degs)
+
+    @cached_property
+    def _incidence(self) -> tuple[tuple[int, ...], ...]:
+        """For every vertex, the indices of the edges through it, in
+        increasing order; a multi-edge appears once per copy."""
+        incident: list[list[int]] = [[] for _ in range(self.n)]
+        for i, e in enumerate(self.edges):
+            for v in e:
+                incident[v].append(i)
+        return tuple(map(tuple, incident))
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex sets of connected components, each sorted, ordered by
+        minimum: a breadth-first traversal over vertex-edge incidences, in
+        which an isolated vertex is a component of its own."""
+        edges, incident = self.edges, self._incidence
+        seen_v = [False] * self.n
+        seen_e = [False] * len(edges)
+        out = []
+        for start in range(self.n):
+            if seen_v[start]:
+                continue
+            comp = []
+            queue = deque([start])
+            seen_v[start] = True
+            while queue:
+                v = queue.popleft()
+                comp.append(v)
+                for i in incident[v]:
+                    if seen_e[i]:
+                        continue
+                    seen_e[i] = True
+                    for w in edges[i]:
+                        if not seen_v[w]:
+                            seen_v[w] = True
+                            queue.append(w)
+            comp.sort()
+            out.append(tuple(comp))
+        return tuple(out)
 
 
 class LinearityVerdict(NamedTuple):
@@ -193,12 +248,12 @@ def serialize_hypergraph(H: Hypergraph) -> str:
 def degree(H: Hypergraph, v: int) -> int:
     """Number of edges incident to v (multi-edges counted with multiplicity)."""
     _check_vertex(H, v)
-    return _degrees(H)[v]
+    return H._degrees[v]
 
 
 def degree_extremes(H: Hypergraph) -> tuple[int, int]:
     """(minimum degree, maximum degree) over all vertices."""
-    degs = _degrees(H)
+    degs = H._degrees
     return (min(degs), max(degs))
 
 
@@ -223,7 +278,7 @@ def is_linear(H: Hypergraph) -> LinearityVerdict:
     repeated pair is the same, and one wide edge costs time linear in its
     size.
     """
-    degrees = _degrees(H)
+    degrees = H._degrees
     seen: dict[tuple[int, int], int] = {}
     for j, e in enumerate(H.edges):
         members = [v for v in e if degrees[v] > 1] if len(e) > 2 else e
@@ -238,35 +293,13 @@ def components(H: Hypergraph) -> list[list[int]]:
     """Vertex sets of connected components, each sorted, ordered by minimum.
 
     Breadth-first traversal over vertex-edge incidences; isolated vertices
-    form their own components.
+    form their own components.  Each call returns new lists.
     """
-    incident = _incidence(H)
-    seen_v = [False] * H.n
-    seen_e = [False] * H.m
-    out: list[list[int]] = []
-    for start in range(H.n):
-        if seen_v[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen_v[start] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for i in incident[v]:
-                if seen_e[i]:
-                    continue
-                seen_e[i] = True
-                for w in H.edges[i]:
-                    if not seen_v[w]:
-                        seen_v[w] = True
-                        queue.append(w)
-        out.append(sorted(comp))
-    return out
+    return [list(comp) for comp in H._components]
 
 
 def is_connected(H: Hypergraph) -> bool:
-    return len(components(H)) == 1
+    return len(H._components) == 1
 
 
 def boundary(H: Hypergraph, X: Iterable[int]) -> frozenset[int]:
@@ -351,25 +384,6 @@ def _normalize_edge(e: Iterable[int], n: int) -> tuple[int, ...]:
 def _check_vertex(H: Hypergraph, v: int) -> None:
     if not 0 <= v < H.n:
         raise HypergraphError(f"vertex {v} out of range [0, {H.n - 1}]")
-
-
-def _degrees(H: Hypergraph) -> list[int]:
-    """Every vertex's degree, indexed by vertex."""
-    degs = [0] * H.n
-    for e in H.edges:
-        for v in e:
-            degs[v] += 1
-    return degs
-
-
-def _incidence(H: Hypergraph) -> list[list[int]]:
-    """For every vertex, the indices of the edges through it, in increasing
-    order; a multi-edge appears once per copy."""
-    incident: list[list[int]] = [[] for _ in range(H.n)]
-    for i, e in enumerate(H.edges):
-        for v in e:
-            incident[v].append(i)
-    return incident
 
 
 def _mask_vertices(mask: int, n: int) -> tuple[int, ...]:

@@ -44,10 +44,12 @@ The next vertex is one with a single value left, else the one touching the
 most edges that hold an assigned vertex, then the one with the smallest
 domain.  Leaves are verified against the full edge multiset before being
 reported, so the relaxations never surface a false positive.  The tables
-these rules read are built once per hypergraph and kept for the most recent
-one, which the per-target searches of :func:`transitivity_generators` and
-:func:`vertex_orbits` share.  Which automorphism a search returns depends on
-this order, so the generator lists do too; the verdicts and orbits do not.
+these rules read are built once per hypergraph, in time linear in its
+incidences (times the cost of one n-bit mask operation), and kept for the
+most recent one, which the per-target searches of
+:func:`transitivity_generators` and :func:`vertex_orbits` share.  Which
+automorphism a search returns depends on this order, so the generator lists
+do too; the verdicts and orbits do not.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from itertools import islice
 from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .model import Hypergraph, HypergraphError, _as_vertex_set, _incidence
+from .model import Hypergraph, HypergraphError, _as_vertex_set
 
 __all__ = [
     "CapExceededError",
@@ -243,34 +245,30 @@ def _tables(H: Hypergraph) -> SimpleNamespace:
     One entry is kept: the per-target searches of transitivity_generators
     and vertex_orbits ask about the same instance over and over.
     """
-    n = H.n
-    incident = _incidence(H)
-    size = [len(e) for e in H.edges]
-    emask = [sum(1 << v for v in e) for e in H.edges]
-    incmask = [sum(1 << i for i in incident[v]) for v in range(n)]
+    n, edges = H.n, H.edges
+    incident = H._incidence
+    size = [len(e) for e in edges]
+    vbit = [1 << v for v in range(n)]
+    ebit = [1 << i for i in range(len(edges))]
+    emask = [_union(vbit, e) for e in edges]
+    incmask = [_union(ebit, through) for through in incident]
+    adj = [_union(emask, through) & ~vbit[v] for v, through in enumerate(incident)]
+    # The edges through v cover v and adj[v], so the vertices within
+    # distance 2 of v are the union of reach[i] over those edges, where
+    # reach[i] is the union of adj[w] over the vertices w of edge i: each
+    # incidence is read once per table, not once per neighbour.
+    reach = [_union(adj, e) for e in edges]
+    near = [_union(reach, through) & ~vbit[v] for v, through in enumerate(incident)]
     by_size: list[dict[int, int]] = []
-    adj: list[int] = []
-    for v in range(n):
+    for through in incident:
         buckets: dict[int, int] = {}
-        around = 0
-        for i in incident[v]:
-            buckets[size[i]] = buckets.get(size[i], 0) | 1 << i
-            around |= emask[i]
+        for i in through:
+            buckets[size[i]] = buckets.get(size[i], 0) | ebit[i]
         by_size.append(buckets)
-        adj.append(around & ~(1 << v))
-    near = []
-    for v in range(n):
-        around = adj[v]
-        rest = around
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            around |= adj[low.bit_length() - 1]
-        near.append(around & ~(1 << v))
-    signature = [tuple(sorted(size[i] for i in incident[v])) for v in range(n)]
+    signature = [tuple(sorted([size[i] for i in through])) for through in incident]
     pools: dict[tuple[int, ...], int] = {}
-    for v in range(n):
-        pools[signature[v]] = pools.get(signature[v], 0) | 1 << v
+    for v, sig in enumerate(signature):
+        pools[sig] = pools.get(sig, 0) | vbit[v]
     return SimpleNamespace(
         pool=[pools[sig] for sig in signature],
         incident=incident,
@@ -280,8 +278,17 @@ def _tables(H: Hypergraph) -> SimpleNamespace:
         by_size=by_size,
         adj=adj,
         near=near,
-        edge_counter=Counter(H.edges),
+        edge_counter=Counter(edges),
     )
+
+
+def _union(masks: list[int], indices: Iterable[int]) -> int:
+    """The OR of ``masks[i]`` over ``indices``; a plain loop measured faster
+    than ``sum`` or ``functools.reduce`` over big-integer masks."""
+    out = 0
+    for i in indices:
+        out |= masks[i]
+    return out
 
 
 def _search(

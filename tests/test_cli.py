@@ -679,6 +679,41 @@ def test_console_script_entry_point(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr() == (out, err)
 
 
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch, capsys):
+    """``main`` reuses one parser.  A sequence of calls on it, usage and
+    file errors included, prints what each call prints with a parser built
+    afresh for it (the human view's timings line aside)."""
+    assert cli.build_parser() is cli.build_parser()
+    instance = tmp_path / "glued.hg"
+    calls = [
+        ["generate", "--family", "glued-complete", "--n", "5", "--k", "3", "--out", str(instance)],
+        ["analyze", str(instance), "--connectivity", "--transitivity", "--machine"],
+        ["analyze", str(instance), "--connectivity", "--atom"],
+        ["analyze", "--machine"],
+        ["oracle", str(tmp_path / "missing.hg")],
+        ["oracle", str(instance)],
+        ["verify", "lemma", "--trials", "50", "--seed", "3"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:
+            code = f"SystemExit({stop.code})"
+        out, err = capsys.readouterr()
+        out = "".join(line for line in out.splitlines(True) if not line.startswith("timings"))
+        return code, out, err
+
+    shared = [run(argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, "SystemExit(2)", 2, 0, 0]
+    assert "edge atom: 0 1 2 3 4 (boundary 5)\n" in shared[2][1]
+    assert shared[3][2].startswith("usage: hyperconn analyze")
+    assert shared[4][2].startswith("error: [Errno 2]")
+
+
 def test_module_entry_point(tmp_path, monkeypatch):
     # the subprocesses import the same package as this test, installed or not
     src = os.path.dirname(os.path.dirname(hyperconn.__file__))

@@ -5,6 +5,7 @@ or are small enough to check by hand.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from hyperconn import (
     components,
     degree,
     degree_extremes,
+    edge_connectivity,
     glued_complete_family,
     is_connected,
     is_linear,
@@ -27,10 +29,12 @@ from hyperconn import (
     parse_hypergraph,
     random_uniform_hypergraph,
     serialize_hypergraph,
+    transitivity_generators,
+    vertex_orbits,
     vertex_profile,
 )
 from hyperconn import model
-from hyperconn.model import _incidence
+from hyperconn.cli import analyze
 
 from helpers import mask_set
 
@@ -176,10 +180,10 @@ def test_degree_against_brute_force():
         instances.append(random_uniform_hypergraph(n, k, 1 + rng.below(2 * n), seed=i))
     instances.append(Hypergraph(4, ((0, 1), (1, 2, 3), (0, 1))))
     for H in instances:
-        incident = _incidence(H)
+        incident = H._incidence
         for v in range(H.n):
             assert degree(H, v) == brute_degree(H, v)
-            assert incident[v] == [i for i, e in enumerate(H.edges) if v in e]
+            assert incident[v] == tuple(i for i, e in enumerate(H.edges) if v in e)
         degs = [brute_degree(H, v) for v in range(H.n)]
         assert degree_extremes(H) == (min(degs), max(degs))
 
@@ -286,6 +290,49 @@ def test_components_against_brute_force():
         H = random_uniform_hypergraph(n, k, rng.below(n + 1), seed=100 + i)
         assert components(H) == brute_components(H)
         assert is_connected(H) == (len(brute_components(H)) == 1)
+
+
+def test_cached_tables_are_not_shared_mutable_state():
+    """An instance keeps its degrees, incidence lists and components as
+    tuples.  Mutating what public functions return leaves later answers
+    unchanged, and filled tables change no instance's equality, hash or
+    ``repr``."""
+    split = Hypergraph(8, ((0, 1), (0, 1), (0, 1, 2), (2, 3), (4, 5), (4, 6)))
+    for H in (split, glued_complete_family(5, 3)):
+        parsed = parse_hypergraph(serialize_hypergraph(H))
+        assert H == parsed and hash(H) == hash(parsed) and repr(H) == repr(parsed)
+        expected = Hypergraph(H.n, H.edges)  # only read, never mutated
+        comps = components(expected)
+        connected = is_connected(expected)
+        cut = edge_connectivity(expected)
+        report = replace(analyze(expected, connectivity=True, transitivity=True), timings_ms={})
+
+        mutated = components(H)
+        assert mutated == comps and mutated is not components(H)
+        mutated[0].append(H.n)
+        mutated[-1].clear()
+        mutated.append([H.n + 1])
+        orbits = vertex_orbits(H)
+        orbits[0].clear()
+        gens = transitivity_generators(H)
+        if gens:
+            gens.clear()
+        analyzed = analyze(H, connectivity=True, transitivity=True)
+        analyzed.timings_ms.clear()
+        analyzed.edge_sizes = ()
+        assert components(H) == comps
+        assert is_connected(H) == connected
+        assert edge_connectivity(H) == cut
+        assert replace(analyze(H, connectivity=True, transitivity=True), timings_ms={}) == report
+        assert [degree(H, v) for v in range(H.n)] == [brute_degree(H, v) for v in range(H.n)]
+
+        analyze(parsed, connectivity=True, transitivity=True)
+        for table in (H._degrees, H._incidence, H._components, parsed._components):
+            assert type(table) is tuple
+            assert all(type(item) in (int, tuple) for item in table)
+        untouched = Hypergraph(H.n, H.edges)
+        for other in (parsed, untouched):
+            assert H == other and hash(H) == hash(other) and repr(H) == repr(other)
 
 
 def test_boundary_examples_and_symmetry():

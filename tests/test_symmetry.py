@@ -29,12 +29,14 @@ from hyperconn import (
     is_automorphism,
     is_block_of_imprimitivity,
     is_vertex_transitive,
+    random_uniform_hypergraph,
     serialize_hypergraph,
     transitivity_generators,
     vertex_orbits,
 )
 from hyperconn.cli import main
 from hyperconn.constructions import affine_doubled_family
+from hyperconn.symmetry import _tables
 
 PATH_3 = Hypergraph(3, ((0, 1), (1, 2)))
 MATCHING_4 = Hypergraph(4, ((0, 1), (2, 3)))
@@ -352,3 +354,93 @@ def test_doubled_copy_is_atom_and_block():
         p = autos[rng.below(len(autos))]
         q = autos[rng.below(len(autos))]
         assert tuple(p[q[i]] for i in range(H.n)) in set(autos)
+
+
+def slow_tables(H):
+    """The search tables built the slow way, as a reference for
+    ``symmetry._tables``: ``near`` by OR-ing ``adj`` over every neighbour
+    of every vertex, bitmasks summed from generators and signatures sorted
+    from generators."""
+    n = H.n
+    incident = [[] for _ in range(n)]
+    for i, e in enumerate(H.edges):
+        for v in e:
+            incident[v].append(i)
+    size = [len(e) for e in H.edges]
+    emask = [sum(1 << v for v in e) for e in H.edges]
+    incmask = [sum(1 << i for i in incident[v]) for v in range(n)]
+    by_size = []
+    adj = []
+    for v in range(n):
+        buckets = {}
+        around = 0
+        for i in incident[v]:
+            buckets[size[i]] = buckets.get(size[i], 0) | 1 << i
+            around |= emask[i]
+        by_size.append(buckets)
+        adj.append(around & ~(1 << v))
+    near = []
+    for v in range(n):
+        around = adj[v]
+        rest = around
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            around |= adj[low.bit_length() - 1]
+        near.append(around & ~(1 << v))
+    signature = [tuple(sorted(size[i] for i in incident[v])) for v in range(n)]
+    pools = {}
+    for v in range(n):
+        pools[signature[v]] = pools.get(signature[v], 0) | 1 << v
+    return {
+        "pool": [pools[sig] for sig in signature],
+        "incident": tuple(map(tuple, incident)),
+        "size": size,
+        "emask": emask,
+        "incmask": incmask,
+        "by_size": by_size,
+        "adj": adj,
+        "near": near,
+        "edge_counter": Counter(H.edges),
+    }
+
+
+def random_search_instance(rng):
+    """Up to 24 vertices, up to two of them isolated, edges of 2 to 6
+    vertices, and usually a repeated edge."""
+    n = 1 + rng.below(24)
+    pool = n - rng.below(min(n, 3))
+    edges = []
+    if pool >= 2:
+        sizes = [2 + rng.below(min(pool, 6) - 1) for _ in range(rng.below(2 * n + 1))]
+        edges = [rng.subset(pool, k) for k in sizes]
+        if edges and rng.below(4):
+            edges.append(edges[rng.below(len(edges))])
+    return Hypergraph(n, tuple(edges))
+
+
+def test_search_tables_match_the_slow_construction():
+    """Every field of ``_tables`` equals the slow reference on the corpus,
+    the benchmark's search and flow families and 300 random instances.
+    The random instances (seeded, so their counts are fixed) hold
+    multi-edges, isolated vertices and mixed edge sizes."""
+    instances = [H for _, H in builtin_corpus()]
+    instances += [affine_hypergraph(k) for k in (5, 7, 11)]
+    instances += [affine_doubled_family(k) for k in (3, 5, 7)]
+    instances += [glued_complete_family(6, 3), glued_complete_family(7, 4)]
+    instances.append(cyclic_difference_hypergraph(31, (0, 1, 3, 8, 12, 18)))  # PG(2,5)
+    instances += [circulant_graph(n, (1,)) for n in (300, 1200)]
+    instances += [circulant_graph(n, (1, 2)) for n in (100, 200, 400)]
+    instances += [circulant_graph(60, (1, 2, 5)), circulant_graph(100, (1, 3))]
+    instances.append(Hypergraph(700, tuple((v, v + 1) for v in range(699))))
+    instances += [random_uniform_hypergraph(30, 3, 90, 5), random_uniform_hypergraph(200, 3, 400, 5)]
+    rng = SplitMix64(2207)
+    randoms = [random_search_instance(rng) for _ in range(300)]
+    assert sum(H.m > len(set(H.edges)) for H in randoms) >= 100  # multi-edges
+    assert sum(min(degree(H, v) for v in range(H.n)) == 0 < H.m for H in randoms) >= 50  # isolated
+    assert sum(len({len(e) for e in H.edges}) > 1 for H in randoms) >= 100  # mixed sizes
+    for H in instances + randoms:
+        got, want = vars(_tables(H)), slow_tables(H)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == want[key], (key, H.n, H.m)
