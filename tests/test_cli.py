@@ -130,6 +130,231 @@ def test_generate_rejects_unknown_family(capsys, tmp_path):
     assert err.value.code == 2
 
 
+# Every family at small parameters, byte for byte: the file (provenance
+# comments, then the canonical body) and the `wrote` line, with `random`
+# both at its default seed and at an explicit one.
+GENERATE_GOLDENS = [
+    (
+        "complete --n 4 --k 3",
+        "(n=4, m=4)",
+        """\
+# family=complete n=4 k=3
+h 4 4
+e 0 1 2
+e 0 1 3
+e 0 2 3
+e 1 2 3
+""",
+    ),
+    (
+        "glued-complete --n 5 --k 3",
+        "(n=15, m=35)",
+        """\
+# family=glued-complete n=5 k=3
+# labels: block i (1-based) holds vertices (i-1)*n..i*n-1; label (v,i) -> (i-1)*n+(v-1)
+h 15 35
+e 0 1 2
+e 0 1 3
+e 0 1 4
+e 0 2 3
+e 0 2 4
+e 0 3 4
+e 0 5 10
+e 1 2 3
+e 1 2 4
+e 1 3 4
+e 1 6 11
+e 2 3 4
+e 2 7 12
+e 3 8 13
+e 4 9 14
+e 5 6 7
+e 5 6 8
+e 5 6 9
+e 5 7 8
+e 5 7 9
+e 5 8 9
+e 6 7 8
+e 6 7 9
+e 6 8 9
+e 7 8 9
+e 10 11 12
+e 10 11 13
+e 10 11 14
+e 10 12 13
+e 10 12 14
+e 10 13 14
+e 11 12 13
+e 11 12 14
+e 11 13 14
+e 12 13 14
+""",
+    ),
+    (
+        "affine --k 3",
+        "(n=9, m=9)",
+        """\
+# family=affine k=3
+# labels: 1-based grid point p -> vertex p-1
+h 9 9
+e 0 3 6
+e 0 4 8
+e 0 5 7
+e 1 3 8
+e 1 4 7
+e 1 5 6
+e 2 3 7
+e 2 4 6
+e 2 5 8
+""",
+    ),
+    (
+        "affine-doubled --k 3",
+        "(n=18, m=21)",
+        """\
+# family=affine-doubled k=3
+# labels: 1-based grid point p -> vertex p-1; twin copy at offset k*k
+h 18 21
+e 0 1 2 9 10 11
+e 0 3 6
+e 0 4 8
+e 0 5 7
+e 1 3 8
+e 1 4 7
+e 1 5 6
+e 2 3 7
+e 2 4 6
+e 2 5 8
+e 3 4 5 12 13 14
+e 6 7 8 15 16 17
+e 9 12 15
+e 9 13 17
+e 9 14 16
+e 10 12 17
+e 10 13 16
+e 10 14 15
+e 11 12 16
+e 11 13 15
+e 11 14 17
+""",
+    ),
+    (
+        "cyclic-difference --n 7 --base 0,1,3",
+        "(n=7, m=7)",
+        """\
+# family=cyclic-difference n=7 base=0,1,3
+# linear=true
+h 7 7
+e 0 1 3
+e 0 2 6
+e 0 4 5
+e 1 2 4
+e 1 5 6
+e 2 3 5
+e 3 4 6
+""",
+    ),
+    (
+        "cyclic-difference --n 6 --base 0,1,2",
+        "(n=6, m=6)",
+        """\
+# family=cyclic-difference n=6 base=0,1,2
+# linear=false
+h 6 6
+e 0 1 2
+e 0 1 5
+e 0 4 5
+e 1 2 3
+e 2 3 4
+e 3 4 5
+""",
+    ),
+    (
+        "circulant --n 6 --offsets 1,2",
+        "(n=6, m=12)",
+        """\
+# family=circulant n=6 offsets=1,2
+# connected=true
+h 6 12
+e 0 1
+e 0 2
+e 0 4
+e 0 5
+e 1 2
+e 1 3
+e 1 5
+e 2 3
+e 2 4
+e 3 4
+e 3 5
+e 4 5
+""",
+    ),
+    (
+        "circulant --n 4 --offsets 2",
+        "(n=4, m=2)",
+        """\
+# family=circulant n=4 offsets=2
+# connected=false
+h 4 2
+e 0 2
+e 1 3
+""",
+    ),
+    (
+        "random --n 6 --k 3 --m 4",
+        "(n=6, m=3)",
+        """\
+# family=random n=6 k=3 m=4 seed=0
+h 6 3
+e 0 1 5
+e 0 2 4
+e 0 3 4
+""",
+    ),
+    (
+        "random --n 6 --k 3 --m 4 --seed 5",
+        "(n=6, m=2)",
+        """\
+# family=random n=6 k=3 m=4 seed=5
+h 6 2
+e 1 2 3
+e 1 2 5
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec,sizes,text", GENERATE_GOLDENS)
+def test_generate_output_is_pinned(capsys, tmp_path, spec, sizes, text):
+    path = tmp_path / "out.hg"
+    code, out, err = run_cli(capsys, "generate", "--family", *spec.split(), "--out", str(path))
+    assert (code, out, err) == (0, f"wrote {path} {sizes}\n", "")
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("complete", {"n": "4", "k": "3"}),
+        ("glued-complete", {"n": "5", "k": "3"}),
+        ("affine", {"k": "3"}),
+        ("affine-doubled", {"k": "3"}),
+        ("cyclic-difference", {"n": "7", "base": "0,1,3"}),
+        ("circulant", {"n": "6", "offsets": "1,2"}),
+        ("random", {"n": "6", "k": "3", "m": "4"}),
+    ],
+)
+def test_generate_names_each_missing_parameter(capsys, tmp_path, family, params):
+    path = tmp_path / "out.hg"
+    for missing in params:
+        argv = [arg for name, value in params.items() if name != missing for arg in (f"--{name}", value)]
+        code, out, err = run_cli(capsys, "generate", "--family", family, *argv, "--out", str(path))
+        assert (code, out) == (2, ""), missing
+        assert err == f"error: family {family!r} requires --{missing}\n"
+        assert not path.exists()
+
+
 GOLDEN_AFFINE_3 = """\
 n=9
 m=9
