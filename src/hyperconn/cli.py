@@ -55,15 +55,38 @@ from .symmetry import transitivity_generators
 
 __all__ = ["AnalysisReport", "analyze", "render_machine", "render_human", "main"]
 
-_FAMILIES = (
-    "complete",
-    "glued-complete",
-    "affine",
-    "affine-doubled",
-    "cyclic-difference",
-    "circulant",
-    "random",
-)
+# generate's families: each name maps to its parameters (in the order the
+# generator takes them and the first provenance line names them), its
+# generator, and the further provenance lines as a function of the instance.
+_FAMILIES = {
+    "complete": (("n", "k"), complete_uniform, lambda H: ()),
+    "glued-complete": (
+        ("n", "k"),
+        glued_complete_family,
+        lambda H: ("labels: block i (1-based) holds vertices (i-1)*n..i*n-1; label (v,i) -> (i-1)*n+(v-1)",),
+    ),
+    "affine": (
+        ("k",),
+        affine_hypergraph,
+        lambda H: ("labels: 1-based grid point p -> vertex p-1",),
+    ),
+    "affine-doubled": (
+        ("k",),
+        affine_doubled_family,
+        lambda H: ("labels: 1-based grid point p -> vertex p-1; twin copy at offset k*k",),
+    ),
+    "cyclic-difference": (
+        ("n", "base"),
+        cyclic_difference_hypergraph,
+        lambda H: (f"linear={_render(is_linear(H).linear)}",),
+    ),
+    "circulant": (
+        ("n", "offsets"),
+        circulant_graph,
+        lambda H: (f"connected={_render(is_connected(H))}",),
+    ),
+    "random": (("n", "k", "m", "seed"), random_uniform_hypergraph, lambda H: ()),
+}
 
 
 @dataclass
@@ -173,14 +196,14 @@ def render_machine(report: AnalysisReport) -> str:
         ("m", report.m),
         ("delta", report.delta),
         ("Delta", report.Delta),
-        ("uniform_k", _render_opt(report.uniform_k)),
-        ("linear", _render_bool(report.linear)),
-        ("connected", _render_bool(report.connected)),
-        ("kappa", _render_opt(report.kappa)),
-        ("transitive", "none" if report.transitive is None else _render_bool(report.transitive)),
-        ("maximal", "none" if report.maximal is None else _render_bool(report.maximal)),
+        ("uniform_k", report.uniform_k),
+        ("linear", report.linear),
+        ("connected", report.connected),
+        ("kappa", report.kappa),
+        ("transitive", report.transitive),
+        ("maximal", report.maximal),
     )
-    return "".join(f"{key}={value}\n" for key, value in fields)
+    return "".join(f"{key}={_render(value)}\n" for key, value in fields)
 
 
 def render_human(report: AnalysisReport) -> str:
@@ -209,7 +232,7 @@ def render_human(report: AnalysisReport) -> str:
     if report.transitive is not None:
         lines.append("vertex-transitive: " + ("yes" if report.transitive else "no"))
         for gen in report.generators:
-            lines.append("  generator: " + format_permutation(gen))
+            lines.append("  generator: p " + _render_ints(gen))
     if report.atom is not None:
         lines.append(
             f"edge atom: {_render_ints(report.atom.side)} (boundary {report.atom.value})"
@@ -224,11 +247,6 @@ def render_human(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_permutation(p: tuple[int, ...]) -> str:
-    """One-line machine-consumable permutation rendering."""
-    return "p " + " ".join(str(i) for i in p)
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     H, provenance = _build_instance(args)
     text = "".join(f"# {line}\n" for line in provenance) + serialize_hypergraph(H)
@@ -239,50 +257,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _build_instance(args: argparse.Namespace) -> tuple[Hypergraph, list[str]]:
-    family = args.family
-    if family == "complete":
-        n, k = _require(args, "n"), _require(args, "k")
-        return complete_uniform(n, k), [f"family=complete n={n} k={k}"]
-    if family == "glued-complete":
-        n, k = _require(args, "n"), _require(args, "k")
-        H = glued_complete_family(n, k)
-        return H, [
-            f"family=glued-complete n={n} k={k}",
-            "labels: block i (1-based) holds vertices (i-1)*n..i*n-1; label (v,i) -> (i-1)*n+(v-1)",
-        ]
-    if family == "affine":
-        k = _require(args, "k")
-        return affine_hypergraph(k), [
-            f"family=affine k={k}",
-            "labels: 1-based grid point p -> vertex p-1",
-        ]
-    if family == "affine-doubled":
-        k = _require(args, "k")
-        return affine_doubled_family(k), [
-            f"family=affine-doubled k={k}",
-            "labels: 1-based grid point p -> vertex p-1; twin copy at offset k*k",
-        ]
-    if family == "cyclic-difference":
-        n, base = _require(args, "n"), _require(args, "base")
-        H = cyclic_difference_hypergraph(n, base)
-        return H, [
-            f"family=cyclic-difference n={n} base={_render_csv(base)}",
-            f"linear={_render_bool(bool(is_linear(H)))}",
-        ]
-    if family == "circulant":
-        n, offsets = _require(args, "n"), _require(args, "offsets")
-        H = circulant_graph(n, offsets)
-        return H, [
-            f"family=circulant n={n} offsets={_render_csv(offsets)}",
-            f"connected={_render_bool(is_connected(H))}",
-        ]
-    if family == "random":
-        n, k, m = _require(args, "n"), _require(args, "k"), _require(args, "m")
-        seed = args.seed
-        return random_uniform_hypergraph(n, k, m, seed), [
-            f"family=random n={n} k={k} m={m} seed={seed}"
-        ]
-    raise HypergraphError(f"unknown family {family!r}")
+    params, generator, provenance = _FAMILIES[args.family]
+    values = [_require(args, name) for name in params]
+    H = generator(*values)
+    settings = "".join(f" {name}={_render(value)}" for name, value in zip(params, values))
+    return H, [f"family={args.family}{settings}", *provenance(H)]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -498,20 +477,20 @@ def _format_table(headers: tuple[str, ...], rows) -> list[str]:
     return lines
 
 
-def _render_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _render_opt(value: int | None) -> str:
-    return "none" if value is None else str(value)
+def _render(value) -> str:
+    """A value as the machine view and the provenance lines print it: None
+    as ``none``, a bool as ``true`` or ``false``, a tuple comma-separated."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
 
 def _render_ints(values) -> str:
     return " ".join(str(v) for v in values)
-
-
-def _render_csv(values) -> str:
-    return ",".join(str(v) for v in values)
 
 
 def _require(args: argparse.Namespace, name: str):

@@ -1,7 +1,8 @@
 """Hypergraph instances, structural predicates, and boundary operators.
 
-Vertices are the integers ``0..n-1``.  An edge is a strictly increasing
-tuple of at least two vertices.  Duplicate edges (multi-edges) are legal
+Vertices are the integers ``0..n-1``, with 1 <= n <= 2**20 whether an
+instance is built or parsed.  An edge is a strictly increasing tuple of at
+least two vertices.  Duplicate edges (multi-edges) are legal
 in the model; the generators in :mod:`hyperconn.constructions` never emit
 them.  ``Hypergraph`` values are immutable and every function here is
 pure, so instances can be shared freely between threads.  An instance
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 
-_MAX_VERTICES = 1 << 20  # the largest n a file header may declare
+_MAX_VERTICES = 1 << 20  # the largest n an instance may have
 
 
 class HypergraphError(ValueError):
@@ -83,8 +84,7 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise HypergraphError(f"vertex count must be >= 1, got {self.n}")
+        _check_vertex_count(self.n)
         object.__setattr__(self, "edges", tuple([_normalize_edge(e, self.n) for e in self.edges]))
 
     @property
@@ -208,8 +208,10 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 raise ParseError(line_no, "malformed header, counts must be integers") from None
             if n < 1 or m < 0:
                 raise ParseError(line_no, "malformed header, need n >= 1 and m >= 0")
-            if n > _MAX_VERTICES:
-                raise ParseError(line_no, f"too many vertices, header declares {n}, limit {_MAX_VERTICES}")
+            try:
+                _check_vertex_count(n)
+            except HypergraphError as exc:
+                raise ParseError(line_no, str(exc)) from None
             header = (n, m)
             continue
         n, m = header
@@ -305,12 +307,7 @@ def is_connected(H: Hypergraph) -> bool:
 def boundary(H: Hypergraph, X: Iterable[int]) -> frozenset[int]:
     """Indices of edges meeting both X and its complement."""
     xs = _as_vertex_set(H, X)
-    out = []
-    for i, e in enumerate(H.edges):
-        inside = sum(1 for v in e if v in xs)
-        if 0 < inside < len(e):
-            out.append(i)
-    return frozenset(out)
+    return frozenset([i for i, e in enumerate(H.edges) if 0 < len(xs.intersection(e)) < len(e)])
 
 
 def boundary_profile(H: Hypergraph, X: Iterable[int]) -> BoundaryProfile:
@@ -323,7 +320,7 @@ def boundary_profile(H: Hypergraph, X: Iterable[int]) -> BoundaryProfile:
     xs = _as_vertex_set(H, X)
     counts = [0] * k
     for e in H.edges:
-        inside = sum(1 for v in e if v in xs)
+        inside = len(xs.intersection(e))
         if inside:
             counts[inside - 1] += 1
     return BoundaryProfile(k, tuple(counts))
@@ -340,12 +337,9 @@ def vertex_profile(H: Hypergraph, X: Iterable[int], x: int) -> VertexProfile:
     xs = _as_vertex_set(H, X)
     if x not in xs:
         raise HypergraphError(f"vertex {x} is not in X")
-    a = [0] * k
-    b = [0] * k
-    for e in H.edges:
-        if x not in e:
-            continue
-        inside = sum(1 for v in e if v in xs)
+    a, b = [0] * k, [0] * k
+    for i in H._incidence[x]:
+        inside = len(xs.intersection(H.edges[i]))
         a[inside - 1] += inside - 1
         b[inside - 1] += k - inside
     return VertexProfile(k, tuple(a), tuple(b[: k - 1]))
@@ -361,8 +355,7 @@ def _uniform_k(H: Hypergraph, what: str) -> int:
 def _as_vertex_set(H: Hypergraph, X: Iterable[int]) -> frozenset[int]:
     xs = frozenset(X)
     for v in xs:
-        if not 0 <= v < H.n:
-            raise HypergraphError(f"vertex {v} out of range [0, {H.n - 1}]")
+        _check_vertex(H, v)
     return xs
 
 
@@ -384,6 +377,13 @@ def _normalize_edge(e: Iterable[int], n: int) -> tuple[int, ...]:
 def _check_vertex(H: Hypergraph, v: int) -> None:
     if not 0 <= v < H.n:
         raise HypergraphError(f"vertex {v} out of range [0, {H.n - 1}]")
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 1:
+        raise HypergraphError(f"vertex count must be >= 1, got {n}")
+    if n > _MAX_VERTICES:
+        raise HypergraphError(f"too many vertices, header declares {n}, limit {_MAX_VERTICES}")
 
 
 def _mask_vertices(mask: int, n: int) -> tuple[int, ...]:

@@ -60,7 +60,7 @@ from itertools import islice
 from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .model import Hypergraph, HypergraphError, _as_vertex_set
+from .model import Hypergraph, HypergraphError, _as_vertex_set, _check_vertex
 
 __all__ = [
     "CapExceededError",
@@ -106,12 +106,9 @@ def is_automorphism(H: Hypergraph, p: Sequence[int]) -> bool:
 
 def find_automorphism_mapping(H: Hypergraph, u: int, v: int) -> tuple[int, ...] | None:
     """Some automorphism sending u to v, or None if there is none."""
-    if not 0 <= u < H.n or not 0 <= v < H.n:
-        raise HypergraphError(f"vertices {u}, {v} must lie in [0, {H.n - 1}]")
-    T = _tables(H)
-    if not T.pool[u] >> v & 1:
-        return None
-    return next(_search(H, T, (u, v)), None)
+    _check_vertex(H, u)
+    _check_vertex(H, v)
+    return next(_search(H, (u, v)), None)
 
 
 def is_vertex_transitive(H: Hypergraph) -> bool:
@@ -180,7 +177,7 @@ def enumerate_automorphisms(H: Hypergraph, cap: int = 10000) -> list[tuple[int, 
     """
     if cap < 1:
         raise HypergraphError(f"cap must be >= 1, got {cap}")
-    found = list(islice(_search(H, _tables(H), None), cap + 1))
+    found = list(islice(_search(H, None), cap + 1))
     if len(found) > cap:
         raise CapExceededError(f"automorphism count exceeds cap {cap}")
     return sorted(found)
@@ -291,12 +288,12 @@ def _union(masks: list[int], indices: Iterable[int]) -> int:
     return out
 
 
-def _search(
-    H: Hypergraph, T: SimpleNamespace, fix: tuple[int, int] | None
-) -> Iterator[tuple[int, ...]]:
+def _search(H: Hypergraph, fix: tuple[int, int] | None) -> Iterator[tuple[int, ...]]:
     """Yield the automorphisms of H that send ``fix[0]`` to ``fix[1]``, or
     all of them when ``fix`` is None, each verified against the edge
-    multiset."""
+    multiset.  A ``fix[1]`` outside ``fix[0]``'s pool leaves ``fix[0]`` an
+    empty domain, so the search ends at its first vertex choice."""
+    T = _tables(H)
     n = H.n
     everyone = (1 << n) - 1
     edges = H.edges
@@ -331,7 +328,7 @@ def _search(
     pinned_img = 0  # vertices of the one candidate image of a pinned edge
     pinned_src = 0  # vertices of the pinned edges themselves
     if fix is not None:
-        st[fix[0]] = 1 << fix[1]
+        st[fix[0]] &= 1 << fix[1]
         reach = 1 << fix[0]
     # A frame is [vertex, untried images, trail length, reach, hit,
     # pinned_img, pinned_src]; the last five are as before the vertex was

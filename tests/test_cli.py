@@ -124,6 +124,19 @@ def test_generate_invalid_parameter_exits_2(capsys, tmp_path):
     assert "odd prime" in err
 
 
+def test_generate_refuses_an_instance_over_the_vertex_cap(capsys, tmp_path):
+    """generate writes no file that its own parser would refuse."""
+    path = tmp_path / "big.hg"
+    code, out, err = run_cli(
+        capsys,
+        "generate", "--family", "random", "--n", "1048577", "--k", "2", "--m", "1",
+        "--out", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: too many vertices, header declares 1048577, limit 1048576\n"
+    assert not path.exists()
+
+
 def test_generate_rejects_unknown_family(capsys, tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["generate", "--family", "petersen", "--out", str(tmp_path / "x.hg")])

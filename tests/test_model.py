@@ -156,6 +156,16 @@ def test_parse_accepts_the_vertex_cap():
     assert (H.n, H.m) == (1 << 20, 0)
 
 
+def test_built_instances_keep_the_vertex_cap():
+    """The cap a file header obeys holds for a built instance too, with the
+    parser's message."""
+    H = Hypergraph(1 << 20, ())
+    assert (H.n, H.m) == (1 << 20, 0)
+    with pytest.raises(HypergraphError) as err:
+        Hypergraph((1 << 20) + 1, ())
+    assert str(err.value) == "too many vertices, header declares 1048577, limit 1048576"
+
+
 def test_parse_normalizes_each_edge_once(monkeypatch):
     calls = []
     normalize = model._normalize_edge
@@ -425,6 +435,38 @@ def test_vertex_profile_incidence_totals():
             x = min(X)
             prof = vertex_profile(H, X, x)
             assert sum(prof.a) + sum(prof.b) == (k - 1) * degree(H, x), name
+
+
+def test_profiles_count_every_copy_of_a_multi_edge():
+    """boundary, boundary_profile and vertex_profile against a recount over
+    the edge list, for every x in X, on seeded uniform instances drawn with
+    repeated edges; each copy of a multi-edge counts."""
+    H = Hypergraph(4, ((0, 1, 2), (0, 1, 2), (1, 2, 3)))
+    assert boundary(H, {0, 1}) == {0, 1, 2}
+    assert boundary_profile(H, {0, 1}).counts == (1, 2, 0)
+    assert vertex_profile(H, {0, 1}, 0)[1:] == ((0, 2, 0), (0, 2))
+    rng = SplitMix64(43)
+    multi = 0
+    for _ in range(60):
+        n = 3 + rng.below(8)
+        k = 2 + rng.below(min(n, 5) - 1)
+        drawn = [rng.subset(n, k) for _ in range(1 + rng.below(2 * n))]
+        H = Hypergraph(n, tuple(drawn + drawn[: 1 + rng.below(len(drawn))]))
+        multi += len(set(H.edges)) < H.m
+        for _ in range(4):
+            X = mask_set(rng.below(1 << n), n)
+            inside = [len(X.intersection(e)) for e in H.edges]
+            assert boundary(H, X) == {i for i, c in enumerate(inside) if 0 < c < k}
+            counts = tuple(inside.count(i) for i in range(1, k + 1))
+            assert boundary_profile(H, X) == (k, counts)
+            for x in X:
+                a, b = [0] * k, [0] * k
+                for e, c in zip(H.edges, inside):
+                    if x in e:
+                        a[c - 1] += c - 1
+                        b[c - 1] += k - c
+                assert vertex_profile(H, X, x) == (k, tuple(a), tuple(b[: k - 1]))
+    assert multi == 60
 
 
 def test_vertex_deletion_identity():
