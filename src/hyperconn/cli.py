@@ -41,6 +41,7 @@ from .constructions import (
 from .model import (
     Hypergraph,
     HypergraphError,
+    _check_vertex_count,
     _mask_vertices,
     boundary,
     components,
@@ -57,35 +58,46 @@ __all__ = ["AnalysisReport", "analyze", "render_machine", "render_human", "main"
 
 # generate's families: each name maps to its parameters (in the order the
 # generator takes them and the first provenance line names them), its
-# generator, and the further provenance lines as a function of the instance.
+# generator, the vertex count as a function of the parameters, and the
+# further provenance lines as a function of the instance.
 _FAMILIES = {
-    "complete": (("n", "k"), complete_uniform, lambda H: ()),
+    "complete": (("n", "k"), complete_uniform, lambda n, k: n, lambda H: ()),
     "glued-complete": (
         ("n", "k"),
         glued_complete_family,
+        lambda n, k: n * k,
         lambda H: ("labels: block i (1-based) holds vertices (i-1)*n..i*n-1; label (v,i) -> (i-1)*n+(v-1)",),
     ),
     "affine": (
         ("k",),
         affine_hypergraph,
+        lambda k: k * k,
         lambda H: ("labels: 1-based grid point p -> vertex p-1",),
     ),
     "affine-doubled": (
         ("k",),
         affine_doubled_family,
+        lambda k: 2 * k * k,
         lambda H: ("labels: 1-based grid point p -> vertex p-1; twin copy at offset k*k",),
     ),
     "cyclic-difference": (
         ("n", "base"),
         cyclic_difference_hypergraph,
+        lambda n, base: n,
         lambda H: (f"linear={_render(is_linear(H).linear)}",),
     ),
     "circulant": (
         ("n", "offsets"),
         circulant_graph,
+        lambda n, offsets: n,
         lambda H: (f"connected={_render(is_connected(H))}",),
     ),
-    "random": (("n", "k", "m", "seed"), random_uniform_hypergraph, lambda H: ()),
+    "random": (
+        ("n", "k", "m", "seed"),
+        random_uniform_hypergraph,
+        lambda n, k, m, seed: n,
+        lambda H: (),
+    ),
 }
 
 
@@ -154,21 +166,22 @@ def analyze(
         component_count=len(comps),
     )
 
-    if connectivity:
-        with _timed(timings, "connectivity"):
-            try:
-                cut = edge_connectivity(H)
-                report.kappa = cut.value
-                report.cut = cut
-                report.maximal = cut.value == delta
-            except HypergraphError as exc:
-                notes.append(f"edge connectivity: skipped ({exc})")
-
+    # transitivity runs first, so that its generators can bound the flows
     if transitivity:
         with _timed(timings, "transitivity"):
             gens = transitivity_generators(H)
             report.transitive = gens is not None
             report.generators = tuple(gens) if gens else ()
+
+    if connectivity:
+        with _timed(timings, "connectivity"):
+            try:
+                cut = edge_connectivity(H, automorphisms=report.generators)
+                report.kappa = cut.value
+                report.cut = cut
+                report.maximal = cut.value == delta
+            except HypergraphError as exc:
+                notes.append(f"edge connectivity: skipped ({exc})")
 
     if atom:
         with _timed(timings, "atom"):
@@ -178,7 +191,8 @@ def analyze(
                 notes.append(f"edge atom: skipped ({exc})")
 
     report.notes = tuple(notes)
-    report.timings_ms = timings
+    phases = ("base", "connectivity", "transitivity", "atom")
+    report.timings_ms = {name: timings[name] for name in phases if name in timings}
     return report
 
 
@@ -257,8 +271,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _build_instance(args: argparse.Namespace) -> tuple[Hypergraph, list[str]]:
-    params, generator, provenance = _FAMILIES[args.family]
+    params, generator, vertices, provenance = _FAMILIES[args.family]
     values = [_require(args, name) for name in params]
+    # refuse an over-cap instance before building it; a count below 1 is
+    # left to the generator, whose message names the parameter
+    _check_vertex_count(max(vertices(*values), 1))
     H = generator(*values)
     settings = "".join(f" {name}={_render(value)}" for name, value in zip(params, values))
     return H, [f"family={args.family}{settings}", *provenance(H)]
@@ -352,13 +369,14 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     for path in files:
         H = _read_instance(path)
         gap = _hypothesis_gap(H, args.which)
-        if gap is None:
-            kappa = edge_connectivity(H).value
+        gens = transitivity_generators(H) if gap is None else None
+        if gens is not None:
+            kappa = edge_connectivity(H, automorphisms=gens).value
             delta = degree_extremes(H)[0]
             verdict = "pass" if kappa == delta else "FAIL"
             rows.append((path.name, "ok", str(kappa), str(delta), verdict))
         else:
-            rows.append((path.name, gap, "-", "-", "skipped (hypothesis)"))
+            rows.append((path.name, gap or "not vertex-transitive", "-", "-", "skipped (hypothesis)"))
     print(f"which={args.which} corpus={corpus}")
     for line in _format_table(("instance", "gate", "kappa", "delta", "verdict"), rows):
         print(line)
@@ -381,8 +399,9 @@ def _verdict_exit_code(rows) -> int:
 
 
 def _hypothesis_gap(H: Hypergraph, which: str) -> str | None:
-    """None when every hypothesis of the selected statement holds, else the
-    first one that fails (cheap checks first)."""
+    """None when every hypothesis of the selected statement but
+    transitivity holds, else the first one that fails; the caller checks
+    transitivity last and keeps its generators."""
     try:
         k = is_uniform(H)
     except HypergraphError:
@@ -399,8 +418,6 @@ def _hypothesis_gap(H: Hypergraph, which: str) -> str | None:
             return "not linear"
     if not is_connected(H):
         return "not connected"
-    if transitivity_generators(H) is None:
-        return "not vertex-transitive"
     return None
 
 

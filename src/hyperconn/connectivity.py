@@ -28,7 +28,8 @@ outside S and the next target, so it is a feasible flow of value 0
 (Hao & Orlin, 1994).  The best cut starts as {s}, of value delta, and
 each flow is capped at the best value so far: a flow that reaches the cap
 cannot improve the answer, so it stops there and builds no witness.  The
-loop stops once the best is 1, the least value of a connected input.
+loop stops once the best reaches a floor: 1, the least value of a
+connected input, or kappa' itself when automorphisms certify it (below).
 Most capped flows need not run at all: ``_Dinic.lower_bound`` reads a
 lower bound on the S-t flow from t's own arcs, and a target whose bound
 reaches the cap joins S with no flow.  A skip pushes nothing, and the
@@ -47,6 +48,27 @@ least its s-t value, which is above kappa', so the cap at t* is above
 kappa' and t*'s flow ends at kappa' with X as its witness; no later flow
 goes below kappa'.
 
+Automorphisms certify the floor (Mader, 1971).  Write lambda(u, v) for
+the least boundary separating u from v.  Then lambda(g(u), g(v)) =
+lambda(u, v) for every automorphism g, and lambda(u, w) >= min(lambda(u,
+v), lambda(v, w)), as a side separating u from w separates v from one of
+them.  Let a set A of automorphisms carry 0 to every vertex.  A walk
+from 0 to h(0), h a word g_1 ... g_l in A, steps from (g_1 ... g_j-1)(0)
+to (g_1 ... g_j)(0), the image of the pair (0, g_j(0)), so kappa' = min
+over g in A of lambda(0, g(0)).  Such an input is vertex-transitive,
+hence regular, and s = 0.  A comes from two sources.  On a regular
+input the rotation v -> v + 1 mod n is probed, and if it is an
+automorphism, A is the rotation alone: every lambda(i, i + 1) equals
+lambda(0, 1), so every lambda(0, t) >= lambda(0, 1) = kappa', and
+target 1's flow, the loop's first, decides the floor.  Otherwise A is
+the automorphisms the caller holds, and each g(0) other than 0 gets
+one flow of its own, on a fresh network from {0}, capped at the least
+value so far, starting from delta.  Stopping at the floor changes no
+answer: once the best is kappa', a capped flow could return a side only
+below kappa', which no S-t flow is.  A network is built only when a flow
+may run: none when delta = 1, and no merged one when the floor already
+is delta.
+
 The oracle and the edge atom enumerate vertex sides outright.  Both read
 the boundary sizes from one kernel, ``_side_blocks``, and neither shares
 any code with the flow route, so the oracle and the flow route can check
@@ -58,7 +80,7 @@ atom the least value, then size, then sorted vertex sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     GuardError,
@@ -71,6 +93,7 @@ from .model import (
     degree_extremes,
     is_connected,
 )
+from .symmetry import _orbit_of, is_automorphism
 
 __all__ = [
     "CutResult",
@@ -329,7 +352,7 @@ def st_edge_connectivity(H: Hypergraph, s: int, t: int) -> CutResult:
     return _residual_side(H, *_Dinic(H, s).max_flow(t, H.m + 1))
 
 
-def edge_connectivity(H: Hypergraph) -> CutResult:
+def edge_connectivity(H: Hypergraph, *, automorphisms: Iterable[Sequence[int]] = ()) -> CutResult:
     """Global edge-connectivity via flows from a growing source set.
 
     The source s is the lowest-indexed minimum-degree vertex, the best cut
@@ -341,19 +364,47 @@ def edge_connectivity(H: Hypergraph) -> CutResult:
     result is the witness of the first target that reaches that minimum,
     the one separate s-t flows would give (see the module docstring).
     Disconnected input yields value 0 with a component as witness.
+
+    The loop also stops once the best value reaches kappa' as certified
+    by automorphisms, which changes no answer (see the module docstring):
+    by the rotation v -> v + 1 mod n, probed on a regular input, else by
+    ``automorphisms``, each checked, when they carry 0 to every vertex.
+    Automorphisms that do not carry 0 everywhere certify nothing.
+
+    Raises:
+        HypergraphError: if n < 2, or if ``automorphisms`` holds a
+            permutation that is not an automorphism.
     """
     if H.n < 2:
         raise HypergraphError("edge-connectivity is undefined for fewer than 2 vertices")
+    autos = list(automorphisms)
+    if not all(is_automorphism(H, p) for p in autos):
+        raise HypergraphError("automorphisms holds a permutation that is not an automorphism")
     comps = H._components
     if len(comps) > 1:
         return CutResult.from_side(H, comps[0])
     degs = H._degrees
-    s = degs.index(min(degs))
+    delta = min(degs)
+    s = degs.index(delta)
+    # every edge through s crosses {s}, once per copy
+    best = CutResult((s,), H._incidence[s], delta)
+    # Automorphisms that carry 0 everywhere make the input transitive, hence
+    # regular, so s is 0; with the rotation, target 1 is the loop's first.
+    rotates = delta == max(degs) and is_automorphism(H, (*range(1, H.n), 0))
+    floor = 1  # connected, so no target goes below 1
+    if not rotates and len(_orbit_of(0, autos)) == H.n:
+        floor = delta
+        for t in sorted({p[0] for p in autos} - {0}):
+            if floor > 1:
+                value, side = _Dinic(H, 0).max_flow(t, floor)
+                if side is not None:
+                    floor = value
+    if best.value <= floor:
+        return best
     net = _Dinic(H, s)
-    best = CutResult.from_side(H, (s,))
     for t in range(H.n):
-        if best.value == 1:
-            break  # connected, so no target goes below 1
+        if best.value <= floor:
+            break
         if t == s:
             continue
         # a flow the bound already takes to the cap would build no witness
@@ -362,6 +413,8 @@ def edge_connectivity(H: Hypergraph) -> CutResult:
             if side is not None:
                 best = _residual_side(H, value, side)
         net.join(t)
+        if rotates:
+            break  # the best is now lambda(0, 1), which is kappa'
     return best
 
 

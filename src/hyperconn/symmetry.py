@@ -100,8 +100,10 @@ def is_automorphism(H: Hypergraph, p: Sequence[int]) -> bool:
         HypergraphError: if p has the wrong length or is not a bijection.
     """
     _check_permutation(H, p)
-    mapped = Counter(tuple(sorted(p[v] for v in e)) for e in H.edges)
-    return mapped == Counter(H.edges)
+    mapped = Counter([tuple(sorted([p[v] for v in e])) for e in H.edges])
+    # both hold positive counts only, so dict equality, which runs in C, is
+    # multiset equality; Counter's own == loops in Python
+    return dict.__eq__(mapped, Counter(H.edges))
 
 
 def find_automorphism_mapping(H: Hypergraph, u: int, v: int) -> tuple[int, ...] | None:

@@ -22,6 +22,7 @@ from hyperconn import (
     parse_hypergraph,
     random_uniform_hypergraph,
     serialize_hypergraph,
+    transitivity_generators,
 )
 from hyperconn.cli import _verdict_exit_code, analyze, main, render_machine
 from hyperconn.constructions import _LANES, affine_hypergraph, complete_uniform
@@ -135,6 +136,30 @@ def test_generate_refuses_an_instance_over_the_vertex_cap(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == "error: too many vertices, header declares 1048577, limit 1048576\n"
     assert not path.exists()
+
+
+def test_generate_checks_the_vertex_count_before_building(capsys, tmp_path):
+    """Each family's vertex count (n, n*k, k*k or 2*k*k) is checked against
+    the cap before its generator runs.  Building circulant(2^20 + 1, {1})
+    before the refusal took about 3 s and 190 MB; the complete and affine
+    families at these sizes would not finish."""
+    path = tmp_path / "big.hg"
+    cases = (
+        ("circulant --n 1048577 --offsets 1", 1048577),
+        ("cyclic-difference --n 1048577 --base 0,1", 1048577),
+        ("complete --n 1048577 --k 2", 1048577),
+        ("random --n 1048577 --k 2 --m 4", 1048577),
+        ("glued-complete --n 349526 --k 3", 1048578),
+        ("affine --k 1031", 1062961),
+        ("affine-doubled --k 727", 1057058),
+    )
+    start = time.perf_counter()
+    for spec, count in cases:
+        code, out, err = run_cli(capsys, "generate", "--family", *spec.split(), "--out", str(path))
+        assert (code, out) == (2, ""), spec
+        assert err == f"error: too many vertices, header declares {count}, limit 1048576\n"
+        assert not path.exists()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_generate_rejects_unknown_family(capsys, tmp_path):
@@ -436,6 +461,31 @@ def test_machine_goldens(capsys, tmp_path):
         code, out, err = run_cli(capsys, "analyze", str(path), *flags)
         assert code == 0
         assert out == expected
+
+
+def test_connectivity_gets_the_generators_in_hand(capsys, tmp_path, monkeypatch):
+    """``analyze --transitivity`` and ``verify theorem`` hand the generators
+    they found to ``edge_connectivity``; the human view keeps its timings
+    keys in phase order though transitivity now runs first."""
+    seen = []
+    run = cli.edge_connectivity
+
+    def spy(H, automorphisms=()):
+        seen.append(automorphisms)
+        return run(H, automorphisms=automorphisms)
+
+    monkeypatch.setattr(cli, "edge_connectivity", spy)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = gen(capsys, corpus, "affine_3.hg", "--family", "affine", "--k", "3")
+    gens = tuple(transitivity_generators(affine_hypergraph(3)))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--connectivity", "--transitivity", "--atom")
+    assert code == 0
+    keys = [item.split("=")[0] for item in out.splitlines()[-1].split()[2:]]
+    assert keys == ["parse", "base", "connectivity", "transitivity", "atom"]
+    assert run_cli(capsys, "analyze", str(path), "--connectivity")[0] == 0
+    assert run_cli(capsys, "verify", "theorem", "--corpus", str(corpus), "--which", "main")[0] == 0
+    assert [tuple(a) for a in seen] == [gens, (), gens]
 
 
 def test_machine_output_shape(capsys, tmp_path):

@@ -31,10 +31,12 @@ from hyperconn import (
     edge_connectivity,
     edge_connectivity_oracle,
     glued_complete_family,
+    is_automorphism,
     is_connected,
     is_maximally_edge_connected,
     random_uniform_hypergraph,
     st_edge_connectivity,
+    transitivity_generators,
 )
 from hyperconn import connectivity
 from hyperconn.connectivity import _Dinic, _residual_side, _side_blocks
@@ -575,16 +577,17 @@ def test_edge_connectivity_skips_flows_the_bound_certifies(monkeypatch):
     """A target whose bound reaches the best value so far joins the source
     set with no flow, and the witness is still the one separate s-t flows
     give.  The flow counts are ceilings: the planes and the doubled family
-    run at most two fifths of their n - 1 flows, the cycle one, and the
-    circulant half, as its last path goes round the ring.  The best value
-    starts at the source's degree, so K_30, whose every bound reaches it,
-    and the path, whose source has degree 1, run none."""
+    run at most two fifths of their n - 1 flows and the cycle one.  The
+    rotation v -> v + 1 is an automorphism of the circulant and of PG(2,5),
+    so target 1's flow decides them.  The best value starts at the source's
+    degree, so K_30, whose every bound reaches it, and the path, whose
+    source has degree 1, run none."""
     cases = (
         (affine_hypergraph(7), 6),
         (affine_hypergraph(11), 10),
-        (cyclic_difference_hypergraph(31, (0, 1, 3, 8, 12, 18)), 12),  # PG(2,5)
+        (cyclic_difference_hypergraph(31, (0, 1, 3, 8, 12, 18)), 1),  # PG(2,5)
         (affine_doubled_family(7), 19),
-        (circulant_graph(400, (1, 2)), 199),
+        (circulant_graph(400, (1, 2)), 1),
         (circulant_graph(300, (1,)), 1),
         (complete_uniform(30, 2), 0),
         (path_graph(700), 0),
@@ -597,6 +600,164 @@ def test_edge_connectivity_skips_flows_the_bound_certifies(monkeypatch):
         cut = edge_connectivity(H)
         assert len(flows) <= ceiling, (H.n, len(flows))
         assert cut == first_strict_minimum(H), H.n
+
+
+def orbit_union(n, bases):
+    """The union of the Z_n orbits of ``bases``, each orbit without repeats
+    (a base that is a coset of a subgroup has a short orbit); a base given
+    twice gives each edge of its orbit twice."""
+    return Hypergraph(n, tuple(e for b in bases for e in cyclic_difference_hypergraph(n, b).edges))
+
+
+def relabelled(H, seed):
+    """H under a random relabelling of its vertices."""
+    rng = SplitMix64(seed)
+    perm = list(range(H.n))
+    for i in range(H.n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return Hypergraph(H.n, tuple(tuple(perm[v] for v in e) for e in H.edges))
+
+
+def rotates(H):
+    return is_automorphism(H, (*range(1, H.n), 0))
+
+
+# Z_n orbit unions that are transitive but not maximal, with (delta, kappa'):
+# three from a census of unions of at most 3 orbits, each checked by the
+# oracle, and the linear family with kappa' = 3 and delta = n/3 + 1 at
+# n = 18 (2-edges at the even differences 3 does not divide, and the three
+# cosets of 3Z_18).
+CENSUS = (
+    (10, ((0, 1, 5, 6), (0, 2, 4, 6)), 6, 5),
+    (12, ((0, 3), (0, 2, 4, 6, 8, 10)), 3, 2),
+    (12, ((0, 2), (0, 4), (0, 3, 6, 9)), 5, 3),
+    (18, ((0, 2), (0, 4), (0, 8), tuple(range(0, 18, 3))), 7, 3),
+    # every orbit doubled, and one doubled: multi-edges
+    (10, ((0, 1, 5, 6), (0, 1, 5, 6), (0, 2, 4, 6), (0, 2, 4, 6)), 12, 10),
+    (12, ((0, 2), (0, 4), (0, 4), (0, 3, 6, 9)), 7, 3),
+)
+
+
+def test_edge_connectivity_on_census_counterexamples(monkeypatch):
+    """On each census instance the rotation ends the loop after target 1,
+    with the cut separate s-t flows give and the oracle's value.  Relabelled
+    copies are not rotation-invariant: they run the plain loop, and with
+    their generators the flows of their own, with the same cut."""
+    flows = []
+    run = _Dinic.max_flow
+    monkeypatch.setattr(_Dinic, "max_flow", lambda net, t, limit: flows.append(t) or run(net, t, limit))
+    for n, bases, delta, kappa in CENSUS:
+        H = orbit_union(n, bases)
+        assert degree_extremes(H) == (delta, delta), bases
+        flows.clear()
+        cut = edge_connectivity(H)
+        assert flows == [1], bases
+        assert cut.value == kappa, bases
+        assert cut == first_strict_minimum(H), bases
+        assert cut.value == edge_connectivity_oracle(H).value, bases
+        for seed in (1, 2):
+            G = relabelled(H, seed)
+            assert not rotates(G), (bases, seed)
+            cut = edge_connectivity(G)
+            assert cut == first_strict_minimum(G), (bases, seed)
+            assert cut.value == kappa, (bases, seed)
+            assert edge_connectivity(G, automorphisms=transitivity_generators(G)) == cut
+
+
+def test_automorphisms_give_the_same_cut():
+    """Generators from ``transitivity_generators`` change no answer: on every
+    transitive corpus, bench and census instance, and on relabelled copies,
+    which the rotation does not decide."""
+    pg25 = cyclic_difference_hypergraph(31, (0, 1, 3, 8, 12, 18))
+    instances = [H for _, H in builtin_corpus() if is_connected(H) and H.n <= 30]
+    instances = [H for H in instances if transitivity_generators(H) is not None]
+    instances += [
+        circulant_graph(100, (1, 2)),
+        circulant_graph(400, (1, 2)),
+        circulant_graph(300, (1,)),
+        circulant_graph(1200, (1,)),
+        circulant_graph(60, (1, 2, 5)),
+        circulant_graph(100, (1, 3)),
+        affine_hypergraph(7),
+        affine_hypergraph(11),
+        affine_doubled_family(5),
+        affine_doubled_family(7),
+        glued_complete_family(6, 3),
+        glued_complete_family(7, 4),
+        complete_uniform(30, 2),
+        pg25,
+        *(orbit_union(n, bases) for n, bases, _, _ in CENSUS),
+    ]
+    instances += [relabelled(H, 3) for H in instances if H.n <= 100]
+    assert sum(not rotates(H) for H in instances) >= 30
+    for H in instances:
+        gens = transitivity_generators(H)
+        assert gens is not None, H.n
+        assert edge_connectivity(H, automorphisms=gens) == edge_connectivity(H), H.n
+
+
+def test_automorphisms_where_one_generator_reaches_the_minimum(monkeypatch):
+    """On the doubled affine family, translations within the grid keep each
+    copy (lambda(0, g(0)) = delta) and only the copy swap reaches kappa' =
+    k = delta - 1.  The floor is the swap's value, found with or without a
+    generator that sends 0 to 1, and the loop still ends on the cut that
+    separate s-t flows give."""
+    for k in (3, 5, 7):
+        H = affine_doubled_family(k)
+        q = k * k
+        col = tuple(v - v % k + (v + 1) % k for v in range(2 * q))
+        row = tuple(v - v % q + (v % q + k) % q for v in range(2 * q))
+        swap = tuple((v + q) % (2 * q) for v in range(2 * q))
+        assert [st_edge_connectivity(H, 0, p[0]).value for p in (col, row, swap)] == [k + 1, k + 1, k]
+        expected = first_strict_minimum(H) if k == 3 else edge_connectivity(H)
+        assert expected.value == k
+        for autos in ((col, row, swap), (row, swap), (swap, col, row)):
+            assert edge_connectivity(H, automorphisms=autos) == expected, (k, autos[0][:3])
+        # carrying 0 within its copy only, the translations give no floor
+        flows = []
+        run = _Dinic.max_flow
+        monkeypatch.setattr(_Dinic, "max_flow", lambda net, t, limit: flows.append(t) or run(net, t, limit))
+        assert edge_connectivity(H, automorphisms=(col, row)) == expected
+        plain = flows[:]
+        flows.clear()
+        edge_connectivity(H)
+        monkeypatch.undo()
+        assert plain == flows
+
+
+def test_automorphisms_are_checked():
+    H = circulant_graph(8, (1, 2))
+    rotation = (*range(1, 8), 0)
+    swap = (1, 0, *range(2, 8))
+    for autos in ((swap,), (rotation, swap), ((0, 1, 2),), ((0,) * 8,)):
+        with pytest.raises(HypergraphError):
+            edge_connectivity(H, automorphisms=autos)
+    with pytest.raises(HypergraphError):
+        edge_connectivity(Hypergraph(4, ((0, 1), (2, 3))), automorphisms=[(1, 2, 0, 3)])
+    # automorphisms that fix 0 give no floor and change nothing
+    reflection = tuple(-v % 8 for v in range(8))
+    assert edge_connectivity(H, automorphisms=[reflection]) == edge_connectivity(H)
+
+
+def test_edge_connectivity_builds_only_the_networks_it_uses(monkeypatch):
+    """No network when the source has degree 1; with generators whose flows
+    all reach delta, one per generator's image of 0 and no merged one.  The
+    start cut {s} lists every copy of a multi-edge through s."""
+    built = []
+    init = _Dinic.__init__
+    monkeypatch.setattr(_Dinic, "__init__", lambda net, H, s: built.append(s) or init(net, H, s))
+    assert edge_connectivity(path_graph(700)).value == 1
+    assert built == []
+    H = relabelled(circulant_graph(400, (1, 2)), 5)
+    gens = transitivity_generators(H)
+    heads = {p[0] for p in gens} - {0}
+    built.clear()
+    assert edge_connectivity(H, automorphisms=gens) == CutResult.from_side(H, (0,))
+    assert built == [0] * len(heads)
+    doubled = Hypergraph(3, ((0, 1), (0, 1), (0, 2), (1, 2), (1, 2)))
+    assert edge_connectivity(doubled) == CutResult((0,), (0, 1, 2), 3)
+    assert edge_connectivity(doubled) == first_strict_minimum(doubled)
 
 
 def test_edge_connectivity_examples():
