@@ -44,7 +44,6 @@ from .model import (
     _check_vertex_count,
     _mask_vertices,
     boundary,
-    components,
     degree_extremes,
     is_connected,
     is_linear,
@@ -151,7 +150,7 @@ def analyze(
             uniform_k = None
             notes.append("uniformity: undefined (no edges)")
         verdict = is_linear(H)
-        comps = components(H)
+        component_count = len(H._components)
 
     report = AnalysisReport(
         n=H.n,
@@ -162,8 +161,8 @@ def analyze(
         uniform_k=uniform_k,
         linear=verdict.linear,
         linear_witness=verdict.witness,
-        connected=len(comps) == 1,
-        component_count=len(comps),
+        connected=component_count == 1,
+        component_count=component_count,
     )
 
     # transitivity runs first, so that its generators can bound the flows

@@ -9,16 +9,17 @@ stack of frames, so its depth costs no Python recursion.  Its state is a
 bitmask domain of possible images per vertex and a bitmask of candidate
 image edges per edge.  Each change to that state is logged on a trail and
 undone on backtracking, so no level copies the state.  Every domain starts
-as the vertices with the same sorted multiset of incident edge sizes.
-Assigning w -> z then prunes with necessary conditions only:
+as the vertices with the same sorted multiset of incident edge sizes, and
+every edge's candidates as the edges of the same size.  Assigning w -> z
+then prunes with necessary conditions only:
 
 * injectivity: no other vertex may take z;
 * adjacency on the 2-section: a free vertex within distance 2 of w shares
   an edge with w exactly when its image shares an edge with z (skipped when
   w and z are both adjacent to every other vertex, as in a linear space,
   where it would only repeat injectivity);
-* edge candidates: each edge through w maps to an edge of the same size
-  through z;
+* edge candidates: each edge through w keeps only the candidates through
+  z;
 * pinned edges: once an edge has a single candidate, its free vertices map
   into that candidate and no vertex outside the edge may;
 * claims (the cheapest all-different check): a neighbour of w that the
@@ -234,9 +235,8 @@ def _tables(H: Hypergraph) -> SimpleNamespace:
     """Per-instance search tables, with vertex and edge sets as bitmasks:
 
     * ``pool[v]``: the vertices with v's sorted sizes of incident edges;
-    * ``incident[v]``, ``size[i]``;
+    * ``alike[i]``: the edges of edge i's size, one mask shared per size;
     * ``emask[i]``: the vertices of edge i; ``incmask[v]``: the edges through v;
-    * ``by_size[v][s]``: the edges of size s through v;
     * ``adj[v]``, ``near[v]``: the vertices sharing an edge with v, and those
       within distance 2 of v, v excluded;
     * ``edge_counter``: the edge multiset.
@@ -258,23 +258,18 @@ def _tables(H: Hypergraph) -> SimpleNamespace:
     # incidence is read once per table, not once per neighbour.
     reach = [_union(adj, e) for e in edges]
     near = [_union(reach, through) & ~vbit[v] for v, through in enumerate(incident)]
-    by_size: list[dict[int, int]] = []
-    for through in incident:
-        buckets: dict[int, int] = {}
-        for i in through:
-            buckets[size[i]] = buckets.get(size[i], 0) | ebit[i]
-        by_size.append(buckets)
+    of_size: dict[int, int] = {}
+    for i, s in enumerate(size):
+        of_size[s] = of_size.get(s, 0) | ebit[i]
     signature = [tuple(sorted([size[i] for i in through])) for through in incident]
     pools: dict[tuple[int, ...], int] = {}
     for v, sig in enumerate(signature):
         pools[sig] = pools.get(sig, 0) | vbit[v]
     return SimpleNamespace(
         pool=[pools[sig] for sig in signature],
-        incident=incident,
-        size=size,
+        alike=[of_size[s] for s in size],
         emask=emask,
         incmask=incmask,
-        by_size=by_size,
         adj=adj,
         near=near,
         edge_counter=Counter(edges),
@@ -299,14 +294,13 @@ def _search(H: Hypergraph, fix: tuple[int, int] | None) -> Iterator[tuple[int, .
     n = H.n
     everyone = (1 << n) - 1
     edges = H.edges
-    incident, size, emask, incmask = T.incident, T.size, T.emask, T.incmask
-    by_size, adj, near = T.by_size, T.adj, T.near
+    incident, emask, incmask, adj, near = H._incidence, T.emask, T.incmask, T.adj, T.near
     # st[v] is vertex v's image domain, st[n + i] edge i's candidate images
-    # (all edges until its first vertex is assigned) and st[claims + z] the
-    # free vertex that claimed image z, or -1.  Every change to st is logged
-    # on the trail and undone by popping it.
+    # (the edges of its size until its first vertex is assigned) and
+    # st[claims + z] the free vertex that claimed image z, or -1.  Every
+    # change to st is logged on the trail and undone by popping it.
     claims = n + len(edges)
-    st = [*T.pool, *[(1 << len(edges)) - 1] * len(edges), *[-1] * n]
+    st = [*T.pool, *T.alike, *[-1] * n]
     trail: list[tuple[int, int]] = []
 
     def claim(x: int, d: int) -> bool:
@@ -365,7 +359,8 @@ def _search(H: Hypergraph, fix: tuple[int, int] | None) -> Iterator[tuple[int, .
                 frames.append([best, best_dom, len(trail), reach, hit, pinned_img, pinned_src])
         else:
             p = tuple(image)
-            if Counter([tuple(sorted([p[x] for x in e])) for e in edges]) == T.edge_counter:
+            mapped = Counter([tuple(sorted([p[x] for x in e])) for e in edges])
+            if dict.__eq__(mapped, T.edge_counter):  # as in is_automorphism
                 yield p
         # Assign the top frame's next untried image, undoing the previous
         # one, and pop frames that have none left.
@@ -421,16 +416,16 @@ def _search(H: Hypergraph, fix: tuple[int, int] | None) -> Iterator[tuple[int, .
                 if not d & (d - 1) and not claim(x, d):
                     ok = False
                     break
-            # Each edge through w must map to an edge of its size through z.
-            # An edge left with one candidate is pinned: its free vertices
+            # Each edge through w must map to a candidate through z.  An
+            # edge left with one candidate is pinned: its free vertices
             # map into that candidate, and no vertex outside it may.  A free
             # vertex it narrows is checked for a claim too.  An edge with no
             # free vertex is not pinned: its candidate is its vertices'
             # images, all taken already, and only free vertices are read.
-            sizes_at_z = by_size[z]
+            through_z = incmask[z]
             for e in incident[w] if ok else ():
                 old = st[n + e]
-                new = old & sizes_at_z.get(size[e], 0)
+                new = old & through_z
                 if not new:
                     ok = False
                     break

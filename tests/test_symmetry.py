@@ -167,8 +167,12 @@ def test_enumerate_matches_brute_force():
         circulant_graph(6, (1,)),
         complete_uniform(4, 2),
         complete_uniform(4, 3),
+        # the one edge of size 4 starts with itself as its only candidate
+        Hypergraph(6, ((0, 1), (0, 1, 2, 3), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))),
+        # a doubled edge is the only edge of size 3: two candidates, both copies
+        Hypergraph(5, ((0, 1), (0, 2, 4), (1, 2), (0, 2, 4), (2, 3), (0, 3))),
     ]
-    expected_sizes = [2, 8, 6, 72, 10, 12, 24, 24]
+    expected_sizes = [2, 8, 6, 72, 10, 12, 24, 24, 12, 4]
     for H, size in zip(cases, expected_sizes):
         brute = brute_automorphisms(H)
         got = enumerate_automorphisms(H, cap=10000)
@@ -359,25 +363,23 @@ def test_doubled_copy_is_atom_and_block():
 def slow_tables(H):
     """The search tables built the slow way, as a reference for
     ``symmetry._tables``: ``near`` by OR-ing ``adj`` over every neighbour
-    of every vertex, bitmasks summed from generators and signatures sorted
-    from generators."""
+    of every vertex, ``alike`` by comparing the sizes of every pair of
+    edges, bitmasks summed from generators and signatures sorted from
+    generators."""
     n = H.n
     incident = [[] for _ in range(n)]
     for i, e in enumerate(H.edges):
         for v in e:
             incident[v].append(i)
     size = [len(e) for e in H.edges]
+    alike = [sum(1 << j for j in range(H.m) if size[j] == size[i]) for i in range(H.m)]
     emask = [sum(1 << v for v in e) for e in H.edges]
     incmask = [sum(1 << i for i in incident[v]) for v in range(n)]
-    by_size = []
     adj = []
     for v in range(n):
-        buckets = {}
         around = 0
         for i in incident[v]:
-            buckets[size[i]] = buckets.get(size[i], 0) | 1 << i
             around |= emask[i]
-        by_size.append(buckets)
         adj.append(around & ~(1 << v))
     near = []
     for v in range(n):
@@ -394,11 +396,9 @@ def slow_tables(H):
         pools[signature[v]] = pools.get(signature[v], 0) | 1 << v
     return {
         "pool": [pools[sig] for sig in signature],
-        "incident": tuple(map(tuple, incident)),
-        "size": size,
+        "alike": alike,
         "emask": emask,
         "incmask": incmask,
-        "by_size": by_size,
         "adj": adj,
         "near": near,
         "edge_counter": Counter(H.edges),
