@@ -56,9 +56,11 @@ them.  Let a set A of automorphisms carry 0 to every vertex.  A walk
 from 0 to h(0), h a word g_1 ... g_l in A, steps from (g_1 ... g_j-1)(0)
 to (g_1 ... g_j)(0), the image of the pair (0, g_j(0)), so kappa' = min
 over g in A of lambda(0, g(0)).  Such an input is vertex-transitive,
-hence regular, and s = 0.  A comes from two sources.  On a regular
-input the rotation v -> v + 1 mod n is probed, and if it is an
-automorphism, A is the rotation alone: every lambda(i, i + 1) equals
+hence regular, and s = 0.  A comes from two sources.  The rotation
+v -> v + 1 mod n is probed by ``symmetry._rotation``, once per instance
+and only on a regular input, so a caller that found the rotation as its
+generator has it probed already; if it is an automorphism, A is the
+rotation alone: every lambda(i, i + 1) equals
 lambda(0, 1), so every lambda(0, t) >= lambda(0, 1) = kappa', and
 target 1's flow, the loop's first, decides the floor.  Otherwise A is
 the automorphisms the caller holds, and each g(0) other than 0 gets
@@ -93,7 +95,7 @@ from .model import (
     degree_extremes,
     is_connected,
 )
-from .symmetry import _orbit_of, is_automorphism
+from .symmetry import _orbit_of, _rotation, is_automorphism
 
 __all__ = [
     "CutResult",
@@ -368,7 +370,8 @@ def edge_connectivity(H: Hypergraph, *, automorphisms: Iterable[Sequence[int]] =
     The loop also stops once the best value reaches kappa' as certified
     by automorphisms, which changes no answer (see the module docstring):
     by the rotation v -> v + 1 mod n, probed on a regular input, else by
-    ``automorphisms``, each checked, when they carry 0 to every vertex.
+    ``automorphisms``, each checked (the rotation, when it passed the
+    probe, is not tested again), when they carry 0 to every vertex.
     Automorphisms that do not carry 0 everywhere certify nothing.
 
     Raises:
@@ -378,7 +381,8 @@ def edge_connectivity(H: Hypergraph, *, automorphisms: Iterable[Sequence[int]] =
     if H.n < 2:
         raise HypergraphError("edge-connectivity is undefined for fewer than 2 vertices")
     autos = list(automorphisms)
-    if not all(is_automorphism(H, p) for p in autos):
+    rotation = _rotation(H)  # when it passed, not tested a second time
+    if not all(p == rotation or is_automorphism(H, p) for p in autos):
         raise HypergraphError("automorphisms holds a permutation that is not an automorphism")
     comps = H._components
     if len(comps) > 1:
@@ -390,7 +394,7 @@ def edge_connectivity(H: Hypergraph, *, automorphisms: Iterable[Sequence[int]] =
     best = CutResult((s,), H._incidence[s], delta)
     # Automorphisms that carry 0 everywhere make the input transitive, hence
     # regular, so s is 0; with the rotation, target 1 is the loop's first.
-    rotates = delta == max(degs) and is_automorphism(H, (*range(1, H.n), 0))
+    rotates = rotation is not None
     floor = 1  # connected, so no target goes below 1
     if not rotates and len(_orbit_of(0, autos)) == H.n:
         floor = delta

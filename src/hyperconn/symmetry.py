@@ -4,6 +4,19 @@ Permutations are plain tuples in one-line notation: ``p[v]`` is the image
 of vertex v.  An automorphism must preserve the edge multiset, so
 multi-edges keep their multiplicities.
 
+Transitivity is certified before any search where the rotation
+v -> v + 1 mod n does it.  ``_rotation`` tests the rotation with
+:func:`is_automorphism`, only when n >= 2 and the input is regular, and
+at most once per instance, whose verdict it keeps.  When the rotation
+passes, it carries 0 to every vertex on its own, so a rotation-invariant
+input (every circulant, cyclic-difference and complete instance, every
+cycle) gets the rotation as its one generator from
+:func:`transitivity_generators` and one orbit from :func:`vertex_orbits`,
+with no search and no search tables.  The flow route of
+:mod:`hyperconn.connectivity` reads the same verdict.
+:func:`find_automorphism_mapping` and :func:`enumerate_automorphisms`
+always search.
+
 The search assigns images vertex by vertex in one loop over an explicit
 stack of frames, so its depth costs no Python recursion.  Its state is a
 bitmask domain of possible images per vertex and a bitmask of candidate
@@ -128,8 +141,13 @@ def transitivity_generators(H: Hypergraph) -> list[tuple[int, ...]] | None:
     first, so the automorphism it finds for 0 -> t tends to move only the
     vertices up to t (on K_n, the cycle 0 -> t -> t - 1 -> ... -> 0), and
     from the top one search often reaches every vertex (K_30 takes 1
-    generator, not 29).  The list is empty when n is 1 (nothing to move).
+    generator, not 29).  A rotation-invariant input gets the rotation
+    alone, with no search.  The list is empty when n is 1 (nothing to
+    move).
     """
+    rotation = _rotation(H)
+    if rotation is not None:
+        return [rotation]
     gens: list[tuple[int, ...]] = []
     reached = {0}
     for target in range(H.n - 1, 0, -1):
@@ -149,8 +167,11 @@ def vertex_orbits(H: Hypergraph) -> list[list[int]]:
     Every automorphism found is kept, and each orbit is closed under all of
     them before any fresh search, as in :func:`transitivity_generators`.  A
     vertex already placed in an earlier orbit is skipped, and one success
-    can carry the orbit to many later targets at once.
+    can carry the orbit to many later targets at once.  When the rotation
+    is an automorphism, every vertex is in one orbit, with no search.
     """
+    if _rotation(H) is not None:
+        return [list(range(H.n))]
     gens: list[tuple[int, ...]] = []
     placed = [False] * H.n
     orbits: list[list[int]] = []
@@ -213,6 +234,23 @@ def _check_permutation(H: Hypergraph, p: Sequence[int]) -> None:
         if not 0 <= image < H.n or seen[image]:
             raise HypergraphError("permutation is not a bijection on the vertex set")
         seen[image] = True
+
+
+def _rotation(H: Hypergraph) -> tuple[int, ...] | None:
+    """The rotation v -> v + 1 mod n when it is an automorphism of H, else
+    None.  It is built and tested only when n >= 2 and H is regular, as
+    every vertex-transitive input is, and at most once per instance: the
+    verdict is kept on H beside its derived tables."""
+    known = vars(H)
+    if "_rotation" not in known:
+        degs = H._degrees
+        rotation = None
+        if H.n >= 2 and min(degs) == max(degs):
+            p = (*range(1, H.n), 0)
+            if is_automorphism(H, p):
+                rotation = p
+        known["_rotation"] = rotation
+    return known["_rotation"]
 
 
 def _orbit_of(v0: int, gens: list[tuple[int, ...]]) -> set[int]:

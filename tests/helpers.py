@@ -1,6 +1,6 @@
 """Helpers shared by several test modules."""
 
-from hyperconn import boundary
+from hyperconn import Hypergraph, SplitMix64, boundary, cyclic_difference_hypergraph, is_automorphism
 from hyperconn.cli import main
 
 
@@ -28,3 +28,40 @@ def all_min_atom_sides(H):
             sides.append(X)
     min_size = min(len(s) for s in sides)
     return best_value, sorted(s for s in sides if len(s) == min_size)
+
+
+def orbit_union(n, bases):
+    """The union of the Z_n orbits of ``bases``, each orbit without repeats
+    (a base that is a coset of a subgroup has a short orbit); a base given
+    twice gives each edge of its orbit twice."""
+    return Hypergraph(n, tuple(e for b in bases for e in cyclic_difference_hypergraph(n, b).edges))
+
+
+def relabelled(H, seed):
+    """H under a random relabelling of its vertices."""
+    rng = SplitMix64(seed)
+    perm = list(range(H.n))
+    for i in range(H.n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return Hypergraph(H.n, tuple(tuple(perm[v] for v in e) for e in H.edges))
+
+
+def rotates(H):
+    return is_automorphism(H, (*range(1, H.n), 0))
+
+
+# Z_n orbit unions that are transitive but not maximal, with (delta, kappa'):
+# three from a census of unions of at most 3 orbits, each checked by the
+# oracle, and the linear family with kappa' = 3 and delta = n/3 + 1 at
+# n = 18 (2-edges at the even differences 3 does not divide, and the three
+# cosets of 3Z_18).
+CENSUS = (
+    (10, ((0, 1, 5, 6), (0, 2, 4, 6)), 6, 5),
+    (12, ((0, 3), (0, 2, 4, 6, 8, 10)), 3, 2),
+    (12, ((0, 2), (0, 4), (0, 3, 6, 9)), 5, 3),
+    (18, ((0, 2), (0, 4), (0, 8), tuple(range(0, 18, 3))), 7, 3),
+    # every orbit doubled, and one doubled: multi-edges
+    (10, ((0, 1, 5, 6), (0, 1, 5, 6), (0, 2, 4, 6), (0, 2, 4, 6)), 12, 10),
+    (12, ((0, 2), (0, 4), (0, 4), (0, 3, 6, 9)), 7, 3),
+)

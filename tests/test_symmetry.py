@@ -7,7 +7,7 @@ result on small instances is checked against ground truth.
 import sys
 import time
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -23,6 +23,7 @@ from hyperconn import (
     cyclic_difference_hypergraph,
     degree,
     edge_atom,
+    edge_connectivity,
     enumerate_automorphisms,
     find_automorphism_mapping,
     glued_complete_family,
@@ -34,9 +35,12 @@ from hyperconn import (
     transitivity_generators,
     vertex_orbits,
 )
-from hyperconn.cli import main
+from hyperconn import connectivity, symmetry
+from hyperconn.cli import analyze, main
 from hyperconn.constructions import affine_doubled_family
 from hyperconn.symmetry import _tables
+
+from helpers import CENSUS, orbit_union, relabelled, rotates, run_cli
 
 PATH_3 = Hypergraph(3, ((0, 1), (1, 2)))
 MATCHING_4 = Hypergraph(4, ((0, 1), (2, 3)))
@@ -93,14 +97,26 @@ def test_find_automorphism_mapping():
         find_automorphism_mapping(PATH_3, 0, 5)
 
 
-def test_search_deep_inputs(tmp_path, capsys):
-    # one search level per vertex, so a recursive search would overflow
+def test_search_deep_inputs(tmp_path, capsys, monkeypatch):
+    """One search level per vertex, so a recursive search would overflow.
+    The rotation decides the plain 5000-vertex cycle with no search, so a
+    copy under a random relabelling, which the rotation does not fix,
+    carries the search through every level."""
     limit = sys.getrecursionlimit()
-    path = tmp_path / "cycle_5000.hg"
-    path.write_text(serialize_hypergraph(circulant_graph(5000, (1,))))
-    assert main(["analyze", str(path), "--transitivity", "--machine"]) == 0
-    got = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
-    assert got["transitive"] == "true"
+    searches = []
+    run = symmetry._search
+    monkeypatch.setattr(symmetry, "_search", lambda H, fix: searches.append(fix) or run(H, fix))
+    C = circulant_graph(5000, (1,))
+    G = relabelled(C, 11)
+    assert not rotates(G)
+    for H, searched in ((C, False), (G, True)):
+        searches.clear()
+        path = tmp_path / "cycle_5000.hg"
+        path.write_text(serialize_hypergraph(H))
+        assert main(["analyze", str(path), "--transitivity", "--machine"]) == 0
+        got = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert got["transitive"] == "true"
+        assert bool(searches) == searched
     P = Hypergraph(5000, tuple((v, v + 1) for v in range(4999)))
     assert find_automorphism_mapping(P, 0, 4999) == tuple(range(4999, -1, -1))
     assert find_automorphism_mapping(P, 1, 2) is None
@@ -311,6 +327,171 @@ def test_transitivity_agrees_with_orbit_count():
         if H.n > 12:
             continue
         assert is_vertex_transitive(H) == (len(vertex_orbits(H)) == 1), name
+
+
+def rotation_invariant_instances():
+    """Every rotation-invariant instance of the builtin corpus, the
+    benchmark's families and the census counterexamples, by name."""
+    out = [(name, H) for name, H in builtin_corpus() if rotates(H)]
+    out += [(f"circulant_{n}_12", circulant_graph(n, (1, 2))) for n in (100, 200, 400)]
+    out += [("circulant_60_125", circulant_graph(60, (1, 2, 5)))]
+    out += [("circulant_100_13", circulant_graph(100, (1, 3)))]
+    out += [(f"cycle_{n}", circulant_graph(n, (1,))) for n in (300, 1200)]
+    out += [("pg_2_5", cyclic_difference_hypergraph(31, (0, 1, 3, 8, 12, 18)))]
+    out += [("complete_30_2", complete_uniform(30, 2))]
+    out += [(f"census_{n}_{i}", orbit_union(n, bases)) for i, (n, bases, _, _) in enumerate(CENSUS)]
+    return out
+
+
+def test_rotation_decides_transitivity_with_no_search(monkeypatch):
+    """On a rotation-invariant input the rotation is the one generator and
+    closes one orbit: no search runs and no search tables are built."""
+    instances = rotation_invariant_instances()
+    assert len(instances) == 28
+    assert all(rotates(H) for _, H in instances)
+
+    def refuse(H, fix):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(symmetry, "_search", refuse)
+    built = _tables.cache_info().misses
+    for name, H in instances:
+        rotation = (*range(1, H.n), 0)
+        assert transitivity_generators(H) == [rotation], name
+        assert vertex_orbits(H) == [list(range(H.n))], name
+        assert is_vertex_transitive(H), name
+    assert _tables.cache_info().misses == built
+    # the search takes about 0.9 s and +350 MB of peak RSS on this input, the
+    # probe about 0.04 s (2-core x86-64, CPython 3.11)
+    start = time.perf_counter()
+    assert transitivity_generators(circulant_graph(20000, (1,))) == [(*range(1, 20000), 0)]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rotation_route_matches_the_search(tmp_path, capsys):
+    """A relabelled copy of each rotation-invariant input is not fixed by
+    the rotation, so the search decides it, and it still finds the input
+    transitive with one orbit; the `--machine` view of `analyze
+    --connectivity --transitivity` is the same for both.  A complete
+    input is every relabelling of itself, so its copy is the input."""
+    unmoved = []
+    for name, H in rotation_invariant_instances():
+        G = relabelled(H, 5)
+        if Counter(G.edges) == Counter(H.edges):
+            unmoved.append(name)
+            continue
+        assert not rotates(G), name
+        gens = transitivity_generators(G)
+        assert gens is not None and orbit_of_zero(G, gens) == set(range(G.n)), name
+        assert vertex_orbits(G) == [list(range(G.n))], name
+        views = []
+        for X in (H, G):
+            path = tmp_path / f"{name}.hg"
+            path.write_text(serialize_hypergraph(X))
+            views.append(run_cli(capsys, "analyze", str(path), "--connectivity", "--transitivity", "--machine"))
+        assert views[0] == views[1] and views[0][0] == 0, name
+        assert "transitive=true\n" in views[0][1], name
+    assert unmoved == [
+        "circulant_7_123", "complete_4_2", "complete_4_3", "complete_5_3", "single_edge_3", "complete_30_2"
+    ]
+
+
+def brute_orbits(H):
+    """Vertex orbits from permutations tried one at a time: u and v share an
+    orbit when some permutation sending u to v keeps the edge multiset."""
+    target = Counter(H.edges)
+    least = list(range(H.n))  # the least vertex known to share v's orbit
+    for u in range(H.n):
+        if least[u] != u:
+            continue
+        for v in range(u + 1, H.n):
+            if least[v] != v:
+                continue
+            for rest in permutations([x for x in range(H.n) if x != v]):
+                p = (*rest[:u], v, *rest[u:])
+                # most permutations already lose the first edges they map
+                if all(tuple(sorted([p[x] for x in e])) in target for e in H.edges) and Counter(
+                    [tuple(sorted([p[x] for x in e])) for e in H.edges]
+                ) == target:
+                    least[v] = u
+                    break
+    orbits = {}
+    for v in range(H.n):
+        orbits.setdefault(least[v], []).append(v)
+    return list(orbits.values())
+
+
+def zn_orbit_bases(n, sizes):
+    """One base block per Z_n orbit of the subsets of the given sizes."""
+    seen = set()
+    bases = []
+    for k in sizes:
+        for b in combinations(range(n), k):
+            if b not in seen:
+                seen.update(tuple(sorted((x + s) % n for x in b)) for s in range(n))
+                bases.append(b)
+    return bases
+
+
+def test_vertex_orbits_on_small_orbit_unions():
+    """vertex_orbits against brute-force permutations on every union of Z_n
+    orbits with n <= 5 and every circulant graph (a union of orbits of
+    2-subsets, the edgeless one included) with n <= 8."""
+    count = 0
+    for n in range(2, 9):
+        bases = zn_orbit_bases(n, range(2, n + 1) if n <= 5 else (2,))
+        for r in range(len(bases) + 1):
+            for chosen in combinations(bases, r):
+                H = orbit_union(n, chosen)
+                assert vertex_orbits(H) == brute_orbits(H) == [list(range(n))], (n, chosen)
+                count += 1
+    assert count == 118
+
+
+def test_rotation_edge_cases(monkeypatch):
+    """One vertex has nothing to move and two edgeless vertices the swap.
+    On a regular multigraph whose rotation moves a doubled edge onto a
+    single one the rotation is refused and the search still finds the
+    input transitive.  A non-regular input never tests the rotation."""
+    assert transitivity_generators(Hypergraph(1, ())) == []
+    assert vertex_orbits(Hypergraph(1, ())) == [[0]]
+    assert transitivity_generators(Hypergraph(2, ())) == [(1, 0)]
+    assert vertex_orbits(Hypergraph(2, ())) == [[0, 1]]
+    H = Hypergraph(4, ((0, 1), (0, 1), (2, 3), (2, 3), (1, 2), (0, 3)))
+    assert {degree(H, v) for v in range(4)} == {3}
+    assert symmetry._rotation(H) is None
+    gens = transitivity_generators(H)
+    assert gens is not None and orbit_of_zero(H, gens) == set(range(4))
+    assert vertex_orbits(H) == [[0, 1, 2, 3]]
+
+    def refuse(H, p):
+        raise AssertionError("rotation tested")
+
+    monkeypatch.setattr(symmetry, "is_automorphism", refuse)
+    for H in (PATH_3, Hypergraph(5, ((0, 1, 2), (2, 3), (3, 4), (0, 4))), random_uniform_hypergraph(8, 3, 10, 42)):
+        assert symmetry._rotation(H) is None
+        assert vertex_orbits(H) == orbit_partition(H.n, enumerate_automorphisms(H))
+        edge_connectivity(H)
+
+
+def test_rotation_is_tested_once_per_instance(monkeypatch):
+    """`analyze --transitivity --connectivity` and `verify theorem` test the
+    rotation once: the transitivity phase probes it, and the flow route
+    reads the verdict and takes the rotation it was handed as checked."""
+    calls = []
+    run = symmetry.is_automorphism
+    check = lambda H, p: calls.append(p) or run(H, p)  # noqa: E731
+    monkeypatch.setattr(symmetry, "is_automorphism", check)
+    monkeypatch.setattr(connectivity, "is_automorphism", check)
+    H = circulant_graph(400, (1, 2))
+    report = analyze(H, connectivity=True, transitivity=True)
+    assert report.generators == ((*range(1, 400), 0),) and report.kappa == 4
+    assert len(calls) == 1
+    calls.clear()
+    G = relabelled(H, 5)
+    gens = transitivity_generators(G)
+    assert edge_connectivity(G, automorphisms=gens).value == 4
+    assert len(calls) == 1 + len(gens)  # the refused rotation, then each generator
 
 
 def test_transitive_instances_are_regular():
