@@ -26,10 +26,11 @@ target joins a source set S that starts as {s}, and the next flow starts
 from the flow already in the network: it is conserved at every node
 outside S and the next target, so it is a feasible flow of value 0
 (Hao & Orlin, 1994).  The best cut starts as {s}, of value delta, and
-each flow is capped at the best value so far: a flow that reaches the cap
-cannot improve the answer, so it stops there and builds no witness.  The
-loop stops once the best reaches a floor: 1, the least value of a
-connected input, or kappa' itself when automorphisms certify it (below).
+each flow is capped at the best value so far, or at kappa' + 1 when
+automorphisms certify kappa' (below): a flow that reaches the cap cannot
+change the answer, so it stops there and builds no witness.  The loop
+stops once the best reaches a floor: 1, the least value of a connected
+input, or kappa' itself when automorphisms certify it.
 Most capped flows need not run at all: ``_Dinic.lower_bound`` reads a
 lower bound on the S-t flow from t's own arcs, and a target whose bound
 reaches the cap joins S with no flow.  A skip pushes nothing, and the
@@ -56,20 +57,27 @@ them.  Let a set A of automorphisms carry 0 to every vertex.  A walk
 from 0 to h(0), h a word g_1 ... g_l in A, steps from (g_1 ... g_j-1)(0)
 to (g_1 ... g_j)(0), the image of the pair (0, g_j(0)), so kappa' = min
 over g in A of lambda(0, g(0)).  Such an input is vertex-transitive,
-hence regular, and s = 0.  A comes from two sources.  The rotation
-v -> v + 1 mod n is probed by ``symmetry._rotation``, once per instance
-and only on a regular input, so a caller that found the rotation as its
-generator has it probed already; if it is an automorphism, A is the
-rotation alone: every lambda(i, i + 1) equals
-lambda(0, 1), so every lambda(0, t) >= lambda(0, 1) = kappa', and
-target 1's flow, the loop's first, decides the floor.  Otherwise A is
-the automorphisms the caller holds, and each g(0) other than 0 gets
-one flow of its own, on a fresh network from {0}, capped at the least
-value so far, starting from delta.  Stopping at the floor changes no
-answer: once the best is kappa', a capped flow could return a side only
-below kappa', which no S-t flow is.  A network is built only when a flow
-may run: none when delta = 1, and no merged one when the floor already
-is delta.
+hence regular, and s = 0.  A comes from two sources.  The digit shifts
+of ``symmetry._shifts`` are found once per instance and only on a regular
+input, so a caller that got them as its generators has them tested
+already.  When they are the rotation v -> v + 1 mod n alone, every
+lambda(i, i + 1) equals lambda(0, 1), so every lambda(0, t) >=
+lambda(0, 1) = kappa', and target 1's flow, the loop's first, decides the
+floor.  Otherwise A is the automorphisms the caller holds together with
+the shifts, if several passed, and each g(0) other than 0 gets one flow
+of its own from {0}, capped at the least value so far, starting from
+delta.  These flows share one network, whose capacities are reset after
+each, so each starts from no flow; the merged loop then runs on it too.
+When A carries 0 everywhere, the floor found is kappa' itself, and each
+merged flow is capped at kappa' + 1 as well as at the best value so far:
+an earlier target than t* has an S-t value above kappa', so the cap only
+stops its flow sooner, and t*'s flow ends at kappa', below the cap, with
+the same witness.  The floor of 1 that a connected input has anyway
+certifies nothing, and its flows keep the best value as their only cap.
+Stopping at the floor changes no answer: once the best is kappa', a
+capped flow could return a side only below kappa', which no S-t flow is.
+A network is built only when a flow may run: none when delta = 1, and
+none more when the floor already is delta.
 
 The oracle and the edge atom enumerate vertex sides outright.  Both read
 the boundary sizes from one kernel, ``_side_blocks``, and neither shares
@@ -95,7 +103,7 @@ from .model import (
     degree_extremes,
     is_connected,
 )
-from .symmetry import _orbit_of, _rotation, is_automorphism
+from .symmetry import _orbit_of, _shifts, is_automorphism
 
 __all__ = [
     "CutResult",
@@ -369,10 +377,12 @@ def edge_connectivity(H: Hypergraph, *, automorphisms: Iterable[Sequence[int]] =
 
     The loop also stops once the best value reaches kappa' as certified
     by automorphisms, which changes no answer (see the module docstring):
-    by the rotation v -> v + 1 mod n, probed on a regular input, else by
-    ``automorphisms``, each checked (the rotation, when it passed the
-    probe, is not tested again), when they carry 0 to every vertex.
-    Automorphisms that do not carry 0 everywhere certify nothing.
+    by the rotation v -> v + 1 mod n when it is the one digit shift found
+    on a regular input, else by ``automorphisms``, each checked, and the
+    digit shifts together, when they carry 0 to every vertex; a shift that
+    passed its probe is not tested again.  With such a floor, each merged
+    flow is capped at kappa' + 1.  Automorphisms that do not carry 0
+    everywhere certify nothing.
 
     Raises:
         HypergraphError: if n < 2, or if ``automorphisms`` holds a
@@ -381,8 +391,8 @@ def edge_connectivity(H: Hypergraph, *, automorphisms: Iterable[Sequence[int]] =
     if H.n < 2:
         raise HypergraphError("edge-connectivity is undefined for fewer than 2 vertices")
     autos = list(automorphisms)
-    rotation = _rotation(H)  # when it passed, not tested a second time
-    if not all(p == rotation or is_automorphism(H, p) for p in autos):
+    shifts = _shifts(H) or ()  # each passed its probe, so not tested again
+    if not all(p in shifts or is_automorphism(H, p) for p in autos):
         raise HypergraphError("automorphisms holds a permutation that is not an automorphism")
     comps = H._components
     if len(comps) > 1:
@@ -394,26 +404,37 @@ def edge_connectivity(H: Hypergraph, *, automorphisms: Iterable[Sequence[int]] =
     best = CutResult((s,), H._incidence[s], delta)
     # Automorphisms that carry 0 everywhere make the input transitive, hence
     # regular, so s is 0; with the rotation, target 1 is the loop's first.
-    rotates = rotation is not None
+    rotates = len(shifts) == 1
     floor = 1  # connected, so no target goes below 1
-    if not rotates and len(_orbit_of(0, autos)) == H.n:
-        floor = delta
-        for t in sorted({p[0] for p in autos} - {0}):
-            if floor > 1:
-                value, side = _Dinic(H, 0).max_flow(t, floor)
-                if side is not None:
-                    floor = value
+    ceiling = H.m + 1  # no flow reaches it, as deg(s) <= m
+    net = None
+    if not rotates:
+        autos += shifts
+        if len(_orbit_of(0, autos)) == H.n:
+            floor = delta
+            for t in sorted({p[0] for p in autos} - {0}):
+                if floor > 1:
+                    if net is None:
+                        net = _Dinic(H, 0)
+                        empty = net.cap[:]
+                    value, side = net.max_flow(t, floor)
+                    net.cap[:] = empty  # each flow starts from {0} and no flow
+                    if side is not None:
+                        floor = value
+            ceiling = floor + 1  # the floor is kappa' itself
     if best.value <= floor:
         return best
-    net = _Dinic(H, s)
+    if net is None:
+        net = _Dinic(H, s)
     for t in range(H.n):
         if best.value <= floor:
             break
         if t == s:
             continue
         # a flow the bound already takes to the cap would build no witness
-        if net.lower_bound(t) < best.value:
-            value, side = net.max_flow(t, best.value)
+        cap = min(best.value, ceiling)
+        if net.lower_bound(t) < cap:
+            value, side = net.max_flow(t, cap)
             if side is not None:
                 best = _residual_side(H, value, side)
         net.join(t)

@@ -7,7 +7,7 @@ in the model; the generators in :mod:`hyperconn.constructions` never emit
 them.  ``Hypergraph`` values are immutable and every function here is
 pure, so instances can be shared freely between threads.  An instance
 fills its derived tables (degrees, incidence lists, components, and the
-rotation verdict of :mod:`hyperconn.symmetry`) on first use and keeps
+digit-shift verdict of :mod:`hyperconn.symmetry`) on first use and keeps
 them; each is a tuple, or None, derived from ``n`` and ``edges`` alone
 and plays no part in equality, hashing or ``repr``.  Two threads
 that fill one table at once compute the same value, so either may win.

@@ -4,15 +4,21 @@ Permutations are plain tuples in one-line notation: ``p[v]`` is the image
 of vertex v.  An automorphism must preserve the edge multiset, so
 multi-edges keep their multiplicities.
 
-Transitivity is certified before any search where the rotation
-v -> v + 1 mod n does it.  ``_rotation`` tests the rotation with
-:func:`is_automorphism`, only when n >= 2 and the input is regular, and
-at most once per instance, whose verdict it keeps.  When the rotation
-passes, it carries 0 to every vertex on its own, so a rotation-invariant
+Transitivity is certified before any search where digit shifts do it.
+Read vertex v as a mixed-radix number; the shift of one digit adds 1 to
+that digit modulo its radix and keeps the others.  ``_shifts`` looks for
+a labelling whose every digit shift is an automorphism, digit by digit
+from the lowest, each time taking the largest radix whose shift passes
+:func:`is_automorphism`, with no backtracking.  It runs only when n >= 2
+and the input is regular, and at most once per instance, whose verdict it
+keeps.  Such shifts carry 0 to every vertex.  The first radix tried is n,
+whose shift is the rotation v -> v + 1 mod n, so a rotation-invariant
 input (every circulant, cyclic-difference and complete instance, every
-cycle) gets the rotation as its one generator from
-:func:`transitivity_generators` and one orbit from :func:`vertex_orbits`,
-with no search and no search tables.  The flow route of
+cycle) gets the rotation alone.  The affine grid gets the shifts of its
+column and row, the doubled grid those and the copy swap, and the glued
+family the shifts of position and block.  The shifts are the generators
+from :func:`transitivity_generators`, and :func:`vertex_orbits` gives one
+orbit, with no search and no search tables.  The flow route of
 :mod:`hyperconn.connectivity` reads the same verdict.
 :func:`find_automorphism_mapping` and :func:`enumerate_automorphisms`
 always search.
@@ -141,13 +147,13 @@ def transitivity_generators(H: Hypergraph) -> list[tuple[int, ...]] | None:
     first, so the automorphism it finds for 0 -> t tends to move only the
     vertices up to t (on K_n, the cycle 0 -> t -> t - 1 -> ... -> 0), and
     from the top one search often reaches every vertex (K_30 takes 1
-    generator, not 29).  A rotation-invariant input gets the rotation
-    alone, with no search.  The list is empty when n is 1 (nothing to
-    move).
+    generator, not 29).  An input that digit shifts certify gets those
+    shifts, with no search: a rotation-invariant one the rotation alone.
+    The list is empty when n is 1 (nothing to move).
     """
-    rotation = _rotation(H)
-    if rotation is not None:
-        return [rotation]
+    shifts = _shifts(H)
+    if shifts is not None:
+        return list(shifts)
     gens: list[tuple[int, ...]] = []
     reached = {0}
     for target in range(H.n - 1, 0, -1):
@@ -167,10 +173,10 @@ def vertex_orbits(H: Hypergraph) -> list[list[int]]:
     Every automorphism found is kept, and each orbit is closed under all of
     them before any fresh search, as in :func:`transitivity_generators`.  A
     vertex already placed in an earlier orbit is skipped, and one success
-    can carry the orbit to many later targets at once.  When the rotation
-    is an automorphism, every vertex is in one orbit, with no search.
+    can carry the orbit to many later targets at once.  When digit shifts
+    certify transitivity, every vertex is in one orbit, with no search.
     """
-    if _rotation(H) is not None:
+    if _shifts(H) is not None:
         return [list(range(H.n))]
     gens: list[tuple[int, ...]] = []
     placed = [False] * H.n
@@ -236,21 +242,53 @@ def _check_permutation(H: Hypergraph, p: Sequence[int]) -> None:
         seen[image] = True
 
 
-def _rotation(H: Hypergraph) -> tuple[int, ...] | None:
-    """The rotation v -> v + 1 mod n when it is an automorphism of H, else
-    None.  It is built and tested only when n >= 2 and H is regular, as
-    every vertex-transitive input is, and at most once per instance: the
-    verdict is kept on H beside its derived tables."""
+def _shifts(H: Hypergraph) -> tuple[tuple[int, ...], ...] | None:
+    """Digit shifts of H that carry 0 to every vertex, else None.
+
+    The shift of stride s and radix r cycles the digit (v // s) mod r of
+    every vertex v and keeps the others: v -> v + s, or v - (r - 1) * s
+    when that digit is r - 1.  From s = 1, the largest radix r >= 2 that
+    divides n / s and whose shift is an automorphism is kept and s becomes
+    s * r, until s = n; when no radix passes at some stride the verdict is
+    None, with no backtracking.  The kept shifts cycle every digit of one
+    mixed-radix labelling, so they carry 0 everywhere.  The first probe is
+    the rotation v -> v + 1 mod n, so a rotation-invariant input gets the
+    rotation alone.  A probe first checks that the edges through 0 map onto
+    the edges through s, its image, which refuses most failing shifts
+    before the full test of :func:`is_automorphism`.
+
+    The chain runs only when n >= 2 and H is regular, as every
+    vertex-transitive input is, and at most once per instance: the verdict
+    is kept on H beside its derived tables.
+    """
     known = vars(H)
-    if "_rotation" not in known:
-        degs = H._degrees
-        rotation = None
-        if H.n >= 2 and min(degs) == max(degs):
-            p = (*range(1, H.n), 0)
-            if is_automorphism(H, p):
-                rotation = p
-        known["_rotation"] = rotation
-    return known["_rotation"]
+    if "_shifts" not in known:
+        n, edges, degs = H.n, H.edges, H._degrees
+        found: list[tuple[int, ...]] | None = None
+        if n >= 2 and min(degs) == max(degs):
+            found = []
+            star = [edges[i] for i in H._incidence[0]]
+            stride = 1
+            while found is not None and stride < n:
+                rest = n // stride
+                for radix in range(rest, 1, -1):
+                    if rest % radix:
+                        continue
+                    # the shift rotates each block of span vertices by stride
+                    span = stride * radix
+                    block = (*range(stride, span), *range(stride))
+                    moved = [tuple(sorted([v - v % span + block[v % span] for v in e])) for e in star]
+                    if sorted(moved) != sorted([edges[i] for i in H._incidence[stride]]):
+                        continue
+                    p = block if span == n else tuple([b + x for b in range(0, n, span) for x in block])
+                    if is_automorphism(H, p):
+                        found.append(p)
+                        stride = span
+                        break
+                else:
+                    found = None
+        known["_shifts"] = None if found is None else tuple(found)
+    return known["_shifts"]
 
 
 def _orbit_of(v0: int, gens: list[tuple[int, ...]]) -> set[int]:

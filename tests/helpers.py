@@ -1,7 +1,16 @@
 """Helpers shared by several test modules."""
 
-from hyperconn import Hypergraph, SplitMix64, boundary, cyclic_difference_hypergraph, is_automorphism
+from hyperconn import (
+    Hypergraph,
+    SplitMix64,
+    affine_hypergraph,
+    boundary,
+    cyclic_difference_hypergraph,
+    glued_complete_family,
+    is_automorphism,
+)
 from hyperconn.cli import main
+from hyperconn.constructions import affine_doubled_family
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +58,27 @@ def relabelled(H, seed):
 
 def rotates(H):
     return is_automorphism(H, (*range(1, H.n), 0))
+
+
+def digit_shift(n, stride, radix):
+    """The permutation that adds 1 to the digit (v // stride) mod radix of
+    every vertex v, modulo radix, and keeps its other digits."""
+    return tuple(v + stride if v // stride % radix < radix - 1 else v - (radix - 1) * stride for v in range(n))
+
+
+def shift_families():
+    """(name, instance, digit shifts of its mixed-radix labelling) for the
+    generated families that the rotation does not fix: the affine grid has
+    digits (row, column), the doubled grid (copy, row, column) and the glued
+    family (block, position)."""
+    out = [(f"affine_{k}", affine_hypergraph(k), (digit_shift(k * k, 1, k), digit_shift(k * k, k, k)))
+           for k in (3, 5, 7, 11, 13)]
+    out += [(f"affine_doubled_{k}", affine_doubled_family(k),
+             (digit_shift(2 * k * k, 1, k), digit_shift(2 * k * k, k, k), digit_shift(2 * k * k, k * k, 2)))
+            for k in (3, 5, 7)]
+    out += [(f"glued_complete_{n}_{k}", glued_complete_family(n, k), (digit_shift(n * k, 1, n), digit_shift(n * k, n, k)))
+            for n, k in ((5, 3), (6, 3), (7, 4))]
+    return out
 
 
 # Z_n orbit unions that are transitive but not maximal, with (delta, kappa'):

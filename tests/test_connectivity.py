@@ -41,7 +41,7 @@ from hyperconn import connectivity
 from hyperconn.connectivity import _Dinic, _residual_side, _side_blocks
 from hyperconn.constructions import affine_doubled_family
 
-from helpers import CENSUS, all_min_atom_sides, orbit_union, relabelled, rotates
+from helpers import CENSUS, all_min_atom_sides, orbit_union, relabelled, rotates, shift_families
 
 
 def connects(edges, n, s, t):
@@ -676,7 +676,8 @@ def test_automorphisms_where_one_generator_reaches_the_minimum(monkeypatch):
         assert expected.value == k
         for autos in ((col, row, swap), (row, swap), (swap, col, row)):
             assert edge_connectivity(H, automorphisms=autos) == expected, (k, autos[0][:3])
-        # carrying 0 within its copy only, the translations give no floor
+        # the translations are two of the input's digit shifts, which join
+        # the generators anyway, so handing them over adds no flow
         flows = []
         run = _Dinic.max_flow
         monkeypatch.setattr(_Dinic, "max_flow", lambda net, t, limit: flows.append(t) or run(net, t, limit))
@@ -686,6 +687,41 @@ def test_automorphisms_where_one_generator_reaches_the_minimum(monkeypatch):
         edge_connectivity(H)
         monkeypatch.undo()
         assert plain == flows
+
+
+def test_certified_floor_caps_the_merged_flows(monkeypatch):
+    """Once the digit shifts of glued_complete(7, 4) certify kappa' = 7
+    (block translation) below delta = 21 (the shift within a block reaches
+    delta), each merged flow is capped at kappa' + 1, not at the best value
+    so far: targets 1..6 join with no flow, as their bound reaches 8, and
+    target 7 finds the block as its side.  Without the cap, every target
+    of the first block ran a flow to 21."""
+    limits = []
+    run = _Dinic.max_flow
+    monkeypatch.setattr(_Dinic, "max_flow", lambda net, t, limit: limits.append((t, limit)) or run(net, t, limit))
+    H = glued_complete_family(7, 4)
+    cut = edge_connectivity(H)
+    assert limits == [(1, 21), (7, 21), (7, 8)]
+    assert cut == first_strict_minimum(H) and cut.side == tuple(range(7))
+
+
+def test_shift_families_match_the_oracle():
+    """On every shift-certified family up to the oracle's guard, and on a
+    relabelled copy that the search decides, the flow route with and
+    without generators gives the oracle's value and the cut that separate
+    s-t flows give."""
+    checked = 0
+    for name, H, shifts in shift_families():
+        if H.n > 26:
+            continue
+        for G in (H, relabelled(H, 5)):
+            expected = first_strict_minimum(G)
+            assert expected.value == edge_connectivity_oracle(G).value, name
+            for autos in ((), transitivity_generators(G)):
+                assert edge_connectivity(G, automorphisms=autos) == expected, name
+        assert transitivity_generators(H) == list(shifts), name
+        checked += 1
+    assert checked == 5
 
 
 def test_automorphisms_are_checked():
@@ -704,19 +740,28 @@ def test_automorphisms_are_checked():
 
 def test_edge_connectivity_builds_only_the_networks_it_uses(monkeypatch):
     """No network when the source has degree 1; with generators whose flows
-    all reach delta, one per generator's image of 0 and no merged one.  The
+    all reach delta, one network, on which each generator's image of 0 gets
+    a flow from no flow, and no merged one; where the generators certify a
+    floor below delta, the merged loop runs on that same network.  The
     start cut {s} lists every copy of a multi-edge through s."""
     built = []
+    flows = []
     init = _Dinic.__init__
+    run = _Dinic.max_flow
     monkeypatch.setattr(_Dinic, "__init__", lambda net, H, s: built.append(s) or init(net, H, s))
+    monkeypatch.setattr(_Dinic, "max_flow", lambda net, t, limit: flows.append(t) or run(net, t, limit))
     assert edge_connectivity(path_graph(700)).value == 1
     assert built == []
     H = relabelled(circulant_graph(400, (1, 2)), 5)
     gens = transitivity_generators(H)
     heads = {p[0] for p in gens} - {0}
     built.clear()
+    flows.clear()
     assert edge_connectivity(H, automorphisms=gens) == CutResult.from_side(H, (0,))
-    assert built == [0] * len(heads)
+    assert built == [0] and sorted(flows) == sorted(heads)
+    built.clear()
+    assert edge_connectivity(glued_complete_family(7, 4)).value == 7
+    assert built == [0]
     doubled = Hypergraph(3, ((0, 1), (0, 1), (0, 2), (1, 2), (1, 2)))
     assert edge_connectivity(doubled) == CutResult((0,), (0, 1, 2), 3)
     assert edge_connectivity(doubled) == first_strict_minimum(doubled)

@@ -40,7 +40,7 @@ from hyperconn.cli import analyze, main
 from hyperconn.constructions import affine_doubled_family
 from hyperconn.symmetry import _tables
 
-from helpers import CENSUS, orbit_union, relabelled, rotates, run_cli
+from helpers import CENSUS, orbit_union, relabelled, rotates, run_cli, shift_families
 
 PATH_3 = Hypergraph(3, ((0, 1), (1, 2)))
 MATCHING_4 = Hypergraph(4, ((0, 1), (2, 3)))
@@ -343,21 +343,37 @@ def rotation_invariant_instances():
     return out
 
 
+def certified_instances():
+    """(name, instance, digit shifts) for every rotation-invariant instance,
+    whose one shift is the rotation, and every shift-certified family."""
+    out = [(name, H, ((*range(1, H.n), 0),)) for name, H in rotation_invariant_instances()]
+    return out + shift_families()
+
+
 def test_rotation_decides_transitivity_with_no_search(monkeypatch):
     """On a rotation-invariant input the rotation is the one generator and
-    closes one orbit: no search runs and no search tables are built."""
-    instances = rotation_invariant_instances()
-    assert len(instances) == 28
-    assert all(rotates(H) for _, H in instances)
+    closes one orbit: no search runs and no search tables are built.  The
+    affine, doubled affine and glued families are not rotation-invariant
+    but are fixed by the digit shifts of their own mixed-radix labelling,
+    which they get the same way.  Only the shifts kept reach the full
+    automorphism test."""
+    instances = certified_instances()
+    assert len(instances) == 28 + 11
+    assert sum(rotates(H) for _, H, _ in instances) == 28
 
     def refuse(H, fix):
         raise AssertionError("searched")
 
+    tested = []
+    run = symmetry.is_automorphism
     monkeypatch.setattr(symmetry, "_search", refuse)
+    monkeypatch.setattr(symmetry, "is_automorphism", lambda H, p: tested.append(p) or run(H, p))
     built = _tables.cache_info().misses
-    for name, H in instances:
-        rotation = (*range(1, H.n), 0)
-        assert transitivity_generators(H) == [rotation], name
+    for name, H, shifts in instances:
+        tested.clear()
+        assert transitivity_generators(H) == list(shifts), name
+        # the edges through 0 refuse every other shift tried on the way
+        assert tested == list(shifts), name
         assert vertex_orbits(H) == [list(range(H.n))], name
         assert is_vertex_transitive(H), name
     assert _tables.cache_info().misses == built
@@ -369,18 +385,19 @@ def test_rotation_decides_transitivity_with_no_search(monkeypatch):
 
 
 def test_rotation_route_matches_the_search(tmp_path, capsys):
-    """A relabelled copy of each rotation-invariant input is not fixed by
-    the rotation, so the search decides it, and it still finds the input
-    transitive with one orbit; the `--machine` view of `analyze
-    --connectivity --transitivity` is the same for both.  A complete
-    input is every relabelling of itself, so its copy is the input."""
+    """A relabelled copy of each rotation-invariant or shift-certified
+    input is fixed by no chain of digit shifts, so the search decides it,
+    and it still finds the input transitive with one orbit; the `--machine`
+    view of `analyze --connectivity --transitivity` is the same for both.
+    A complete input is every relabelling of itself, so its copy is the
+    input."""
     unmoved = []
-    for name, H in rotation_invariant_instances():
+    for name, H, _ in certified_instances():
         G = relabelled(H, 5)
         if Counter(G.edges) == Counter(H.edges):
             unmoved.append(name)
             continue
-        assert not rotates(G), name
+        assert symmetry._shifts(G) is None, name
         gens = transitivity_generators(G)
         assert gens is not None and orbit_of_zero(G, gens) == set(range(G.n)), name
         assert vertex_orbits(G) == [list(range(G.n))], name
@@ -421,77 +438,128 @@ def brute_orbits(H):
     return list(orbits.values())
 
 
-def zn_orbit_bases(n, sizes):
-    """One base block per Z_n orbit of the subsets of the given sizes."""
+def grid_translate(a, b, e, x, y):
+    """Edge e of Z_a x Z_b, vertex v being (v // b, v % b), moved by (x, y)."""
+    return tuple(sorted(((v // b + x) % a) * b + (v % b + y) % b for v in e))
+
+
+def grid_orbit_bases(a, b, sizes):
+    """One base block per Z_a x Z_b orbit of the subsets of the given sizes."""
     seen = set()
     bases = []
     for k in sizes:
-        for b in combinations(range(n), k):
-            if b not in seen:
-                seen.update(tuple(sorted((x + s) % n for x in b)) for s in range(n))
-                bases.append(b)
+        for e in combinations(range(a * b), k):
+            if e not in seen:
+                seen.update(grid_translate(a, b, e, x, y) for x in range(a) for y in range(b))
+                bases.append(e)
     return bases
 
 
 def test_vertex_orbits_on_small_orbit_unions():
     """vertex_orbits against brute-force permutations on every union of Z_n
-    orbits with n <= 5 and every circulant graph (a union of orbits of
-    2-subsets, the edgeless one included) with n <= 8."""
-    count = 0
-    for n in range(2, 9):
-        bases = zn_orbit_bases(n, range(2, n + 1) if n <= 5 else (2,))
+    orbits (Z_1 x Z_n) with n <= 5, every circulant graph (a union of
+    orbits of 2-subsets, the edgeless one included) with n <= 8, and every
+    union of Z_a x Z_b orbits of 2- and 3-subsets with a * b <= 6 and of
+    2-subsets with a * b = 8.  Most of the last are fixed by two digit
+    shifts and not by the rotation."""
+    groups = [(1, n, range(2, n + 1) if n <= 5 else (2,)) for n in range(2, 9)]
+    groups += [(2, 2, (2, 3)), (2, 3, (2, 3)), (3, 2, (2, 3)), (2, 4, (2,)), (4, 2, (2,))]
+    count = shifted = 0
+    for a, b, sizes in groups:
+        bases = grid_orbit_bases(a, b, sizes)
         for r in range(len(bases) + 1):
             for chosen in combinations(bases, r):
-                H = orbit_union(n, chosen)
-                assert vertex_orbits(H) == brute_orbits(H) == [list(range(n))], (n, chosen)
+                edges = {grid_translate(a, b, e, x, y) for e in chosen for x in range(a) for y in range(b)}
+                H = Hypergraph(a * b, tuple(sorted(edges)))
+                assert vertex_orbits(H) == brute_orbits(H) == [list(range(a * b))], (a, b, chosen)
                 count += 1
-    assert count == 118
+                shifted += len(symmetry._shifts(H)) > 1
+    assert count == 118 + 336 and shifted == 264
 
 
 def test_rotation_edge_cases(monkeypatch):
     """One vertex has nothing to move and two edgeless vertices the swap.
     On a regular multigraph whose rotation moves a doubled edge onto a
-    single one the rotation is refused and the search still finds the
-    input transitive.  A non-regular input never tests the rotation."""
+    single one the rotation is refused, and the shifts of the low and the
+    high binary digit, both automorphisms, are kept.  A 6-cycle whose edges
+    are doubled and single in turn is transitive, but no digit shift fixes
+    it, so the search decides it.  On two 4-cycles, 7 0 1 2 and 3 4 5 6,
+    the rotation maps the edges through 0 onto those through 1, so only
+    the full test refuses it.  A non-regular input never tests a shift,
+    even one whose image of vertex 0's edges passes (the 5-cycle with a
+    chord)."""
     assert transitivity_generators(Hypergraph(1, ())) == []
     assert vertex_orbits(Hypergraph(1, ())) == [[0]]
     assert transitivity_generators(Hypergraph(2, ())) == [(1, 0)]
     assert vertex_orbits(Hypergraph(2, ())) == [[0, 1]]
     H = Hypergraph(4, ((0, 1), (0, 1), (2, 3), (2, 3), (1, 2), (0, 3)))
     assert {degree(H, v) for v in range(4)} == {3}
-    assert symmetry._rotation(H) is None
-    gens = transitivity_generators(H)
-    assert gens is not None and orbit_of_zero(H, gens) == set(range(4))
+    assert not rotates(H)
+    tested = []
+    run = symmetry.is_automorphism
+    monkeypatch.setattr(symmetry, "is_automorphism", lambda H, p: tested.append(p) or run(H, p))
+    assert transitivity_generators(H) == [(1, 0, 3, 2), (2, 3, 0, 1)]
+    # the doubled edge through 0 refuses the rotation before the full test
+    assert tested == [(1, 0, 3, 2), (2, 3, 0, 1)]
+    assert all(is_automorphism(H, p) for p in transitivity_generators(H))
     assert vertex_orbits(H) == [[0, 1, 2, 3]]
+    C = Hypergraph(6, ((0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 4), (4, 5), (4, 5), (0, 5)))
+    assert {degree(C, v) for v in range(6)} == {3}
+    assert symmetry._shifts(C) is None
+    gens = transitivity_generators(C)
+    assert gens is not None and orbit_of_zero(C, gens) == set(range(6))
+    assert vertex_orbits(C) == [list(range(6))]
+    squares = Hypergraph(8, ((0, 7), (0, 1), (1, 2), (2, 7), (3, 4), (4, 5), (5, 6), (3, 6)))
+    assert symmetry._shifts(squares) is None
+    gens = transitivity_generators(squares)
+    assert gens is not None and orbit_of_zero(squares, gens) == set(range(8))
 
     def refuse(H, p):
-        raise AssertionError("rotation tested")
+        raise AssertionError("shift tested")
 
     monkeypatch.setattr(symmetry, "is_automorphism", refuse)
-    for H in (PATH_3, Hypergraph(5, ((0, 1, 2), (2, 3), (3, 4), (0, 4))), random_uniform_hypergraph(8, 3, 10, 42)):
-        assert symmetry._rotation(H) is None
+    chord = Hypergraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (2, 4)))
+    non_regular = (PATH_3, Hypergraph(5, ((0, 1, 2), (2, 3), (3, 4), (0, 4))), chord, random_uniform_hypergraph(8, 3, 10, 42))
+    for H in non_regular:
+        assert symmetry._shifts(H) is None
         assert vertex_orbits(H) == orbit_partition(H.n, enumerate_automorphisms(H))
         edge_connectivity(H)
 
 
 def test_rotation_is_tested_once_per_instance(monkeypatch):
-    """`analyze --transitivity --connectivity` and `verify theorem` test the
-    rotation once: the transitivity phase probes it, and the flow route
-    reads the verdict and takes the rotation it was handed as checked."""
+    """`analyze --transitivity --connectivity` runs the chain of digit
+    shifts once per instance: the transitivity phase runs it, and the flow
+    route reads the verdict and takes the shifts it was handed as checked.
+    Generators the search found are each tested once more."""
     calls = []
     run = symmetry.is_automorphism
     check = lambda H, p: calls.append(p) or run(H, p)  # noqa: E731
     monkeypatch.setattr(symmetry, "is_automorphism", check)
     monkeypatch.setattr(connectivity, "is_automorphism", check)
-    H = circulant_graph(400, (1, 2))
-    report = analyze(H, connectivity=True, transitivity=True)
-    assert report.generators == ((*range(1, 400), 0),) and report.kappa == 4
-    assert len(calls) == 1
-    calls.clear()
-    G = relabelled(H, 5)
+
+    def chain(H):
+        """The automorphism tests of one run of the chain, on a copy of H."""
+        symmetry._shifts(Hypergraph(H.n, H.edges))
+        tests = calls[:]
+        calls.clear()
+        return tests
+
+    cases = (
+        (circulant_graph(400, (1, 2)), 4),
+        (affine_doubled_family(5), 5),
+        (glued_complete_family(7, 4), 7),
+    )
+    for H, kappa in cases:
+        tests = chain(H)
+        report = analyze(H, connectivity=True, transitivity=True)
+        assert report.generators == symmetry._shifts(H) and report.kappa == kappa
+        assert calls == tests and tests
+        calls.clear()
+    G = relabelled(cases[0][0], 5)
+    tests = chain(G)
     gens = transitivity_generators(G)
     assert edge_connectivity(G, automorphisms=gens).value == 4
-    assert len(calls) == 1 + len(gens)  # the refused rotation, then each generator
+    assert calls == tests + gens
 
 
 def test_transitive_instances_are_regular():
