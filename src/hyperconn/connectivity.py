@@ -28,9 +28,9 @@ outside S and the next target, so it is a feasible flow of value 0
 (Hao & Orlin, 1994).  The best cut starts as {s}, of value delta, and
 each flow is capped at the best value so far, or at kappa' + 1 when
 automorphisms certify kappa' (below): a flow that reaches the cap cannot
-change the answer, so it stops there and builds no witness.  The loop
-stops once the best reaches a floor: 1, the least value of a connected
-input, or kappa' itself when automorphisms certify it.
+change the answer, so it stops there and builds no witness.  After each
+target the loop stops once the best reaches a floor: 1, the least value
+of a connected input, or kappa' itself when automorphisms certify it.
 Most capped flows need not run at all: ``_Dinic.lower_bound`` reads a
 lower bound on the S-t flow from t's own arcs, and a target whose bound
 reaches the cap joins S with no flow.  A skip pushes nothing, and the
@@ -57,23 +57,24 @@ them.  Let a set A of automorphisms carry 0 to every vertex.  A walk
 from 0 to h(0), h a word g_1 ... g_l in A, steps from (g_1 ... g_j-1)(0)
 to (g_1 ... g_j)(0), the image of the pair (0, g_j(0)), so kappa' = min
 over g in A of lambda(0, g(0)).  Such an input is vertex-transitive,
-hence regular, and s = 0.  A comes from two sources.  The digit shifts
-of ``symmetry._shifts`` are found once per instance and only on a regular
-input, so a caller that got them as its generators has them tested
-already.  When they are the rotation v -> v + 1 mod n alone, every
-lambda(i, i + 1) equals lambda(0, 1), so every lambda(0, t) >=
-lambda(0, 1) = kappa', and target 1's flow, the loop's first, decides the
-floor.  Otherwise A is the automorphisms the caller holds together with
-the shifts, if several passed, and each g(0) other than 0 gets one flow
-of its own from {0}, capped at the least value so far, starting from
-delta.  These flows share one network, whose capacities are reset after
-each, so each starts from no flow; the merged loop then runs on it too.
-When A carries 0 everywhere, the floor found is kappa' itself, and each
-merged flow is capped at kappa' + 1 as well as at the best value so far:
-an earlier target than t* has an S-t value above kappa', so the cap only
-stops its flow sooner, and t*'s flow ends at kappa', below the cap, with
-the same witness.  The floor of 1 that a connected input has anyway
-certifies nothing, and its flows keep the best value as their only cap.
+hence regular, and s = 0.  A is the digit shifts of ``symmetry._shifts``
+when they passed, else the automorphisms the caller holds, each checked.
+The shifts are found once per instance and only on a regular input, so a
+caller that got them as its generators has them tested already.  Each
+image g(0) other than 0 and 1 gets one flow of its own from {0}, capped
+at the least value so far, starting from delta.  These flows share one
+network, whose capacities are reset after each, so each starts from no
+flow; the merged loop then runs on it too.  Target 1's flow is the loop's
+first, from the same {0}, so when 1 is an image that flow serves both, and
+the floor is complete once it is done; the rotation v -> v + 1 mod n is
+the case whose only image is 1.  Each merged flow is capped at the floor
+of the other images plus 1, as well as at the best value so far.  Target
+1's flow finds lambda(0, 1) with its witness when that is below the cap,
+and otherwise the floor of the other images is kappa' itself.  An earlier
+target than t* has an S-t value above kappa', so the cap only stops its
+flow sooner, and t*'s flow ends at kappa', below the cap, with the same
+witness.  The floor of 1 that a connected input has anyway certifies
+nothing, and its flows keep the best value as their only cap.
 Stopping at the floor changes no answer: once the best is kappa', a
 capped flow could return a side only below kappa', which no S-t flow is.
 A network is built only when a flow may run: none when delta = 1, and
@@ -377,12 +378,12 @@ def edge_connectivity(H: Hypergraph, *, automorphisms: Iterable[Sequence[int]] =
 
     The loop also stops once the best value reaches kappa' as certified
     by automorphisms, which changes no answer (see the module docstring):
-    by the rotation v -> v + 1 mod n when it is the one digit shift found
-    on a regular input, else by ``automorphisms``, each checked, and the
-    digit shifts together, when they carry 0 to every vertex; a shift that
-    passed its probe is not tested again.  With such a floor, each merged
-    flow is capped at kappa' + 1.  Automorphisms that do not carry 0
-    everywhere certify nothing.
+    by the digit shifts found on a regular input, else by
+    ``automorphisms``, each checked, when they carry 0 to every vertex;
+    a shift that passed its probe is not tested again.  Target 1's flow,
+    the loop's first, also serves as the flow of 1 as an image of 0.  With
+    such a floor, each merged flow is capped at kappa' + 1.  Automorphisms
+    that do not carry 0 everywhere certify nothing.
 
     Raises:
         HypergraphError: if n < 2, or if ``automorphisms`` holds a
@@ -402,33 +403,31 @@ def edge_connectivity(H: Hypergraph, *, automorphisms: Iterable[Sequence[int]] =
     s = degs.index(delta)
     # every edge through s crosses {s}, once per copy
     best = CutResult((s,), H._incidence[s], delta)
-    # Automorphisms that carry 0 everywhere make the input transitive, hence
-    # regular, so s is 0; with the rotation, target 1 is the loop's first.
-    rotates = len(shifts) == 1
-    floor = 1  # connected, so no target goes below 1
+    certs = shifts or autos
+    floor = certified = 1  # connected, so no target goes below 1
     ceiling = H.m + 1  # no flow reaches it, as deg(s) <= m
     net = None
-    if not rotates:
-        autos += shifts
-        if len(_orbit_of(0, autos)) == H.n:
-            floor = delta
-            for t in sorted({p[0] for p in autos} - {0}):
-                if floor > 1:
-                    if net is None:
-                        net = _Dinic(H, 0)
-                        empty = net.cap[:]
-                    value, side = net.max_flow(t, floor)
-                    net.cap[:] = empty  # each flow starts from {0} and no flow
-                    if side is not None:
-                        floor = value
-            ceiling = floor + 1  # the floor is kappa' itself
+    if len(_orbit_of(0, certs)) == H.n:
+        # transitive, hence regular, so s is 0 and target 1 is the loop's first
+        images = {p[0] for p in certs} - {0}
+        certified = delta
+        for t in sorted(images - {1}):
+            if certified > 1:
+                if net is None:
+                    net = _Dinic(H, 0)
+                    empty = net.cap[:]
+                value, side = net.max_flow(t, certified)
+                net.cap[:] = empty  # each flow starts from {0} and no flow
+                if side is not None:
+                    certified = value
+        ceiling = certified + 1  # above kappa' + 1 only if target 1 then ends the loop
+        if 1 not in images:
+            floor = certified
     if best.value <= floor:
         return best
     if net is None:
         net = _Dinic(H, s)
     for t in range(H.n):
-        if best.value <= floor:
-            break
         if t == s:
             continue
         # a flow the bound already takes to the cap would build no witness
@@ -438,8 +437,9 @@ def edge_connectivity(H: Hypergraph, *, automorphisms: Iterable[Sequence[int]] =
             if side is not None:
                 best = _residual_side(H, value, side)
         net.join(t)
-        if rotates:
-            break  # the best is now lambda(0, 1), which is kappa'
+        floor = certified  # complete once target 1, the first, is done
+        if best.value <= floor:
+            break
     return best
 
 

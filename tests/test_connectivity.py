@@ -578,14 +578,15 @@ def test_edge_connectivity_skips_flows_the_bound_certifies(monkeypatch):
     give.  The flow counts are ceilings: the planes and the doubled family
     run at most two fifths of their n - 1 flows and the cycle one.  The
     rotation v -> v + 1 is an automorphism of the circulant and of PG(2,5),
-    so target 1's flow decides them.  The best value starts at the source's
-    degree, so K_30, whose every bound reaches it, and the path, whose
-    source has degree 1, run none."""
+    so target 1's flow decides them, also when the caller hands over the
+    rotation and its square.  The best value starts at the source's degree,
+    so K_30, whose every bound reaches it, and the path, whose source has
+    degree 1, run none."""
     cases = (
         (affine_hypergraph(7), 6),
         (affine_hypergraph(11), 10),
         (cyclic_difference_hypergraph(31, (0, 1, 3, 8, 12, 18)), 1),  # PG(2,5)
-        (affine_doubled_family(7), 19),
+        (affine_doubled_family(7), 15),
         (circulant_graph(400, (1, 2)), 1),
         (circulant_graph(300, (1,)), 1),
         (complete_uniform(30, 2), 0),
@@ -599,11 +600,19 @@ def test_edge_connectivity_skips_flows_the_bound_certifies(monkeypatch):
         cut = edge_connectivity(H)
         assert len(flows) <= ceiling, (H.n, len(flows))
         assert cut == first_strict_minimum(H), H.n
+    H = circulant_graph(400, (1, 2))
+    rotation = (*range(1, 400), 0)
+    square = tuple(rotation[v] for v in rotation)
+    plain = edge_connectivity(H)
+    flows.clear()
+    assert edge_connectivity(H, automorphisms=(rotation, square)) == plain
+    assert flows == [1]
 
 
 def test_edge_connectivity_on_census_counterexamples(monkeypatch):
     """On each census instance the rotation ends the loop after target 1,
-    with the cut separate s-t flows give and the oracle's value.  Relabelled
+    with the cut separate s-t flows give and the oracle's value, whether or
+    not its generators are handed over as well.  Relabelled
     copies are not rotation-invariant: they run the plain loop, and with
     their generators the flows of their own, with the same cut."""
     flows = []
@@ -618,6 +627,9 @@ def test_edge_connectivity_on_census_counterexamples(monkeypatch):
         assert cut.value == kappa, bases
         assert cut == first_strict_minimum(H), bases
         assert cut.value == edge_connectivity_oracle(H).value, bases
+        flows.clear()
+        assert edge_connectivity(H, automorphisms=transitivity_generators(H)) == cut
+        assert flows == [1], bases
         for seed in (1, 2):
             G = relabelled(H, seed)
             assert not rotates(G), (bases, seed)
@@ -691,37 +703,51 @@ def test_automorphisms_where_one_generator_reaches_the_minimum(monkeypatch):
 
 def test_certified_floor_caps_the_merged_flows(monkeypatch):
     """Once the digit shifts of glued_complete(7, 4) certify kappa' = 7
-    (block translation) below delta = 21 (the shift within a block reaches
-    delta), each merged flow is capped at kappa' + 1, not at the best value
-    so far: targets 1..6 join with no flow, as their bound reaches 8, and
-    target 7 finds the block as its side.  Without the cap, every target
-    of the first block ran a flow to 21."""
+    (block translation) below delta = 21, each merged flow is capped at
+    kappa' + 1, not at the best value so far: targets 1..6 join with no
+    flow, as their bound reaches 8, and target 7 finds the block as its
+    side.  Without the cap, every target of the first block ran a flow to
+    21.  Target 1, the image of the shift within a block, gets no flow of
+    its own: the merged loop's first target is the same flow from {0}, so
+    no flow runs twice, on the doubled grid either."""
     limits = []
     run = _Dinic.max_flow
     monkeypatch.setattr(_Dinic, "max_flow", lambda net, t, limit: limits.append((t, limit)) or run(net, t, limit))
     H = glued_complete_family(7, 4)
     cut = edge_connectivity(H)
-    assert limits == [(1, 21), (7, 21), (7, 8)]
+    assert limits == [(7, 21), (7, 8)]
     assert cut == first_strict_minimum(H) and cut.side == tuple(range(7))
+    limits.clear()
+    assert edge_connectivity(glued_complete_family(12, 4)).value == 12
+    assert limits == [(12, 166), (12, 13)]
+    H = affine_doubled_family(5)
+    expected = first_strict_minimum(H)
+    limits.clear()
+    assert edge_connectivity(H) == expected
+    # the row shift's and the copy swap's flows, then the merged loop, each
+    # capped at delta = 6, which is kappa' + 1 too
+    assert limits == [(t, 6) for t in (5, 25, 1, 2, 3, 4, 5, 10, 15, 20, 25)]
 
 
 def test_shift_families_match_the_oracle():
-    """On every shift-certified family up to the oracle's guard, and on a
-    relabelled copy that the search decides, the flow route with and
-    without generators gives the oracle's value and the cut that separate
-    s-t flows give."""
-    checked = 0
+    """On every shift-certified family with n <= 100, and on a relabelled
+    copy that the search decides, the flow route with and without
+    generators gives the cut that separate s-t flows give, and up to the
+    oracle's guard the oracle's value."""
+    checked = oracle = 0
     for name, H, shifts in shift_families():
-        if H.n > 26:
+        if H.n > 100:
             continue
         for G in (H, relabelled(H, 5)):
             expected = first_strict_minimum(G)
-            assert expected.value == edge_connectivity_oracle(G).value, name
+            if G.n <= 26:
+                assert expected.value == edge_connectivity_oracle(G).value, name
+                oracle += 1
             for autos in ((), transitivity_generators(G)):
                 assert edge_connectivity(G, automorphisms=autos) == expected, name
         assert transitivity_generators(H) == list(shifts), name
         checked += 1
-    assert checked == 5
+    assert (checked, oracle) == (9, 10)
 
 
 def test_automorphisms_are_checked():
