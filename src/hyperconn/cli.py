@@ -16,6 +16,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
+from math import comb
 from pathlib import Path
 
 from .connectivity import (
@@ -40,6 +41,7 @@ from .constructions import (
 )
 from .model import (
     Hypergraph,
+    _MAX_EDGES,
     HypergraphError,
     _check_vertex_count,
     _mask_vertices,
@@ -55,46 +57,55 @@ from .symmetry import transitivity_generators
 
 __all__ = ["AnalysisReport", "analyze", "render_machine", "render_human", "main"]
 
+
+def _subsets(n: int, k: int) -> int:
+    """C(n, k), or 0 unless 0 <= k <= n.  When k and n - k both pass 21,
+    C(n, 21) >= C(42, 21), about 5 * 10^11, stands in: it is far past the
+    edge cap, and the exact count can take seconds (12 s for k = n/2 at the
+    vertex cap)."""
+    return comb(n, min(k, n - k, 21)) if 0 <= k <= n else 0
+
+
 # generate's families: each name maps to its parameters (in the order the
 # generator takes them and the first provenance line names them), its
-# generator, the vertex count as a function of the parameters, and the
-# further provenance lines as a function of the instance.
+# generator, (vertex count, most edges) as a function of the parameters,
+# and the further provenance lines as a function of the instance.
 _FAMILIES = {
-    "complete": (("n", "k"), complete_uniform, lambda n, k: n, lambda H: ()),
+    "complete": (("n", "k"), complete_uniform, lambda n, k: (n, _subsets(n, k)), lambda H: ()),
     "glued-complete": (
         ("n", "k"),
         glued_complete_family,
-        lambda n, k: n * k,
+        lambda n, k: (n * k, k * _subsets(n, k) + n),
         lambda H: ("labels: block i (1-based) holds vertices (i-1)*n..i*n-1; label (v,i) -> (i-1)*n+(v-1)",),
     ),
     "affine": (
         ("k",),
         affine_hypergraph,
-        lambda k: k * k,
+        lambda k: (k * k, k * k),
         lambda H: ("labels: 1-based grid point p -> vertex p-1",),
     ),
     "affine-doubled": (
         ("k",),
         affine_doubled_family,
-        lambda k: 2 * k * k,
+        lambda k: (2 * k * k, 2 * k * k + k),
         lambda H: ("labels: 1-based grid point p -> vertex p-1; twin copy at offset k*k",),
     ),
     "cyclic-difference": (
         ("n", "base"),
         cyclic_difference_hypergraph,
-        lambda n, base: n,
+        lambda n, base: (n, n),
         lambda H: (f"linear={_render(is_linear(H).linear)}",),
     ),
     "circulant": (
         ("n", "offsets"),
         circulant_graph,
-        lambda n, offsets: n,
+        lambda n, offsets: (n, n * len(set(offsets))),
         lambda H: (f"connected={_render(is_connected(H))}",),
     ),
     "random": (
         ("n", "k", "m", "seed"),
         random_uniform_hypergraph,
-        lambda n, k, m, seed: n,
+        lambda n, k, m, seed: (n, m),
         lambda H: (),
     ),
 }
@@ -233,10 +244,8 @@ def render_human(report: AnalysisReport) -> str:
     else:
         pair, i, j = report.linear_witness
         lines.append(f"linear: no (pair {pair[0]},{pair[1]} repeats in edges {i} and {j})")
-    if report.connected:
-        lines.append("connected: yes")
-    else:
-        lines.append(f"connected: no ({report.component_count} components)")
+    components = f"no ({report.component_count} components)"
+    lines.append("connected: " + ("yes" if report.connected else components))
     if report.kappa is not None:
         lines.append(f"edge connectivity: {report.kappa}")
         lines.append("  witness side: " + _render_ints(report.cut.side))
@@ -270,11 +279,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _build_instance(args: argparse.Namespace) -> tuple[Hypergraph, list[str]]:
-    params, generator, vertices, provenance = _FAMILIES[args.family]
+    params, generator, counts, provenance = _FAMILIES[args.family]
     values = [_require(args, name) for name in params]
     # refuse an over-cap instance before building it; a count below 1 is
     # left to the generator, whose message names the parameter
-    _check_vertex_count(max(vertices(*values), 1))
+    vertices, edges = counts(*values)
+    _check_vertex_count(max(vertices, 1))
+    if edges > _MAX_EDGES:
+        raise HypergraphError(f"too many edges, family {args.family!r} asks for more than {_MAX_EDGES}")
     H = generator(*values)
     settings = "".join(f" {name}={_render(value)}" for name, value in zip(params, values))
     return H, [f"family={args.family}{settings}", *provenance(H)]
@@ -285,16 +297,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     with _timed(timings, "parse"):
         H = _read_instance(args.path)
     report = analyze(
-        H,
-        connectivity=args.connectivity,
-        transitivity=args.transitivity,
-        atom=args.atom,
+        H, connectivity=args.connectivity, transitivity=args.transitivity, atom=args.atom
     )
     report.timings_ms = {**timings, **report.timings_ms}
-    if args.machine:
-        sys.stdout.write(render_machine(report))
-    else:
-        sys.stdout.write(render_human(report))
+    sys.stdout.write((render_machine if args.machine else render_human)(report))
     return 0
 
 
@@ -390,11 +396,9 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
 
 def _verdict_exit_code(rows) -> int:
     failed = [r for r in rows if r[4] == "FAIL"]
-    if failed:
-        for row in failed:
-            print(f"critical: {row[0]} violates kappa == delta under satisfied hypotheses")
-        return 1
-    return 0
+    for row in failed:
+        print(f"critical: {row[0]} violates kappa == delta under satisfied hypotheses")
+    return 1 if failed else 0
 
 
 def _hypothesis_gap(H: Hypergraph, which: str) -> str | None:
@@ -582,7 +586,3 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,16 +1,19 @@
 """Hypergraph instances, structural predicates, and boundary operators.
 
 Vertices are the integers ``0..n-1``, with 1 <= n <= 2**20 whether an
-instance is built or parsed.  An edge is a strictly increasing tuple of at
-least two vertices.  Duplicate edges (multi-edges) are legal
-in the model; the generators in :mod:`hyperconn.constructions` never emit
-them.  ``Hypergraph`` values are immutable and every function here is
-pure, so instances can be shared freely between threads.  An instance
-fills its derived tables (degrees, incidence lists, components, and the
-digit-shift verdict of :mod:`hyperconn.symmetry`) on first use and keeps
-them; each is a tuple, or None, derived from ``n`` and ``edges`` alone
-and plays no part in equality, hashing or ``repr``.  Two threads
-that fill one table at once compute the same value, so either may win.
+instance is built or parsed (``hyperconn generate`` also builds at most
+2**20 edges).  An edge is a strictly increasing tuple of at least two
+vertices.  Duplicate edges (multi-edges) are legal in the model; the
+generators in :mod:`hyperconn.constructions` never emit them.
+``Hypergraph`` values are immutable and every function here is pure, so
+instances can be shared freely between threads.  An instance fills its
+derived tables on first use and keeps them while it lives: degrees,
+incidence lists and components (tuples), and for :mod:`hyperconn.symmetry`
+the edge multiset (a Counter), the digit-shift verdict (a tuple, or None)
+and the search tables (lists of bitmasks).  Each is derived from ``n`` and
+``edges`` alone, never changed once filled, and plays no part in
+equality, hashing or ``repr``.  Two threads that fill one table at once
+compute the same value, so either may win.
 
 File format (UTF-8 text, LF line endings):
 
@@ -54,6 +57,7 @@ __all__ = [
 
 
 _MAX_VERTICES = 1 << 20  # the largest n an instance may have
+_MAX_EDGES = 1 << 20  # the most edges ``hyperconn generate`` builds
 
 
 class HypergraphError(ValueError):

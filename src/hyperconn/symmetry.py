@@ -62,12 +62,13 @@ non-linear glued instances, so only a pinned edge restricts its vertices.
 
 The next vertex is one with a single value left, else the one touching the
 most edges that hold an assigned vertex, then the one with the smallest
-domain.  Leaves are verified against the full edge multiset before being
+domain.  Leaves are verified by :func:`is_automorphism` before being
 reported, so the relaxations never surface a false positive.  The tables
 these rules read are built once per hypergraph, in time linear in its
-incidences (times the cost of one n-bit mask operation), and kept for the
-most recent one, which the per-target searches of
-:func:`transitivity_generators` and :func:`vertex_orbits` share.  Which
+incidences (times the cost of one n-bit mask operation), and kept on it
+with its edge multiset and shift verdict: the per-target searches of
+:func:`transitivity_generators` and :func:`vertex_orbits` share them, and
+they are freed with it.  Which
 automorphism a search returns depends on this order, so the generator lists
 do too; the verdicts and orbits do not.
 """
@@ -75,10 +76,10 @@ do too; the verdicts and orbits do not.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import wraps
 from itertools import islice
 from types import SimpleNamespace
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import Hypergraph, HypergraphError, _as_vertex_set, _check_vertex
 
@@ -119,11 +120,14 @@ def is_automorphism(H: Hypergraph, p: Sequence[int]) -> bool:
     Raises:
         HypergraphError: if p has the wrong length or is not a bijection.
     """
-    _check_permutation(H, p)
+    if len(p) != H.n:
+        raise HypergraphError(f"permutation has length {len(p)}, expected {H.n}")
+    if sorted(p) != list(range(H.n)):
+        raise HypergraphError("permutation is not a bijection on the vertex set")
     mapped = Counter([tuple(sorted([p[v] for v in e])) for e in H.edges])
     # both hold positive counts only, so dict equality, which runs in C, is
     # multiset equality; Counter's own == loops in Python
-    return dict.__eq__(mapped, Counter(H.edges))
+    return dict.__eq__(mapped, _edge_multiset(H))
 
 
 def find_automorphism_mapping(H: Hypergraph, u: int, v: int) -> tuple[int, ...] | None:
@@ -225,23 +229,31 @@ def is_block_of_imprimitivity(
     for p in autos:
         if not is_automorphism(H, p):
             raise HypergraphError("autos contains a permutation that is not an automorphism")
-        image = {p[x] for x in xs}
-        overlap = image & xs
+        overlap = {p[x] for x in xs} & xs
         if overlap and overlap != xs:
             return BlockVerdict(False, tuple(p))
     return BlockVerdict(True, None)
 
 
-def _check_permutation(H: Hypergraph, p: Sequence[int]) -> None:
-    if len(p) != H.n:
-        raise HypergraphError(f"permutation has length {len(p)}, expected {H.n}")
-    seen = [False] * H.n
-    for image in p:
-        if not 0 <= image < H.n or seen[image]:
-            raise HypergraphError("permutation is not a bijection on the vertex set")
-        seen[image] = True
+def _kept(build: Callable) -> Callable:
+    """``build`` with ``build(H)`` kept on H under build's name, beside the
+    derived tables of :class:`Hypergraph`: built on first use, freed with H."""
+
+    def get(H: Hypergraph):
+        known = vars(H)
+        if build.__name__ not in known:
+            known[build.__name__] = build(H)
+        return known[build.__name__]
+
+    return wraps(build)(get)
 
 
+@_kept
+def _edge_multiset(H: Hypergraph) -> Counter:
+    return Counter(H.edges)
+
+
+@_kept
 def _shifts(H: Hypergraph) -> tuple[tuple[int, ...], ...] | None:
     """Digit shifts of H that carry 0 to every vertex, else None.
 
@@ -255,40 +267,34 @@ def _shifts(H: Hypergraph) -> tuple[tuple[int, ...], ...] | None:
     the rotation v -> v + 1 mod n, so a rotation-invariant input gets the
     rotation alone.  A probe first checks that the edges through 0 map onto
     the edges through s, its image, which refuses most failing shifts
-    before the full test of :func:`is_automorphism`.
-
-    The chain runs only when n >= 2 and H is regular, as every
-    vertex-transitive input is, and at most once per instance: the verdict
-    is kept on H beside its derived tables.
+    before the full test of :func:`is_automorphism`.  The chain runs only
+    on a regular input with n >= 2, as every vertex-transitive one is.
     """
-    known = vars(H)
-    if "_shifts" not in known:
-        n, edges, degs = H.n, H.edges, H._degrees
-        found: list[tuple[int, ...]] | None = None
-        if n >= 2 and min(degs) == max(degs):
-            found = []
-            star = [edges[i] for i in H._incidence[0]]
-            stride = 1
-            while found is not None and stride < n:
-                rest = n // stride
-                for radix in range(rest, 1, -1):
-                    if rest % radix:
-                        continue
-                    # the shift rotates each block of span vertices by stride
-                    span = stride * radix
-                    block = (*range(stride, span), *range(stride))
-                    moved = [tuple(sorted([v - v % span + block[v % span] for v in e])) for e in star]
-                    if sorted(moved) != sorted([edges[i] for i in H._incidence[stride]]):
-                        continue
-                    p = block if span == n else tuple([b + x for b in range(0, n, span) for x in block])
-                    if is_automorphism(H, p):
-                        found.append(p)
-                        stride = span
-                        break
-                else:
-                    found = None
-        known["_shifts"] = None if found is None else tuple(found)
-    return known["_shifts"]
+    n, edges, degs = H.n, H.edges, H._degrees
+    if n < 2 or min(degs) != max(degs):
+        return None
+    found: list[tuple[int, ...]] = []
+    star = [edges[i] for i in H._incidence[0]]
+    stride = 1
+    while stride < n:
+        rest = n // stride
+        for radix in range(rest, 1, -1):
+            if rest % radix:
+                continue
+            # the shift rotates each block of span vertices by stride
+            span = stride * radix
+            block = (*range(stride, span), *range(stride))
+            moved = [tuple(sorted([v - v % span + block[v % span] for v in e])) for e in star]
+            if sorted(moved) != sorted([edges[i] for i in H._incidence[stride]]):
+                continue
+            p = block if span == n else tuple([b + x for b in range(0, n, span) for x in block])
+            if is_automorphism(H, p):
+                found.append(p)
+                stride = span
+                break
+        else:
+            return None
+    return tuple(found)
 
 
 def _orbit_of(v0: int, gens: list[tuple[int, ...]]) -> set[int]:
@@ -306,7 +312,7 @@ def _orbit_of(v0: int, gens: list[tuple[int, ...]]) -> set[int]:
     return seen
 
 
-@lru_cache(maxsize=1)
+@_kept
 def _tables(H: Hypergraph) -> SimpleNamespace:
     """Per-instance search tables, with vertex and edge sets as bitmasks:
 
@@ -314,11 +320,7 @@ def _tables(H: Hypergraph) -> SimpleNamespace:
     * ``alike[i]``: the edges of edge i's size, one mask shared per size;
     * ``emask[i]``: the vertices of edge i; ``incmask[v]``: the edges through v;
     * ``adj[v]``, ``near[v]``: the vertices sharing an edge with v, and those
-      within distance 2 of v, v excluded;
-    * ``edge_counter``: the edge multiset.
-
-    One entry is kept: the per-target searches of transitivity_generators
-    and vertex_orbits ask about the same instance over and over.
+      within distance 2 of v, v excluded.
     """
     n, edges = H.n, H.edges
     incident = H._incidence
@@ -341,15 +343,8 @@ def _tables(H: Hypergraph) -> SimpleNamespace:
     pools: dict[tuple[int, ...], int] = {}
     for v, sig in enumerate(signature):
         pools[sig] = pools.get(sig, 0) | vbit[v]
-    return SimpleNamespace(
-        pool=[pools[sig] for sig in signature],
-        alike=[of_size[s] for s in size],
-        emask=emask,
-        incmask=incmask,
-        adj=adj,
-        near=near,
-        edge_counter=Counter(edges),
-    )
+    pool, alike = [pools[sig] for sig in signature], [of_size[s] for s in size]
+    return SimpleNamespace(pool=pool, alike=alike, emask=emask, incmask=incmask, adj=adj, near=near)
 
 
 def _union(masks: list[int], indices: Iterable[int]) -> int:
@@ -363,19 +358,18 @@ def _union(masks: list[int], indices: Iterable[int]) -> int:
 
 def _search(H: Hypergraph, fix: tuple[int, int] | None) -> Iterator[tuple[int, ...]]:
     """Yield the automorphisms of H that send ``fix[0]`` to ``fix[1]``, or
-    all of them when ``fix`` is None, each verified against the edge
-    multiset.  A ``fix[1]`` outside ``fix[0]``'s pool leaves ``fix[0]`` an
-    empty domain, so the search ends at its first vertex choice."""
+    all of them when ``fix`` is None, each verified by :func:`is_automorphism`.
+    A ``fix[1]`` outside ``fix[0]``'s pool leaves ``fix[0]`` an empty domain,
+    so the search ends at its first vertex choice."""
     T = _tables(H)
     n = H.n
     everyone = (1 << n) - 1
-    edges = H.edges
     incident, emask, incmask, adj, near = H._incidence, T.emask, T.incmask, T.adj, T.near
     # st[v] is vertex v's image domain, st[n + i] edge i's candidate images
     # (the edges of its size until its first vertex is assigned) and
     # st[claims + z] the free vertex that claimed image z, or -1.  Every
     # change to st is logged on the trail and undone by popping it.
-    claims = n + len(edges)
+    claims = n + H.m
     st = [*T.pool, *T.alike, *[-1] * n]
     trail: list[tuple[int, int]] = []
 
@@ -435,8 +429,7 @@ def _search(H: Hypergraph, fix: tuple[int, int] | None) -> Iterator[tuple[int, .
                 frames.append([best, best_dom, len(trail), reach, hit, pinned_img, pinned_src])
         else:
             p = tuple(image)
-            mapped = Counter([tuple(sorted([p[x] for x in e])) for e in edges])
-            if dict.__eq__(mapped, T.edge_counter):  # as in is_automorphism
+            if is_automorphism(H, p):
                 yield p
         # Assign the top frame's next untried image, undoing the previous
         # one, and pop frames that have none left.

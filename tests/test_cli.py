@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from itertools import islice
+from math import comb
 
 import pytest
 
@@ -24,7 +25,7 @@ from hyperconn import (
     serialize_hypergraph,
     transitivity_generators,
 )
-from hyperconn.cli import _verdict_exit_code, analyze, main, render_machine
+from hyperconn.cli import _subsets, _verdict_exit_code, analyze, main, render_machine
 from hyperconn.constructions import _LANES, affine_hypergraph, complete_uniform
 from hyperconn.connectivity import _side_blocks
 
@@ -160,6 +161,39 @@ def test_generate_checks_the_vertex_count_before_building(capsys, tmp_path):
         assert err == f"error: too many vertices, header declares {count}, limit 1048576\n"
         assert not path.exists()
     assert time.perf_counter() - start < 1.0
+
+
+def test_generate_refuses_an_instance_over_the_edge_cap(capsys, tmp_path):
+    """Each family's edge count is checked against the cap before its
+    generator runs, so no family under the vertex cap asks for unbounded
+    edges: complete --n 100000 --k 3 asks for about 1.7 * 10^14, and
+    C(1449, 2) is 1 048 876.  The count of the complete families stops once
+    it passes the cap (the exact C(2^20, 2^19) takes about 12 s).  The
+    largest instance CI builds, a circulant with 40 000 edges, is admitted."""
+    for n in range(30):
+        for k in range(-2, n + 3):
+            got, want = _subsets(n, k), comb(n, k) if k >= 0 else 0
+            assert got == want if want <= 1 << 20 else got > 1 << 20, (n, k)
+    path = tmp_path / "dense.hg"
+    cases = (
+        "complete --n 100000 --k 3",
+        "complete --n 1048576 --k 524288",
+        "complete --n 1449 --k 2",
+        "glued-complete --n 40 --k 10",
+        "circulant --n 1048576 --offsets 1,2",
+        "random --n 10 --k 2 --m 1048577",
+    )
+    start = time.perf_counter()
+    for spec in cases:
+        code, out, err = run_cli(capsys, "generate", "--family", *spec.split(), "--out", str(path))
+        assert (code, out) == (2, ""), spec
+        assert err == f"error: too many edges, family {spec.split()[0]!r} asks for more than 1048576\n"
+        assert not path.exists()
+    assert time.perf_counter() - start < 1.0
+    code, out, err = run_cli(
+        capsys, "generate", "--family", "circulant", "--n", "20000", "--offsets", "1,2", "--out", str(path)
+    )
+    assert (code, out, err) == (0, f"wrote {path} (n=20000, m=40000)\n", "")
 
 
 def test_generate_rejects_unknown_family(capsys, tmp_path):

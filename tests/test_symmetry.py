@@ -4,8 +4,10 @@ The brute oracle tries all n! permutations for n <= 7, so every engine
 result on small instances is checked against ground truth.
 """
 
+import gc
 import sys
 import time
+import weakref
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -368,7 +370,6 @@ def test_rotation_decides_transitivity_with_no_search(monkeypatch):
     run = symmetry.is_automorphism
     monkeypatch.setattr(symmetry, "_search", refuse)
     monkeypatch.setattr(symmetry, "is_automorphism", lambda H, p: tested.append(p) or run(H, p))
-    built = _tables.cache_info().misses
     for name, H, shifts in instances:
         tested.clear()
         assert transitivity_generators(H) == list(shifts), name
@@ -376,7 +377,7 @@ def test_rotation_decides_transitivity_with_no_search(monkeypatch):
         assert tested == list(shifts), name
         assert vertex_orbits(H) == [list(range(H.n))], name
         assert is_vertex_transitive(H), name
-    assert _tables.cache_info().misses == built
+        assert "_tables" not in vars(H), name
     # the search takes about 0.9 s and +350 MB of peak RSS on this input, the
     # probe about 0.04 s (2-core x86-64, CPython 3.11)
     start = time.perf_counter()
@@ -522,15 +523,20 @@ def test_rotation_edge_cases(monkeypatch):
     non_regular = (PATH_3, Hypergraph(5, ((0, 1, 2), (2, 3), (3, 4), (0, 4))), chord, random_uniform_hypergraph(8, 3, 10, 42))
     for H in non_regular:
         assert symmetry._shifts(H) is None
-        assert vertex_orbits(H) == orbit_partition(H.n, enumerate_automorphisms(H))
         edge_connectivity(H)
+    # the searches below test their leaves; each verdict above is kept, so
+    # they probe no shift
+    monkeypatch.undo()
+    for H in non_regular:
+        assert vertex_orbits(H) == orbit_partition(H.n, enumerate_automorphisms(H))
 
 
 def test_rotation_is_tested_once_per_instance(monkeypatch):
     """`analyze --transitivity --connectivity` runs the chain of digit
     shifts once per instance: the transitivity phase runs it, and the flow
     route reads the verdict and takes the shifts it was handed as checked.
-    Generators the search found are each tested once more."""
+    Generators the search found are tested at its leaves and once more by
+    the flow route."""
     calls = []
     run = symmetry.is_automorphism
     check = lambda H, p: calls.append(p) or run(H, p)  # noqa: E731
@@ -558,8 +564,10 @@ def test_rotation_is_tested_once_per_instance(monkeypatch):
     G = relabelled(cases[0][0], 5)
     tests = chain(G)
     gens = transitivity_generators(G)
-    assert edge_connectivity(G, automorphisms=gens).value == 4
+    # each search's one leaf is its generator, checked there
     assert calls == tests + gens
+    assert edge_connectivity(G, automorphisms=gens).value == 4
+    assert calls == tests + gens + gens
 
 
 def test_transitive_instances_are_regular():
@@ -650,7 +658,6 @@ def slow_tables(H):
         "incmask": incmask,
         "adj": adj,
         "near": near,
-        "edge_counter": Counter(H.edges),
     }
 
 
@@ -693,3 +700,28 @@ def test_search_tables_match_the_slow_construction():
         assert got.keys() == want.keys()
         for key in want:
             assert got[key] == want[key], (key, H.n, H.m)
+
+
+def test_search_reads_each_edge_candidates_from_the_tables():
+    """The search narrows each edge's candidates from ``alike``, kept on
+    the instance.  C_5 has 10 automorphisms; with every edge's candidates
+    restricted to the edge itself only the identity is left, since every
+    other automorphism moves some edge.  A search that ignored ``alike``
+    would still find all 10."""
+    assert len(enumerate_automorphisms(circulant_graph(5, (1,)))) == 10
+    H = circulant_graph(5, (1,))
+    _tables(H).alike = [1 << i for i in range(H.m)]
+    assert enumerate_automorphisms(H) == [tuple(range(5))]
+
+
+def test_searched_instance_is_freed_with_its_tables():
+    """The search tables are kept on the instance they describe, so
+    dropping a searched instance frees it and its tables; no cache holds
+    the last one searched."""
+    H = relabelled(circulant_graph(300, (1,)), 13)
+    assert symmetry._shifts(H) is None  # so the search runs
+    assert transitivity_generators(H) is not None
+    ref = weakref.ref(H)
+    del H
+    gc.collect()
+    assert ref() is None
