@@ -28,8 +28,6 @@ from .connectivity import (
 )
 from .constructions import (
     SplitMix64,
-    _below,
-    _draw_subsets,
     affine_doubled_family,
     affine_hypergraph,
     builtin_corpus,
@@ -42,6 +40,7 @@ from .constructions import (
 from .model import (
     Hypergraph,
     _MAX_EDGES,
+    _MAX_INCIDENCES,
     HypergraphError,
     _check_vertex_count,
     _mask_vertices,
@@ -68,44 +67,50 @@ def _subsets(n: int, k: int) -> int:
 
 # generate's families: each name maps to its parameters (in the order the
 # generator takes them and the first provenance line names them), its
-# generator, (vertex count, most edges) as a function of the parameters,
-# and the further provenance lines as a function of the instance.
+# generator, (vertex count, most edges, most incidences) as a function of
+# the parameters, and the further provenance lines as a function of the
+# instance.
 _FAMILIES = {
-    "complete": (("n", "k"), complete_uniform, lambda n, k: (n, _subsets(n, k)), lambda H: ()),
+    "complete": (
+        ("n", "k"),
+        complete_uniform,
+        lambda n, k: (n, _subsets(n, k), k * _subsets(n, k)),
+        lambda H: (),
+    ),
     "glued-complete": (
         ("n", "k"),
         glued_complete_family,
-        lambda n, k: (n * k, k * _subsets(n, k) + n),
+        lambda n, k: (n * k, k * _subsets(n, k) + n, k * (k * _subsets(n, k) + n)),
         lambda H: ("labels: block i (1-based) holds vertices (i-1)*n..i*n-1; label (v,i) -> (i-1)*n+(v-1)",),
     ),
     "affine": (
         ("k",),
         affine_hypergraph,
-        lambda k: (k * k, k * k),
+        lambda k: (k * k, k * k, k**3),
         lambda H: ("labels: 1-based grid point p -> vertex p-1",),
     ),
     "affine-doubled": (
         ("k",),
         affine_doubled_family,
-        lambda k: (2 * k * k, 2 * k * k + k),
+        lambda k: (2 * k * k, 2 * k * k + k, 2 * k**3 + 2 * k * k),
         lambda H: ("labels: 1-based grid point p -> vertex p-1; twin copy at offset k*k",),
     ),
     "cyclic-difference": (
         ("n", "base"),
         cyclic_difference_hypergraph,
-        lambda n, base: (n, n),
+        lambda n, base: (n, n, n * len(set(base))),
         lambda H: (f"linear={_render(is_linear(H).linear)}",),
     ),
     "circulant": (
         ("n", "offsets"),
         circulant_graph,
-        lambda n, offsets: (n, n * len(set(offsets))),
+        lambda n, offsets: (n, n * len(set(offsets)), 2 * n * len(set(offsets))),
         lambda H: (f"connected={_render(is_connected(H))}",),
     ),
     "random": (
         ("n", "k", "m", "seed"),
         random_uniform_hypergraph,
-        lambda n, k, m, seed: (n, m),
+        lambda n, k, m, seed: (n, m, m * k),
         lambda H: (),
     ),
 }
@@ -281,12 +286,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _build_instance(args: argparse.Namespace) -> tuple[Hypergraph, list[str]]:
     params, generator, counts, provenance = _FAMILIES[args.family]
     values = [_require(args, name) for name in params]
-    # refuse an over-cap instance before building it; a count below 1 is
-    # left to the generator, whose message names the parameter
-    vertices, edges = counts(*values)
+    # refuse an over-cap instance before building it, checking vertices,
+    # then edges, then incidences; a count below 1 is left to the
+    # generator, whose message names the parameter
+    vertices, edges, incidences = counts(*values)
     _check_vertex_count(max(vertices, 1))
-    if edges > _MAX_EDGES:
-        raise HypergraphError(f"too many edges, family {args.family!r} asks for more than {_MAX_EDGES}")
+    for what, count, cap in (("edges", edges, _MAX_EDGES), ("incidences", incidences, _MAX_INCIDENCES)):
+        if count > cap:
+            raise HypergraphError(f"too many {what}, family {args.family!r} asks for more than {cap}")
     H = generator(*values)
     settings = "".join(f" {name}={_render(value)}" for name, value in zip(params, values))
     return H, [f"family={args.family}{settings}", *provenance(H)]
@@ -326,10 +333,10 @@ def cmd_verify_lemma(args: argparse.Namespace) -> int:
     for name, H in exhaustive:
         table = _boundary_size_table(H)
         size = 1 << H.n
+        pair_count += size * (size + 1) // 2  # the pairs x_mask <= y_mask checked below
         for x_mask in range(size):
             bx = table[x_mask]
             for y_mask in range(x_mask, size):
-                pair_count += 1
                 if table[x_mask | y_mask] + table[x_mask & y_mask] > bx + table[y_mask]:
                     _print_uncrossing_violation(name, H, x_mask, y_mask)
                     print("FAIL")
@@ -339,16 +346,12 @@ def cmd_verify_lemma(args: argparse.Namespace) -> int:
         f"{pair_count} (X, Y) pairs, 0 violations"
     )
 
-    # the draws of SplitMix64(args.seed).below and next_u64, taken from blocks
-    outputs = SplitMix64(args.seed)._stream()
-    for trial in range(args.trials):
-        n = 2 + _below(outputs, args.nmax - 1)
-        k = 2 + _below(outputs, min(n, 4) - 1)
-        m = 1 + _below(outputs, 2 * n)
-        seed = next(outputs)
-        edge_masks = _random_edge_masks(n, k, m, seed)
-        x_mask = _below(outputs, 1 << n)
-        y_mask = _below(outputs, 1 << n)
+    # imported on use: no other command needs it, and a process that never
+    # runs this suite need not load it
+    from .trials import _lemma_trials
+
+    trials = _lemma_trials(SplitMix64(args.seed), args.trials, args.nmax)
+    for trial, (n, k, m, seed, edge_masks, x_mask, y_mask) in enumerate(trials):
         bu, bm, bx, by = _uncrossing_sizes(edge_masks, x_mask, y_mask)
         if bu + bm > bx + by:
             H = random_uniform_hypergraph(n, k, m, seed)
@@ -444,18 +447,6 @@ def _boundary_size_table(H: Hypergraph) -> list[int]:
     edge_masks = [sum(1 << v for v in e) for e in H.edges]
     # an edge crosses side s when 0 < |s & e| < |e|
     return [sum(0 < s & em != em for em in edge_masks) for s in range(1 << H.n)]
-
-
-def _random_edge_masks(n: int, k: int, m: int, seed: int) -> set[int]:
-    """The vertex bitmasks of the edges of random_uniform_hypergraph(n, k, m,
-    seed), drawn without building the instance."""
-    edge_masks = set()
-    for chosen in _draw_subsets(SplitMix64(seed), n, k, m):
-        em = 0
-        for v in chosen:
-            em |= 1 << v
-        edge_masks.add(em)
-    return edge_masks
 
 
 def _uncrossing_sizes(edge_masks: set[int], x_mask: int, y_mask: int) -> tuple[int, int, int, int]:

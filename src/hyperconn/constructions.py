@@ -41,13 +41,19 @@ _GAMMA = 0x9E3779B97F4A7C15
 _LANES = 256
 
 
-def _pack_lanes(values: list[int]) -> int:
-    return int.from_bytes(b"".join([v.to_bytes(16, "little") for v in values]), "little")
+def _lane_ramp(count: int, step: int) -> tuple[int, int]:
+    """1 in each of the low ``count`` lanes, and (i + 1) * step in lane i of
+    them, count a power of two, both built by doubling the lanes covered."""
+    ones, ramp, lanes = 1, step, 1
+    while lanes < count:
+        ramp |= (ramp + lanes * step * ones) << 128 * lanes
+        ones |= ones << 128 * lanes
+        lanes *= 2
+    return ones, ramp
 
 
-_LANE_ONES = _pack_lanes([1] * _LANES)
-_LANE_STEPS = _pack_lanes([(i + 1) * _GAMMA for i in range(_LANES)])
-_LANE_LOW64 = _pack_lanes([_MASK64] * _LANES)
+_LANE_ONES, _LANE_STEPS = _lane_ramp(_LANES, _GAMMA)
+_LANE_LOW64 = _LANE_ONES * _MASK64
 
 
 class SplitMix64:
@@ -65,10 +71,9 @@ class SplitMix64:
     state_i = seed + i * 0x9E3779B97F4A7C15 mod 2**64 (Steele, Lea & Flood,
     OOPSLA 2014).  So the next outputs need not be taken one step at a time:
     ``_block`` puts the states of a run of outputs into the 128-bit lanes of
-    one int and applies each xor-shift and multiply to all lanes at once.  A
-    lane holds a value below 2**64 and a product of two such values fits in
-    128 bits, so after masking each lane back to 64 bits no step carries
-    between lanes, and every lane ends with exactly the scalar output.
+    one int and ``_mix_lanes`` applies each xor-shift and multiply to all
+    lanes at once.  The lanes may hold the states of several generators, as
+    the lemma suite's trials do.
     """
 
     def __init__(self, seed: int) -> None:
@@ -101,17 +106,8 @@ class SplitMix64:
         while count > 0:
             c = min(count, _LANES)
             low = (1 << 128 * c) - 1
-            mask = _LANE_LOW64 & low
-            z = (self.state * (_LANE_ONES & low) + (_LANE_STEPS & low)) & mask
-            z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
-            z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
-            # the shift leaks the next lane's low bits into this lane's high
-            # half only, which the read below drops
-            z ^= z >> 31
-            # native-order 64-bit words: lane i's low half is word 2i on a
-            # little-endian host, word 2c - 1 - 2i on a big-endian one
-            words = memoryview(z.to_bytes(16 * c, sys.byteorder)).cast("Q")
-            out += (words[::2] if sys.byteorder == "little" else words[::-2]).tolist()
+            # lane i holds state + (i + 1) * gamma, the state of output i + 1
+            out += _mix_lanes(self.state * (_LANE_ONES & low) + (_LANE_STEPS & low), c)
             self.state = (self.state + c * _GAMMA) & _MASK64
             count -= c
         return out
@@ -121,6 +117,26 @@ class SplitMix64:
         evaluated by ``_block`` a whole block ahead of the ones taken."""
         while True:
             yield from self._block(_LANES)
+
+
+def _mix_lanes(z: int, count: int, mask: int = _LANE_LOW64) -> list[int]:
+    """SplitMix64's outputs for the states in the low 64 bits of the low
+    ``count`` 128-bit lanes of z, each lane below 2**128; ``mask`` holds
+    2**64 - 1 in at least ``count`` lanes.  A lane is masked to 64 bits
+    before each multiply, and a product of two values below 2**64 fits in
+    128 bits, so no step carries between lanes and every lane ends with
+    exactly the scalar output."""
+    # an and with the mask keeps no more lanes than z has
+    z &= mask
+    z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+    z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+    # the shift leaks the next lane's low bits into this lane's high half
+    # only, which the read below drops
+    z ^= z >> 31
+    # native-order 64-bit words: lane i's low half is word 2i on a
+    # little-endian host, word 2 * count - 1 - 2i on a big-endian one
+    words = memoryview(z.to_bytes(16 * count, sys.byteorder)).cast("Q")
+    return (words[::2] if sys.byteorder == "little" else words[::-2]).tolist()
 
 
 def _threshold(bound: int) -> int:

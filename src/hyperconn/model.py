@@ -2,9 +2,10 @@
 
 Vertices are the integers ``0..n-1``, with 1 <= n <= 2**20 whether an
 instance is built or parsed (``hyperconn generate`` also builds at most
-2**20 edges).  An edge is a strictly increasing tuple of at least two
-vertices.  Duplicate edges (multi-edges) are legal in the model; the
-generators in :mod:`hyperconn.constructions` never emit them.
+2**20 edges and 2**24 incidences).  An edge is a strictly increasing
+tuple of at least two vertices.  Duplicate edges (multi-edges) are legal
+in the model; the generators in :mod:`hyperconn.constructions` never emit
+them.
 ``Hypergraph`` values are immutable and every function here is pure, so
 instances can be shared freely between threads.  An instance fills its
 derived tables on first use and keeps them while it lives: degrees,
@@ -58,6 +59,7 @@ __all__ = [
 
 _MAX_VERTICES = 1 << 20  # the largest n an instance may have
 _MAX_EDGES = 1 << 20  # the most edges ``hyperconn generate`` builds
+_MAX_INCIDENCES = 1 << 24  # the most (vertex, edge) incidences it builds
 
 
 class HypergraphError(ValueError):

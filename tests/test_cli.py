@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import islice
 from math import comb
 
@@ -24,10 +25,13 @@ from hyperconn import (
     random_uniform_hypergraph,
     serialize_hypergraph,
     transitivity_generators,
+    trials,
 )
 from hyperconn.cli import _subsets, _verdict_exit_code, analyze, main, render_machine
-from hyperconn.constructions import _LANES, affine_hypergraph, complete_uniform
+from hyperconn.constructions import _LANES, _draw_subsets, affine_hypergraph, complete_uniform
+from hyperconn.constructions import _mix_lanes as mix_lanes
 from hyperconn.connectivity import _side_blocks
+from hyperconn.trials import _lemma_trials, _subset_masks
 
 from helpers import run_cli
 
@@ -194,6 +198,49 @@ def test_generate_refuses_an_instance_over_the_edge_cap(capsys, tmp_path):
         capsys, "generate", "--family", "circulant", "--n", "20000", "--offsets", "1,2", "--out", str(path)
     )
     assert (code, out, err) == (0, f"wrote {path} (n=20000, m=40000)\n", "")
+
+
+def test_generate_refuses_an_instance_over_the_incidence_cap(capsys, tmp_path):
+    """Each family's incidences are checked after its vertices and edges and
+    before its generator runs: affine --k 1021 passes both other caps with
+    1021^2 lines of 1021 points, about 10^9 incidences.  Each row's counts
+    are the built instance's where no edge repeats, and bound them where
+    repeats are dropped."""
+    built = (
+        ("complete", (6, 3)),
+        ("glued-complete", (5, 3)),
+        ("affine", (5,)),
+        ("affine-doubled", (3,)),
+        ("cyclic-difference", (13, (0, 1, 4))),
+        ("cyclic-difference", (6, (0, 3))),
+        ("circulant", (8, (1, 2))),
+        ("circulant", (6, (3,))),
+        ("random", (6, 3, 40, 1)),
+    )
+    for family, values in built:
+        _, generator, counts, _ = cli._FAMILIES[family]
+        H = generator(*values)
+        got = (H.n, H.m, sum(len(e) for e in H.edges))
+        vertices, edges, incidences = counts(*values)
+        assert vertices == H.n and edges >= H.m and incidences >= got[2], (family, values)
+        assert (got == (vertices, edges, incidences)) == (H.m == edges), (family, values)
+    path = tmp_path / "wide.hg"
+    base = ",".join(str(v) for v in range(100))
+    cases = (
+        ("affine --k 1021", "incidences"),
+        ("affine-doubled --k 257", "incidences"),
+        (f"cyclic-difference --n 1000000 --base {base}", "incidences"),
+        ("random --n 64 --k 32 --m 600000", "incidences"),
+        ("random --n 64 --k 32 --m 1048577", "edges"),
+    )
+    start = time.perf_counter()
+    for spec, what in cases:
+        code, out, err = run_cli(capsys, "generate", "--family", *spec.split(), "--out", str(path))
+        assert (code, out) == (2, ""), spec
+        cap = 1 << 24 if what == "incidences" else 1 << 20
+        assert err == f"error: too many {what}, family {spec.split()[0]!r} asks for more than {cap}\n"
+        assert not path.exists()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_generate_rejects_unknown_family(capsys, tmp_path):
@@ -704,17 +751,12 @@ def test_verify_lemma_counts_are_boundary_sizes():
             assert cli._uncrossing_sizes(edge_masks, x_mask, y_mask) == (
                 table[x_mask | y_mask], table[x_mask & y_mask], table[x_mask], table[y_mask]
             ), name
-    # trial-shaped draws, whose masks the trials take without building H
-    for _ in range(200):
-        n = 2 + rng.below(15)
-        k = 2 + rng.below(min(n, 4) - 1)
-        m, seed = 1 + rng.below(2 * n), rng.next_u64()
+    # the trials' own draws, whose masks they take without building H
+    for n, k, m, seed, edge_masks, x_mask, y_mask in _lemma_trials(rng, 200, 16):
         H = random_uniform_hypergraph(n, k, m, seed)
-        edge_masks = cli._random_edge_masks(n, k, m, seed)
         assert edge_masks == {sum(1 << v for v in e) for e in H.edges}
-        X = {v for v in range(n) if rng.below(2)}
-        Y = {v for v in range(n) if rng.below(2)}
-        x_mask, y_mask = sum(1 << v for v in X), sum(1 << v for v in Y)
+        X = {v for v in range(n) if x_mask >> v & 1}
+        Y = {v for v in range(n) if y_mask >> v & 1}
         assert cli._uncrossing_sizes(edge_masks, x_mask, y_mask) == tuple(
             len(boundary(H, S)) for S in (X | Y, X & Y, X, Y)
         )
@@ -846,6 +888,81 @@ def test_verify_lemma_outer_draws_take_the_next_output_after_a_rejection(capsys,
             rng = SplitMix64(5)
             assert seen == replay_trials(rng.below, rng.next_u64, 10, 60)[0]
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("group", [trials._GROUP, 64])
+def test_verify_lemma_groups_hold_trials_larger_than_a_lane_run(capsys, monkeypatch, group):
+    """At --nmax 64 some instance takes more outputs than a _block run, and
+    with groups of 64 outputs more than a whole group; every pass still
+    gives each trial the scalar draws."""
+    passes = []
+
+    def counted(z, count, mask):
+        passes.append(count)
+        return mix_lanes(z, count, mask)
+
+    monkeypatch.setattr(trials, "_GROUP", group)
+    monkeypatch.setattr(trials, "_mix_lanes", counted)
+    seen = record_trials(capsys, monkeypatch, "--trials", "300", "--seed", "29", "--nmax", "64")
+    rng = SplitMix64(29)
+    drawn, shapes = replay_trials(rng.below, rng.next_u64, 64, 300)
+    assert seen == drawn
+    largest = max(k * m for _, k, m in shapes)
+    assert largest > _LANES and (largest > group or group == trials._GROUP)
+    assert sum(passes) == sum(k * m for _, k, m in shapes)
+    assert group < max(passes) <= trials._PASS_LANES
+
+
+def test_verify_lemma_draws_a_trial_holding_a_rejectable_output_exactly(capsys, monkeypatch):
+    """Any bound below n rejects no output at or below 2**64 - n, but one
+    above it may be rejected.  With one output of the first pass scripted
+    at the smallest such value or at 2**64 - 1, that trial alone draws its
+    edges through _draw_subsets, which gives random_uniform_hypergraph's,
+    and every trial keeps the scalar draws."""
+    rng = SplitMix64(29)
+    drawn, shapes = replay_trials(rng.below, rng.next_u64, 10, 60)
+    trial = 5
+    n, k, m = shapes[trial]
+    assert sum(k * m for _, k, m in shapes[: trial + 1]) < trials._GROUP  # in the first pass
+    at = sum(k * m for _, k, m in shapes[:trial]) + 1  # the trial's step-1 output
+    for value in (2**64 - n + 1, 2**64 - 1):
+        exact = []
+
+        def scripted(z, count, mask):
+            outputs = mix_lanes(z, count, mask)
+            if not exact and count > at:  # the first pass only
+                outputs[at] = value
+                exact.append(outputs[at - 1 : at - 1 + k * m])
+            return outputs
+
+        def drawer(rng, *shape):
+            exact.append(shape)
+            return _draw_subsets(rng, *shape)
+
+        monkeypatch.setattr(trials, "_mix_lanes", scripted)
+        monkeypatch.setattr(trials, "_draw_subsets", drawer)
+        seen = record_trials(capsys, monkeypatch, "--trials", "60", "--seed", "29")
+        assert seen == drawn, value
+        assert exact[1:] == [(n, k, m)], value
+        # without the exact drawer, the scripted output would change the edges
+        assert _subset_masks(exact[0], n, k) != drawn[trial][0]
+        monkeypatch.undo()
+
+
+def test_verify_lemma_memory_stays_flat_in_trials(capsys):
+    """The trials are drawn a group at a time, so twenty times the trials
+    peak at about the same traced memory."""
+    peaks = []
+    tracemalloc.start()
+    try:
+        for count in ("1000", "20000"):
+            tracemalloc.reset_peak()
+            code, out, err = run_cli(capsys, "verify", "lemma", "--trials", count, "--nmax", "16")
+            assert code == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 1024, peaks
 
 
 def test_verify_lemma_rejects_bad_parameters(capsys):
