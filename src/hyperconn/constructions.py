@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from .model import Hypergraph, HypergraphError
@@ -41,18 +42,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 _LANES = 256
 
 
-def _lane_ramp(count: int, step: int) -> tuple[int, int]:
-    """1 in each of the low ``count`` lanes, and (i + 1) * step in lane i of
-    them, count a power of two, both built by doubling the lanes covered."""
-    ones, ramp, lanes = 1, step, 1
-    while lanes < count:
-        ramp |= (ramp + lanes * step * ones) << 128 * lanes
-        ones |= ones << 128 * lanes
-        lanes *= 2
-    return ones, ramp
-
-
-_LANE_ONES, _LANE_STEPS = _lane_ramp(_LANES, _GAMMA)
+_LANE_ONES = int.from_bytes((1).to_bytes(16, "little") * _LANES, "little")
+_LANE_STEPS = int.from_bytes(
+    b"".join([((i + 1) * _GAMMA).to_bytes(16, "little") for i in range(_LANES)]), "little"
+)
 _LANE_LOW64 = _LANE_ONES * _MASK64
 
 
@@ -71,9 +64,10 @@ class SplitMix64:
     state_i = seed + i * 0x9E3779B97F4A7C15 mod 2**64 (Steele, Lea & Flood,
     OOPSLA 2014).  So the next outputs need not be taken one step at a time:
     ``_block`` puts the states of a run of outputs into the 128-bit lanes of
-    one int and ``_mix_lanes`` applies each xor-shift and multiply to all
-    lanes at once.  The lanes may hold the states of several generators, as
-    the lemma suite's trials do.
+    one int and applies each xor-shift and multiply to all lanes at once.  A
+    lane holds a value below 2**64 and a product of two such values fits in
+    128 bits, so after masking each lane back to 64 bits no step carries
+    between lanes, and every lane ends with exactly the scalar output.
     """
 
     def __init__(self, seed: int) -> None:
@@ -96,7 +90,7 @@ class SplitMix64:
         """Uniform k-subset of range(n) via a partial Fisher-Yates shuffle."""
         if not 0 <= k <= n:
             raise ValueError(f"subset needs 0 <= k <= n, got n={n}, k={k}")
-        (chosen,) = _draw_subsets(self, n, k, 1)
+        (chosen,) = _draw_subsets(iter(self.next_u64, None), n, k, 1)
         return tuple(sorted(chosen))
 
     def _block(self, count: int) -> list[int]:
@@ -106,8 +100,18 @@ class SplitMix64:
         while count > 0:
             c = min(count, _LANES)
             low = (1 << 128 * c) - 1
+            mask = _LANE_LOW64 & low
             # lane i holds state + (i + 1) * gamma, the state of output i + 1
-            out += _mix_lanes(self.state * (_LANE_ONES & low) + (_LANE_STEPS & low), c)
+            z = (self.state * (_LANE_ONES & low) + (_LANE_STEPS & low)) & mask
+            z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+            z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+            # the shift leaks the next lane's low bits into this lane's high
+            # half only, which the read below drops
+            z ^= z >> 31
+            # native-order 64-bit words: lane i's low half is word 2i on a
+            # little-endian host, word 2c - 1 - 2i on a big-endian one
+            words = memoryview(z.to_bytes(16 * c, sys.byteorder)).cast("Q")
+            out += (words[::2] if sys.byteorder == "little" else words[::-2]).tolist()
             self.state = (self.state + c * _GAMMA) & _MASK64
             count -= c
         return out
@@ -115,28 +119,7 @@ class SplitMix64:
     def _stream(self) -> Iterator[int]:
         """The outputs from here on, as ``next_u64`` would return them,
         evaluated by ``_block`` a whole block ahead of the ones taken."""
-        while True:
-            yield from self._block(_LANES)
-
-
-def _mix_lanes(z: int, count: int, mask: int = _LANE_LOW64) -> list[int]:
-    """SplitMix64's outputs for the states in the low 64 bits of the low
-    ``count`` 128-bit lanes of z, each lane below 2**128; ``mask`` holds
-    2**64 - 1 in at least ``count`` lanes.  A lane is masked to 64 bits
-    before each multiply, and a product of two values below 2**64 fits in
-    128 bits, so no step carries between lanes and every lane ends with
-    exactly the scalar output."""
-    # an and with the mask keeps no more lanes than z has
-    z &= mask
-    z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
-    z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
-    # the shift leaks the next lane's low bits into this lane's high half
-    # only, which the read below drops
-    z ^= z >> 31
-    # native-order 64-bit words: lane i's low half is word 2i on a
-    # little-endian host, word 2 * count - 1 - 2i on a big-endian one
-    words = memoryview(z.to_bytes(16 * count, sys.byteorder)).cast("Q")
-    return (words[::2] if sys.byteorder == "little" else words[::-2]).tolist()
+        return chain.from_iterable(iter(partial(self._block, _LANES), None))
 
 
 def _threshold(bound: int) -> int:
@@ -287,63 +270,43 @@ def random_uniform_hypergraph(n: int, k: int, m: int, seed: int) -> Hypergraph:
     :class:`SplitMix64`, then deduplicated, so at most m edges are emitted.
 
     The edges are the ones m calls of ``SplitMix64(seed).subset(n, k)``
-    would draw: the draw is taken from the same output stream, only
-    evaluated in blocks (see :func:`_draw_subsets`).
+    would draw: the draw takes the same outputs, only evaluated in blocks.
     """
     if not 2 <= k <= n:
         raise HypergraphError(f"random uniform requires 2 <= k <= n, got k={k}, n={n}")
     if m < 0:
         raise HypergraphError(f"edge count must be >= 0, got {m}")
-    edges = {tuple(sorted(chosen)) for chosen in _draw_subsets(SplitMix64(seed), n, k, m)}
+    rng = SplitMix64(seed)
+    # the remainder first, so the stream's whole blocks end where the k * m
+    # outputs do and only a rejection evaluates more
+    outputs = chain(rng._block(k * m % _LANES), rng._stream())
+    edges = {tuple(sorted(chosen)) for chosen in _draw_subsets(outputs, n, k, m)}
     return Hypergraph(n, tuple(sorted(edges)))
 
 
-def _draw_subsets(rng: SplitMix64, n: int, k: int, m: int) -> Iterator[list[int]]:
+def _draw_subsets(outputs: Iterator[int], n: int, k: int, m: int) -> Iterator[list[int]]:
     """Yield m uniform k-subsets of range(n), 0 <= k <= n, each as its
-    members in draw order, taking outputs of ``rng`` in stream order.
+    members in draw order, taking ``outputs`` in order and none past the
+    last one used.
 
     Each subset is a partial Fisher-Yates shuffle: step i swaps position i
     with i + u mod (n - i), where an output u that ``_threshold`` rejects is
     skipped and the next one taken, exactly as :meth:`SplitMix64.below`
     does.  Only swapped positions are stored, so a subset costs O(k), not
-    O(n), and one loop walks a block's outputs, k to a subset.  Outputs
-    come from one ``rng._block`` per run of up to ``_LANES // k`` subsets.
-    Every bound is at most n, so every threshold is above 2**64 - n, and a
-    block whose largest output is at most that holds no rejected output.
-    Only a block that fails this one test is checked output by output, and
-    its rejected outputs are replaced from further blocks.  No block asks
-    for more outputs than are still needed, so ``rng`` ends in the state
-    that m scalar draws would leave.
+    O(n).
     """
-    if not k:  # an empty subset takes no output
-        for _ in range(m):
-            yield []
-        return
-    per_block = max(1, _LANES // k)
-    for first in range(0, m, per_block):
-        need = min(per_block, m - first) * k
-        outputs = rng._block(need)
-        if max(outputs) > (1 << 64) - n:
-            thresholds = [_threshold(n - i) for i in range(k)]
-            kept: list[int] = []
-            while outputs:
-                for u in outputs:
-                    if u < thresholds[len(kept) % k]:
-                        kept.append(u)
-                short = need - len(kept)
-                outputs = rng._block(short) if short else []
-            outputs = kept
+    thresholds = [_threshold(n - i) for i in range(k)]
+    for _ in range(m):
         chosen: list[int] = []
         moved: dict[int, int] = {}
-        i = 0  # the step the next output takes
-        for u in outputs:
+        for i, threshold in enumerate(thresholds):
+            u = next(outputs)
+            while u >= threshold:
+                u = next(outputs)
             j = i + u % (n - i)
             chosen.append(moved.get(j, j))
             moved[j] = moved.get(i, i)
-            i += 1
-            if i == k:
-                yield chosen
-                chosen, moved, i = [], {}, 0
+        yield chosen
 
 
 def transitive_graph_corpus() -> list[tuple[str, Hypergraph]]:

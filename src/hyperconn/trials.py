@@ -1,80 +1,46 @@
-"""The seeded random trials of ``verify lemma``, drawn in groups.
+"""The seeded random trials of ``verify lemma``.
 
-Each trial's draws are the ones scalar calls of ``below``, ``next_u64``
-and ``random_uniform_hypergraph`` would make, but the instances' outputs
-are evaluated a group of trials at a time, in one lane-packed pass, and
-their edges are read off in closed form (see ``_subset_masks``).  Only a
-group's draws and masks are held at once, so memory does not grow with the
-number of trials.
+A trial takes every draw from the suite's one SplitMix64 stream, in order:
+n, k and m, then the k * m outputs of its m edges, then the vertex bitmasks
+X and Y.  The stream is evaluated in blocks (``SplitMix64._stream``), and
+the edges are read off their outputs in closed form (see ``_subset_masks``)
+unless one of them might be rejected.  Trials are drawn one at a time, so
+memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Iterator
 
-from .constructions import (
-    _GAMMA,
-    _LANES,
-    _MASK64,
-    SplitMix64,
-    _below,
-    _draw_subsets,
-    _lane_ramp,
-    _mix_lanes,
-)
-
-# a group closes once it holds _GROUP instance outputs or more, and a trial
-# adds at most 4 * 2 * 64 = 512, so a pass evaluates fewer than
-# _GROUP + 512 <= _PASS_LANES
-_GROUP = 2 * _LANES
-_PASS_LANES = 4 * _LANES
+from .constructions import SplitMix64, _below, _draw_subsets
 
 
 def _lemma_trials(rng: SplitMix64, trials: int, nmax: int) -> Iterator[tuple]:
-    """Each trial as (n, k, m, seed, edge masks, X, Y): n, k, m, the
-    instance seed and the vertex bitmasks X and Y as ``rng.below`` and
-    ``rng.next_u64`` draw them, and the vertex bitmasks of the edges of
-    random_uniform_hypergraph(n, k, m, seed).
+    """Each trial as (n, k, m, edge masks, X, Y): the draws that
+    ``rng.below(nmax - 1)``, ``rng.below(min(n, 4) - 1)``,
+    ``rng.below(2 * n)``, m calls of ``rng.subset(n, k)`` and two of
+    ``rng.below(2**n)`` make, with the edges as the set of their vertex
+    bitmasks.
 
-    A group's draws are taken from ``rng`` in trial order until its
-    instances hold ``_GROUP`` outputs or more; each instance's states follow
-    from its seed, so all those outputs are evaluated in one ``_mix_lanes``
-    pass.  A bound below n rejects no output at or below 2**64 - n, so only
-    a pass holding a larger output is checked trial by trial, and a trial
-    that holds one draws its edges through ``_draw_subsets``, which
-    rejects exactly.
+    Every bound of an edge step is at most n, so no output at or below
+    2**64 - n is rejected: a trial whose k * m outputs are all at most that
+    has its masks in closed form, and any other draws its edges through
+    ``_draw_subsets``, which rejects exactly and takes replacements from the
+    stream.
     """
     outputs = rng._stream()
-    # built per call: as module constants these would cost every import of
-    # the package, for this suite alone
-    ones, steps = _lane_ramp(_PASS_LANES, _GAMMA)
-    mask = ones * _MASK64
-    while trials:
-        group, bases, size = [], bytearray(), 0
-        while trials and size < _GROUP:
-            n = 2 + _below(outputs, nmax - 1)
-            k = 2 + _below(outputs, min(n, 4) - 1)
-            m = 1 + _below(outputs, 2 * n)
-            seed = next(outputs)
-            group.append((n, k, m, seed, _below(outputs, 1 << n), _below(outputs, 1 << n)))
-            # lane size + i holds seed - size * gamma; adding steps below
-            # makes it seed + (i + 1) * gamma, the state of the instance's
-            # output i + 1
-            bases += ((seed - size * _GAMMA) & _MASK64).to_bytes(16, "little") * (k * m)
-            size += k * m
-            trials -= 1
-        states = int.from_bytes(bases, "little") + (steps & ((1 << 128 * size) - 1))
-        drawn = _mix_lanes(states, size, mask)
-        check = max(drawn) > (1 << 64) - nmax
-        end = 0
-        for n, k, m, seed, x_mask, y_mask in group:
-            start, end = end, end + k * m
-            if check and max(drawn[start:end]) > (1 << 64) - n:
-                chosen = _draw_subsets(SplitMix64(seed), n, k, m)
-                edge_masks = {sum(1 << v for v in subset) for subset in chosen}
-            else:
-                edge_masks = _subset_masks(drawn[start:end], n, k)
-            yield n, k, m, seed, edge_masks, x_mask, y_mask
+    for _ in range(trials):
+        n = 2 + _below(outputs, nmax - 1)
+        k = 2 + _below(outputs, min(n, 4) - 1)
+        m = 1 + _below(outputs, 2 * n)
+        drawn = list(islice(outputs, k * m))
+        if max(drawn) > (1 << 64) - n:
+            chosen = _draw_subsets(chain(drawn, outputs), n, k, m)
+            edge_masks = {sum(1 << v for v in subset) for subset in chosen}
+        else:
+            edge_masks = _subset_masks(drawn, n, k)
+        yield n, k, m, edge_masks, _below(outputs, 1 << n), _below(outputs, 1 << n)
 
 
 def _subset_masks(outputs: list[int], n: int, k: int) -> set[int]:

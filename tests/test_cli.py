@@ -12,6 +12,7 @@ import pytest
 
 import hyperconn
 from hyperconn import (
+    Hypergraph,
     SplitMix64,
     boundary,
     builtin_corpus,
@@ -22,14 +23,12 @@ from hyperconn import (
     is_connected,
     is_uniform,
     parse_hypergraph,
-    random_uniform_hypergraph,
     serialize_hypergraph,
     transitivity_generators,
     trials,
 )
-from hyperconn.cli import _subsets, _verdict_exit_code, analyze, main, render_machine
+from hyperconn.cli import _subsets, analyze, main, render_machine
 from hyperconn.constructions import _LANES, _draw_subsets, affine_hypergraph, complete_uniform
-from hyperconn.constructions import _mix_lanes as mix_lanes
 from hyperconn.connectivity import _side_blocks
 from hyperconn.trials import _lemma_trials, _subset_masks
 
@@ -734,6 +733,11 @@ def violation_block(name, H, X, Y):
     )
 
 
+def instance_of(n, edge_masks):
+    """The instance whose edges are the given vertex bitmasks."""
+    return Hypergraph(n, tuple(sorted(tuple(v for v in range(n) if em >> v & 1) for em in edge_masks)))
+
+
 def test_verify_lemma_counts_are_boundary_sizes():
     """Both halves of the lemma count what ``boundary`` counts: the table at
     every mask, and the one-pass count of a trial, on the edge masks the
@@ -752,9 +756,10 @@ def test_verify_lemma_counts_are_boundary_sizes():
                 table[x_mask | y_mask], table[x_mask & y_mask], table[x_mask], table[y_mask]
             ), name
     # the trials' own draws, whose masks they take without building H
-    for n, k, m, seed, edge_masks, x_mask, y_mask in _lemma_trials(rng, 200, 16):
-        H = random_uniform_hypergraph(n, k, m, seed)
-        assert edge_masks == {sum(1 << v for v in e) for e in H.edges}
+    for n, k, m, edge_masks, x_mask, y_mask in _lemma_trials(rng, 200, 16):
+        assert 0 < len(edge_masks) <= m
+        assert all(em < 1 << n and bin(em).count("1") == k for em in edge_masks)
+        H = instance_of(n, edge_masks)
         X = {v for v in range(n) if x_mask >> v & 1}
         Y = {v for v in range(n) if y_mask >> v & 1}
         assert cli._uncrossing_sizes(edge_masks, x_mask, y_mask) == tuple(
@@ -777,25 +782,26 @@ def test_verify_lemma_exhaustive_half_reports_a_violation(capsys, monkeypatch):
 def test_verify_lemma_random_half_reports_a_violation(capsys, monkeypatch):
     """Counts that break submodularity fail the first random trial, which
     prints the instance that trial drew."""
-    trials = []
+    calls = []
 
     def broken(edge_masks, x_mask, y_mask):
-        trials.append((set(edge_masks), x_mask, y_mask))
+        calls.append((set(edge_masks), x_mask, y_mask))
         return 1, 0, 0, 0
 
     monkeypatch.setattr(cli, "_uncrossing_sizes", broken)
     code, out, err = run_cli(capsys, "verify", "lemma", "--trials", "50", "--seed", "1")
     assert code == 1
-    assert len(trials) == 1
+    assert len(calls) == 1
     # replay trial 0's draws at the default --nmax 10
     rng = SplitMix64(1)
     n = 2 + rng.below(9)
     k = 2 + rng.below(min(n, 4) - 1)
     m = 1 + rng.below(2 * n)
-    H = random_uniform_hypergraph(n, k, m, seed=rng.next_u64())
-    assert H.m == 9  # large enough that a draw from another seed would differ
+    edges = {rng.subset(n, k) for _ in range(m)}
+    H = Hypergraph(n, tuple(sorted(edges)))
+    assert H.m == 7  # large enough that a draw from another point of the stream would differ
     x_mask, y_mask = rng.below(1 << n), rng.below(1 << n)
-    assert trials[0] == ({sum(1 << v for v in e) for e in H.edges}, x_mask, y_mask)
+    assert calls[0] == ({sum(1 << v for v in e) for e in H.edges}, x_mask, y_mask)
     X = {v for v in range(n) if x_mask >> v & 1}
     Y = {v for v in range(n) if y_mask >> v & 1}
     head, sep, tail = out.partition("violation in")
@@ -817,141 +823,107 @@ def record_trials(capsys, monkeypatch, *argv):
     return seen
 
 
-def replay_trials(below, next_u64, nmax, trials):
-    """The trials' draws made one scalar call at a time: the (edge masks, X,
-    Y) of each trial, and the (n, k, m) of its instance."""
+def replay_trials(rng, nmax, trials):
+    """The trials' draws made one scalar call of ``rng`` at a time: the
+    (edge masks, X, Y) of each trial, and its (n, k, m)."""
     drawn, shapes = [], []
     for _ in range(trials):
-        n = 2 + below(nmax - 1)
-        k = 2 + below(min(n, 4) - 1)
-        m = 1 + below(2 * n)
-        H = random_uniform_hypergraph(n, k, m, seed=next_u64())
-        x_mask, y_mask = below(1 << n), below(1 << n)
-        drawn.append(({sum(1 << v for v in e) for e in H.edges}, x_mask, y_mask))
+        n = 2 + rng.below(nmax - 1)
+        k = 2 + rng.below(min(n, 4) - 1)
+        m = 1 + rng.below(2 * n)
+        edge_masks = {sum(1 << v for v in rng.subset(n, k)) for _ in range(m)}
+        drawn.append((edge_masks, rng.below(1 << n), rng.below(1 << n)))
         shapes.append((n, k, m))
     return drawn, shapes
 
 
+class Scripted(SplitMix64):
+    """A generator whose outputs are the given list, in order, to scalar and
+    block calls alike; ``taken`` counts the outputs handed out."""
+
+    def __init__(self, outputs):
+        super().__init__(0)
+        self.outputs, self.taken = outputs, 0
+
+    def next_u64(self):
+        return self._block(1)[0]
+
+    def _block(self, count):
+        self.taken += count
+        assert self.taken <= len(self.outputs), "asked past the scripted outputs"
+        return self.outputs[self.taken - count : self.taken]
+
+
 @pytest.mark.parametrize("nmax", [2, 10, 16, 64])
 def test_verify_lemma_trials_replay_scalar_draws(capsys, monkeypatch, nmax):
-    """The trials draw from blocks of one output stream, yet each of the
-    first 300 counts the edge masks, X and Y that scalar calls of below,
-    next_u64 and random_uniform_hypergraph give."""
+    """The trials draw from blocks of one output stream, with edges in
+    closed form, yet each of the first 300 counts the edge masks, X and Y
+    that scalar calls of below and subset on one generator give."""
     seen = record_trials(capsys, monkeypatch, "--trials", "300", "--seed", "29", "--nmax", str(nmax))
-    rng = SplitMix64(29)
-    drawn, shapes = replay_trials(rng.below, rng.next_u64, nmax, 300)
+    drawn, shapes = replay_trials(SplitMix64(29), nmax, 300)
     assert seen == drawn
     if nmax == 64:
-        # some instance's draw spans several blocks of the drawer
+        # some trial's edges take more outputs than one block of the stream
         assert max(m * k for _, k, m in shapes) > _LANES
 
 
 def test_verify_lemma_outer_draws_take_the_next_output_after_a_rejection(capsys, monkeypatch):
     """2**64 - 1 is rejected below every bound that is not a power of two,
     such as the bound 9 of n at --nmax 10.  Two copies spliced into the
-    trials' own stream, at its start, among the first trials' draws or at
-    its first block boundary, are skipped or taken as scalar draws would."""
+    trials' stream, at its start, among the first trials' draws or at its
+    first block boundary, are skipped or taken as scalar draws would."""
     rejected = 2**64 - 1
-    plain = list(islice(iter(SplitMix64(5).next_u64, None), 3000))
+    plain = list(islice(iter(SplitMix64(5).next_u64, None), 4000))
     for spliced_at in (0, 1, 2, 3, 4, 5, 6, 7, _LANES - 1, _LANES, _LANES + 1):
         script = list(plain)
         script[spliced_at:spliced_at] = [rejected, rejected]
-        expected = iter(list(script))
-
-        class Scripted(SplitMix64):
-            def _block(self, count):
-                taken = script[:count]
-                del script[:count]
-                return taken
-
-        made = []
-
-        def make(seed):
-            # the first generator is the trials' own stream, the rest the
-            # instances', which stay real
-            made.append(seed)
-            return Scripted(seed) if len(made) == 1 else SplitMix64(seed)
-
-        monkeypatch.setattr(cli, "SplitMix64", make)
+        monkeypatch.setattr(cli, "SplitMix64", lambda seed: Scripted(script))
         seen = record_trials(capsys, monkeypatch, "--trials", "60", "--seed", "5")
-
-        def below(bound):
-            u = next(expected)
-            while u >= 2**64 - 2**64 % bound:
-                u = next(expected)
-            return u % bound
-
-        drawn, _ = replay_trials(below, expected.__next__, 10, 60)
-        assert seen == drawn, spliced_at
+        assert seen == replay_trials(Scripted(script), 10, 60)[0], spliced_at
         if spliced_at == 0:
             # both land on the draw of n and are skipped
-            rng = SplitMix64(5)
-            assert seen == replay_trials(rng.below, rng.next_u64, 10, 60)[0]
+            assert seen == replay_trials(SplitMix64(5), 10, 60)[0]
         monkeypatch.undo()
-
-
-@pytest.mark.parametrize("group", [trials._GROUP, 64])
-def test_verify_lemma_groups_hold_trials_larger_than_a_lane_run(capsys, monkeypatch, group):
-    """At --nmax 64 some instance takes more outputs than a _block run, and
-    with groups of 64 outputs more than a whole group; every pass still
-    gives each trial the scalar draws."""
-    passes = []
-
-    def counted(z, count, mask):
-        passes.append(count)
-        return mix_lanes(z, count, mask)
-
-    monkeypatch.setattr(trials, "_GROUP", group)
-    monkeypatch.setattr(trials, "_mix_lanes", counted)
-    seen = record_trials(capsys, monkeypatch, "--trials", "300", "--seed", "29", "--nmax", "64")
-    rng = SplitMix64(29)
-    drawn, shapes = replay_trials(rng.below, rng.next_u64, 64, 300)
-    assert seen == drawn
-    largest = max(k * m for _, k, m in shapes)
-    assert largest > _LANES and (largest > group or group == trials._GROUP)
-    assert sum(passes) == sum(k * m for _, k, m in shapes)
-    assert group < max(passes) <= trials._PASS_LANES
 
 
 def test_verify_lemma_draws_a_trial_holding_a_rejectable_output_exactly(capsys, monkeypatch):
     """Any bound below n rejects no output at or below 2**64 - n, but one
-    above it may be rejected.  With one output of the first pass scripted
-    at the smallest such value or at 2**64 - 1, that trial alone draws its
-    edges through _draw_subsets, which gives random_uniform_hypergraph's,
-    and every trial keeps the scalar draws."""
-    rng = SplitMix64(29)
-    drawn, shapes = replay_trials(rng.below, rng.next_u64, 10, 60)
+    above it may be rejected.  With one edge output of a trial scripted at
+    the smallest such value or at 2**64 - 1, that trial alone draws its
+    edges through _draw_subsets, and every trial keeps the scalar draws of
+    the scripted stream."""
+    plain = list(islice(iter(SplitMix64(29).next_u64, None), 4000))
     trial = 5
-    n, k, m = shapes[trial]
-    assert sum(k * m for _, k, m in shapes[: trial + 1]) < trials._GROUP  # in the first pass
-    at = sum(k * m for _, k, m in shapes[:trial]) + 1  # the trial's step-1 output
+    rng = Scripted(plain)
+    replay_trials(rng, 10, trial)
+    n = 2 + rng.below(9)
+    k = 2 + rng.below(min(n, 4) - 1)
+    m = 1 + rng.below(2 * n)
+    at = rng.taken + 1  # the trial's step-1 output, drawn below n - 1
+    assert (n - 1) & (n - 2)  # not a power of two, so 2**64 - 1 is rejected there
     for value in (2**64 - n + 1, 2**64 - 1):
+        script = list(plain)
+        script[at] = value
         exact = []
 
-        def scripted(z, count, mask):
-            outputs = mix_lanes(z, count, mask)
-            if not exact and count > at:  # the first pass only
-                outputs[at] = value
-                exact.append(outputs[at - 1 : at - 1 + k * m])
-            return outputs
-
-        def drawer(rng, *shape):
+        def drawer(outputs, *shape):
             exact.append(shape)
-            return _draw_subsets(rng, *shape)
+            return _draw_subsets(outputs, *shape)
 
-        monkeypatch.setattr(trials, "_mix_lanes", scripted)
+        monkeypatch.setattr(cli, "SplitMix64", lambda seed: Scripted(script))
         monkeypatch.setattr(trials, "_draw_subsets", drawer)
         seen = record_trials(capsys, monkeypatch, "--trials", "60", "--seed", "29")
+        drawn, _ = replay_trials(Scripted(script), 10, 60)
         assert seen == drawn, value
-        assert exact[1:] == [(n, k, m)], value
-        # without the exact drawer, the scripted output would change the edges
-        assert _subset_masks(exact[0], n, k) != drawn[trial][0]
+        assert exact == [(n, k, m)], value
         monkeypatch.undo()
+    # without the exact drawer, the rejected output would change the edges
+    assert _subset_masks(script[at - 1 : at - 1 + k * m], n, k) != drawn[trial][0]
 
 
 def test_verify_lemma_memory_stays_flat_in_trials(capsys):
-    """The trials are drawn a group at a time, so twenty times the trials
-    peak at about the same traced memory."""
+    """The trials are drawn one at a time, so twenty times the trials peak
+    at about the same traced memory."""
     peaks = []
     tracemalloc.start()
     try:
@@ -1021,15 +993,18 @@ def test_verify_theorem_missing_corpus_exits_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_verdict_exit_code_flags_failures(capsys):
-    """The failing branch cannot be reached with truthful corpora, so it is
-    exercised directly on a synthetic row."""
-    passing = [("a.hg", "ok", "3", "3", "pass"), ("b.hg", "gap", "-", "-", "skipped (hypothesis)")]
-    assert _verdict_exit_code(passing) == 0
-    failing = passing + [("c.hg", "ok", "2", "3", "FAIL")]
-    assert _verdict_exit_code(failing) == 1
-    out = capsys.readouterr().out
-    assert "critical: c.hg" in out
+def test_verdict_exit_code_flags_failures(capsys, tmp_path, monkeypatch):
+    """The failing branch cannot be reached with truthful corpora, so a
+    minimum degree read one too high makes the one gated file fail."""
+    corpus = tmp_path / "main"
+    corpus.mkdir()
+    gen(capsys, corpus, "affine_3.hg", "--family", "affine", "--k", "3")
+    (corpus / "bare.hg").write_text("h 3 0\n")
+    monkeypatch.setattr(cli, "degree_extremes", lambda H: (4, 4))
+    code, out, err = run_cli(capsys, "verify", "theorem", "--corpus", str(corpus), "--which", "main")
+    assert code == 1
+    assert "summary: 2 instances, 1 gated, 0 pass, 1 fail, 1 skipped" in out
+    assert out.endswith("critical: affine_3.hg violates kappa == delta under satisfied hypotheses\n")
 
 
 def test_oracle_command_connected(capsys, tmp_path, monkeypatch):

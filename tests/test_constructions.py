@@ -125,10 +125,22 @@ def test_block_and_drawer_match_scalar_reference():
         cases.append((n, rng.below(n + 1), rng.below(2 * _LANES)))
     for n, k, m in cases:
         seed = 1000 * n + 10 * k + m
-        rng, ref = SplitMix64(seed), reference_outputs(seed)
-        assert list(_draw_subsets(rng, n, k, m)) == reference_subsets(ref, n, k, m), (n, k, m)
+        outputs, ref = SplitMix64(seed)._stream(), reference_outputs(seed)
+        assert list(_draw_subsets(outputs, n, k, m)) == reference_subsets(ref, n, k, m), (n, k, m)
         # the drawer took no output beyond the ones it used
-        assert rng.next_u64() == next(ref), (n, k, m)
+        assert next(outputs) == next(ref), (n, k, m)
+    # an empty subset takes no output
+    assert list(_draw_subsets(iter(()), 5, 0, 3)) == [[], [], []]
+
+
+def test_subset_leaves_the_scalar_state():
+    """``subset`` takes the outputs next_u64 would give, one step at a time,
+    so the generator ends in the state the scalar draws leave."""
+    for n, k in ((10, 4), (7, 7), (3, 1), (9, 0), (300, 300), (1000, 3)):
+        rng, ref = SplitMix64(n + k), reference_outputs(n + k)
+        picked = [rng.subset(n, k) for _ in range(5)]
+        assert picked == [tuple(sorted(c)) for c in reference_subsets(ref, n, k, 5)], (n, k)
+        assert rng.next_u64() == next(ref), (n, k)
 
 
 def test_stream_is_the_scalar_stream():
@@ -145,28 +157,17 @@ def test_drawer_takes_the_next_output_after_a_rejection():
     a stream with it spliced in forces a rejection at a small bound.  For
     bound 3 it is the smallest rejected output, the edge of the rule."""
     rejected = 2**64 - 1
-    # bounds 7, 6 and 5, then bound 3 alone; both draws span two blocks
+    # bounds 7, 6 and 5, then bound 3 alone
     for n, k, m in ((7, 3, _LANES // 2), (3, 1, _LANES + 10)):
-        # the last splice leaves a refill of one output that is rejected too
+        # the last splice puts both copies at the last step, replaced in turn
         for spliced_at in (0, 1, 5, _LANES - 1, _LANES, _LANES + 2, m * k - 1):
             scripted = list(islice(reference_outputs(5), m * k))
             scripted[spliced_at:spliced_at] = [rejected, rejected]
-            expected = list(scripted)
-            requests = []
-
-            class Scripted(SplitMix64):
-                def _block(self, count):
-                    requests.append(count)
-                    assert count <= len(scripted), "asked past the outputs it needs"
-                    taken = scripted[:count]
-                    del scripted[:count]
-                    return taken
-
-            drawn = list(_draw_subsets(Scripted(0), n, k, m))
-            assert drawn == reference_subsets(iter(expected), n, k, m), (n, spliced_at)
-            # every output handed out was used: m * k accepted plus two rejected
-            assert sum(requests) == m * k + 2 and not scripted, (n, spliced_at)
-            assert all(count <= _LANES for count in requests)
+            outputs = iter(scripted + ["past the last output"])
+            drawn = list(_draw_subsets(outputs, n, k, m))
+            assert drawn == reference_subsets(iter(scripted), n, k, m), (n, spliced_at)
+            # every output taken was used: m * k accepted plus two rejected
+            assert next(outputs) == "past the last output", (n, spliced_at)
 
 
 def test_complete_uniform():

@@ -1,30 +1,28 @@
-"""The lemma trials' closed-form subset masks against the drawer they stand for."""
+"""The lemma trials: a known answer, and the closed-form subset masks
+against the drawer they stand for."""
 
+import hashlib
 from itertools import product
 
 from hyperconn import SplitMix64
 from hyperconn.constructions import _draw_subsets
-from hyperconn.trials import _subset_masks
+from hyperconn.trials import _lemma_trials, _subset_masks
 
 
-class Scripted(SplitMix64):
-    """A generator whose outputs are the given list, in order."""
-
-    def __init__(self, outputs):
-        super().__init__(0)
-        self.outputs = list(outputs)
-
-    def _block(self, count):
-        taken = self.outputs[:count]
-        del self.outputs[:count]
-        return taken
+def test_lemma_trials_match_pinned_digest():
+    """Known answer of the trial stream: any change to the order or the
+    rule of the draws fails here."""
+    digest = hashlib.sha256()
+    for n, k, m, edge_masks, x_mask, y_mask in _lemma_trials(SplitMix64(7), 300, 16):
+        digest.update(repr((n, k, m, sorted(edge_masks), x_mask, y_mask)).encode())
+    assert digest.hexdigest() == "bb30caed9f80c86108672bd7b51d1202a2df0c8e04d3d9782e380c961c7d31b8"
 
 
 def check_residues(n, k, steps):
     """Each residue tuple, as outputs u with u % (n - i) = r_i, gives the
     one mask of the subset ``_draw_subsets`` picks from the same outputs."""
     steps = list(steps)
-    picked = _draw_subsets(Scripted(r for rs in steps for r in rs), n, k, len(steps))
+    picked = _draw_subsets(iter([r for rs in steps for r in rs]), n, k, len(steps))
     for rs, chosen in zip(steps, picked):
         assert _subset_masks(list(rs), n, k) == {sum(1 << v for v in chosen)}, (n, rs)
 
@@ -55,5 +53,5 @@ def test_masks_of_many_subsets_are_their_set():
     rng = SplitMix64(11)
     for n, k, m in ((2, 2, 5), (9, 3, 40), (16, 4, 32), (64, 4, 128), (64, 2, 1)):
         outputs = [rng.next_u64() for _ in range(k * m)]
-        picked = _draw_subsets(Scripted(outputs), n, k, m)
+        picked = _draw_subsets(iter(outputs), n, k, m)
         assert _subset_masks(outputs, n, k) == {sum(1 << v for v in c) for c in picked}
