@@ -5,24 +5,28 @@ deduplicated edge list, so serialization of generated instances is
 canonical.  Where a construction is usually described with 1-based labels,
 the mapping is noted on the generator (and echoed into the provenance
 comments the CLI writes).
+
+The circulant, cyclic-difference, affine, doubled affine and glued
+families are orbit closures (:func:`orbit_hypergraph`) of a few base
+blocks under the rotation or digit shifts (``symmetry._digit_shift``), so
+those generators are automorphisms of the family by construction.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .model import Hypergraph, HypergraphError
+from .model import Hypergraph, HypergraphError, _normalize_edge
+from .symmetry import _check_permutation, _digit_shift
 
 __all__ = [
     "SplitMix64",
-    "ParallelClasses",
+    "orbit_hypergraph",
     "complete_uniform",
     "glued_complete_family",
-    "affine_plane_classes",
     "affine_hypergraph",
     "affine_doubled_family",
     "cyclic_difference_hypergraph",
@@ -139,21 +143,30 @@ def _below(outputs: Iterator[int], bound: int) -> int:
     return u % bound
 
 
-@dataclass(frozen=True)
-class ParallelClasses:
-    """Parallel line classes of a k x k point grid.
+def orbit_hypergraph(n: int, gens: Iterable[Sequence[int]], bases: Iterable[Iterable[int]]) -> Hypergraph:
+    """The union of the set-orbits of the base blocks under the group that
+    the permutations ``gens`` of range(n) generate, each edge once, sorted;
+    every generator is an automorphism of the result.  Images are closed
+    forward only, as in ``symmetry._orbit_of``.
 
-    ``classes[c][j]`` is a sorted line of k points; class 0 is the rows.
+    Raises:
+        HypergraphError: if a generator is not a permutation of range(n),
+            or a base block breaks the edge rule.
     """
-
-    k: int
-    classes: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self) -> None:
-        normalized = tuple(
-            tuple(tuple(line) for line in group) for group in self.classes
-        )
-        object.__setattr__(self, "classes", normalized)
+    maps = []
+    for g in gens:
+        _check_permutation(n, g)
+        maps.append(tuple(g).__getitem__)
+    found = {_normalize_edge(b, n) for b in bases}
+    todo = list(found)
+    while todo:
+        e = todo.pop()
+        for image_of in maps:
+            image = tuple(sorted(map(image_of, e)))
+            if image not in found:
+                found.add(image)
+                todo.append(image)
+    return Hypergraph(n, tuple(sorted(found)))
 
 
 def complete_uniform(n: int, k: int) -> Hypergraph:
@@ -174,42 +187,16 @@ def glued_complete_family(n: int, k: int) -> Hypergraph:
         raise HypergraphError(
             f"glued complete family requires k >= 3 and n >= {k + 2}, got n={n}, k={k}"
         )
-    edges = []
-    for i in range(k):
-        base = i * n
-        for subset in combinations(range(n), k):
-            edges.append(tuple(base + v for v in subset))
-    for v in range(n):
-        edges.append(tuple(i * n + v for i in range(k)))
-    return Hypergraph(n * k, tuple(sorted(edges)))
-
-
-def affine_plane_classes(k: int) -> ParallelClasses:
-    """The k + 1 parallel classes of lines of the k x k grid, k an odd prime.
-
-    Class 0 holds the rows.  Class i (1 <= i <= k) holds lines of slope
-    i - 1: the line with intercept j picks, in row t, the column congruent
-    to (i - 1) * t + j modulo k.  Every class partitions the k*k points and
-    any two points share exactly one line overall.
-    """
-    _require_odd_prime(k)
-    rows = tuple(tuple(range(i * k, (i + 1) * k)) for i in range(k))
-    classes = [rows]
-    for slope in range(k):
-        group = []
-        for intercept in range(k):
-            line = tuple(t * k + (slope * t + intercept) % k for t in range(k))
-            group.append(tuple(sorted(line)))
-        classes.append(tuple(sorted(group)))
-    return ParallelClasses(k, classes)
+    gens = (_digit_shift(n * k, 1, n), _digit_shift(n * k, n, k))
+    return orbit_hypergraph(n * k, gens, [*combinations(range(n), k), range(0, n * k, n)])
 
 
 def affine_hypergraph(k: int) -> Hypergraph:
     """k*k vertices and the k*k lines of the sloped classes; the row class is
     deliberately left out, which makes the instance k-regular and linear."""
-    pc = affine_plane_classes(k)
-    edges = sorted(line for group in pc.classes[1:] for line in group)
-    return Hypergraph(k * k, tuple(edges))
+    _require_odd_prime(k)
+    gens = (_digit_shift(k * k, 1, k), _digit_shift(k * k, k, k))
+    return orbit_hypergraph(k * k, gens, _lines_through_0(k))
 
 
 def affine_doubled_family(k: int) -> Hypergraph:
@@ -219,14 +206,15 @@ def affine_doubled_family(k: int) -> Hypergraph:
     2k) is row i of the grid together with its shifted twin, restoring row
     adjacency that the line classes alone do not provide.
     """
-    base = affine_hypergraph(k)
-    shift = k * k
-    edges = list(base.edges)
-    edges.extend(tuple(v + shift for v in e) for e in base.edges)
-    for i in range(k):
-        row = tuple(range(i * k, (i + 1) * k))
-        edges.append(row + tuple(v + shift for v in row))
-    return Hypergraph(2 * shift, tuple(sorted(edges)))
+    _require_odd_prime(k)
+    n = 2 * k * k
+    gens = (_digit_shift(n, 1, k), _digit_shift(n, k, k), _digit_shift(n, k * k, 2))
+    return orbit_hypergraph(n, gens, [*_lines_through_0(k), (*range(k), *range(k * k, k * k + k))])
+
+
+def _lines_through_0(k: int) -> list[list[int]]:
+    """The line of each slope s through grid point 0: in row t, column s * t mod k."""
+    return [[t * k + s * t % k for t in range(k)] for s in range(k)]
 
 
 def cyclic_difference_hypergraph(n: int, base: Iterable[int]) -> Hypergraph:
@@ -242,8 +230,7 @@ def cyclic_difference_hypergraph(n: int, base: Iterable[int]) -> Hypergraph:
         raise HypergraphError(f"base must contain at least 2 residues, got {b}")
     if b[0] < 0 or b[-1] >= n:
         raise HypergraphError(f"base {b} must lie in [0, {n - 1}]")
-    edges = {tuple(sorted((x + t) % n for x in b)) for t in range(n)}
-    return Hypergraph(n, tuple(sorted(edges)))
+    return orbit_hypergraph(n, [_digit_shift(n, 1, n)], [b])
 
 
 def base_differences_distinct(n: int, base: Iterable[int]) -> bool:
@@ -261,8 +248,7 @@ def circulant_graph(n: int, offsets: Iterable[int]) -> Hypergraph:
     for d in offs:
         if not 1 <= d <= n // 2:
             raise HypergraphError(f"offset {d} outside [1, {n // 2}]")
-    edges = {tuple(sorted((v, (v + d) % n))) for v in range(n) for d in offs}
-    return Hypergraph(n, tuple(sorted(edges)))
+    return orbit_hypergraph(n, [_digit_shift(n, 1, n)], [(0, d) for d in offs])
 
 
 def random_uniform_hypergraph(n: int, k: int, m: int, seed: int) -> Hypergraph:

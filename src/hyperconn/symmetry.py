@@ -5,20 +5,19 @@ of vertex v.  An automorphism must preserve the edge multiset, so
 multi-edges keep their multiplicities.
 
 Transitivity is certified before any search where digit shifts do it.
-Read vertex v as a mixed-radix number; the shift of one digit adds 1 to
-that digit modulo its radix and keeps the others.  ``_shifts`` looks for
-a labelling whose every digit shift is an automorphism, digit by digit
-from the lowest, each time taking the largest radix whose shift passes
-:func:`is_automorphism`, with no backtracking.  It runs only when n >= 2
-and the input is regular, and at most once per instance, whose verdict it
-keeps.  Such shifts carry 0 to every vertex.  The first radix tried is n,
-whose shift is the rotation v -> v + 1 mod n, so a rotation-invariant
-input (every circulant, cyclic-difference and complete instance, every
-cycle) gets the rotation alone.  The affine grid gets the shifts of its
-column and row, the doubled grid those and the copy swap, and the glued
-family the shifts of position and block.  The shifts are the generators
-from :func:`transitivity_generators`, and :func:`vertex_orbits` gives one
-orbit, with no search and no search tables.  The flow route of
+Read vertex v as a mixed-radix number; the shift of one digit
+(``_digit_shift``) adds 1 to that digit modulo its radix and keeps the
+others.  ``_shifts`` looks for a labelling whose every digit shift is an
+automorphism, digit by digit from the lowest, each time taking the largest
+radix whose shift passes :func:`is_automorphism`, with no backtracking.
+It runs only when n >= 2 and the input is regular, and at most once per
+instance, whose verdict it keeps.  Such shifts carry 0 to every vertex.
+A rotation-invariant input (every circulant, cyclic-difference and
+complete instance, every cycle) gets the rotation v -> v + 1 mod n alone,
+and the affine, doubled affine and glued families get back the shifts
+that :mod:`hyperconn.constructions` builds them from.  The shifts are the
+generators from :func:`transitivity_generators`, and :func:`vertex_orbits`
+gives one orbit, with no search and no search tables.  The flow route of
 :mod:`hyperconn.connectivity` reads the same verdict.
 :func:`find_automorphism_mapping` and :func:`enumerate_automorphisms`
 always search.
@@ -120,10 +119,7 @@ def is_automorphism(H: Hypergraph, p: Sequence[int]) -> bool:
     Raises:
         HypergraphError: if p has the wrong length or is not a bijection.
     """
-    if len(p) != H.n:
-        raise HypergraphError(f"permutation has length {len(p)}, expected {H.n}")
-    if sorted(p) != list(range(H.n)):
-        raise HypergraphError("permutation is not a bijection on the vertex set")
+    _check_permutation(H.n, p)
     mapped = Counter([tuple(sorted([p[v] for v in e])) for e in H.edges])
     # both hold positive counts only, so dict equality, which runs in C, is
     # multiset equality; Counter's own == loops in Python
@@ -257,18 +253,17 @@ def _edge_multiset(H: Hypergraph) -> Counter:
 def _shifts(H: Hypergraph) -> tuple[tuple[int, ...], ...] | None:
     """Digit shifts of H that carry 0 to every vertex, else None.
 
-    The shift of stride s and radix r cycles the digit (v // s) mod r of
-    every vertex v and keeps the others: v -> v + s, or v - (r - 1) * s
-    when that digit is r - 1.  From s = 1, the largest radix r >= 2 that
-    divides n / s and whose shift is an automorphism is kept and s becomes
-    s * r, until s = n; when no radix passes at some stride the verdict is
-    None, with no backtracking.  The kept shifts cycle every digit of one
-    mixed-radix labelling, so they carry 0 everywhere.  The first probe is
-    the rotation v -> v + 1 mod n, so a rotation-invariant input gets the
-    rotation alone.  A probe first checks that the edges through 0 map onto
-    the edges through s, its image, which refuses most failing shifts
-    before the full test of :func:`is_automorphism`.  The chain runs only
-    on a regular input with n >= 2, as every vertex-transitive one is.
+    From s = 1, the largest radix r >= 2 that divides n / s and whose
+    :func:`_digit_shift` of stride s is an automorphism is kept and s
+    becomes s * r, until s = n; when no radix passes at some stride the
+    verdict is None, with no backtracking.  The kept shifts cycle every
+    digit of one mixed-radix labelling, so they carry 0 everywhere.  The
+    first probe is the rotation v -> v + 1 mod n, so a rotation-invariant
+    input gets the rotation alone.  A probe first checks that the edges
+    through 0 map onto the edges through s, its image, which refuses most
+    failing shifts before the full test of :func:`is_automorphism`.  The
+    chain runs only on a regular input with n >= 2, as every
+    vertex-transitive one is.
     """
     n, edges, degs = H.n, H.edges, H._degrees
     if n < 2 or min(degs) != max(degs):
@@ -281,13 +276,13 @@ def _shifts(H: Hypergraph) -> tuple[tuple[int, ...], ...] | None:
         for radix in range(rest, 1, -1):
             if rest % radix:
                 continue
-            # the shift rotates each block of span vertices by stride
+            # the star is mapped by the shift's first span vertices alone
             span = stride * radix
-            block = (*range(stride, span), *range(stride))
+            block = _digit_shift(span, stride, radix)
             moved = [tuple(sorted([v - v % span + block[v % span] for v in e])) for e in star]
             if sorted(moved) != sorted([edges[i] for i in H._incidence[stride]]):
                 continue
-            p = block if span == n else tuple([b + x for b in range(0, n, span) for x in block])
+            p = _digit_shift(n, stride, radix)
             if is_automorphism(H, p):
                 found.append(p)
                 stride = span
@@ -295,6 +290,23 @@ def _shifts(H: Hypergraph) -> tuple[tuple[int, ...], ...] | None:
         else:
             return None
     return tuple(found)
+
+
+def _digit_shift(n: int, stride: int, radix: int) -> tuple[int, ...]:
+    """The digit shift of stride s and radix r on range(n), where s * r
+    divides n: it cycles the digit (v // s) mod r of every vertex v and
+    keeps the others, v -> v + s, or v - (r - 1) * s when that digit is
+    r - 1.  So it rotates each run of s * r vertices by s."""
+    span = stride * radix
+    block = (*range(stride, span), *range(stride))
+    return block if span == n else tuple([b + x for b in range(0, n, span) for x in block])
+
+
+def _check_permutation(n: int, p: Sequence[int]) -> None:
+    if len(p) != n:
+        raise HypergraphError(f"permutation has length {len(p)}, expected {n}")
+    if sorted(p) != list(range(n)):
+        raise HypergraphError("permutation is not a bijection on the vertex set")
 
 
 def _orbit_of(v0: int, gens: list[tuple[int, ...]]) -> set[int]:

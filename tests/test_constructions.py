@@ -12,7 +12,6 @@ from hyperconn import (
     SplitMix64,
     affine_doubled_family,
     affine_hypergraph,
-    affine_plane_classes,
     base_differences_distinct,
     builtin_corpus,
     circulant_graph,
@@ -20,15 +19,19 @@ from hyperconn import (
     cyclic_difference_hypergraph,
     degree,
     glued_complete_family,
+    is_automorphism,
     is_connected,
     is_linear,
     is_uniform,
     linear_uniform_corpus,
+    orbit_hypergraph,
     random_uniform_hypergraph,
     serialize_hypergraph,
     transitive_graph_corpus,
 )
 from hyperconn.constructions import _LANES, _draw_subsets
+
+from helpers import digit_shift, shift_families
 
 
 def test_splitmix64_reference_sequence():
@@ -206,38 +209,44 @@ def test_glued_complete_parameter_guard():
         glued_complete_family(3, 3)
 
 
+def slope_classes(k, H):
+    """The lines of ``H``, a set of lines on the k x k grid with one point
+    per row, grouped by slope: the column step from row 0 to row 1."""
+    classes = {}
+    for line in H.edges:
+        classes.setdefault((line[1] - line[0]) % k, []).append(line)
+    return classes
+
+
 @pytest.mark.parametrize("k", [3, 5, 7])
 def test_affine_plane_classes_invariants(k):
-    classes = affine_plane_classes(k).classes
-    points = set(range(k * k))
-    assert len(classes) == k + 1
-    for group in classes:
+    """The k sloped classes of AG(2, k) that ``affine_hypergraph`` keeps:
+    each partitions the points, two points in different rows share exactly
+    one line, and two in the same row share none, so no row is an edge."""
+    H = affine_hypergraph(k)
+    classes = slope_classes(k, H)
+    assert sorted(classes) == list(range(k))
+    for group in classes.values():
         assert len(group) == k
-        covered = [v for line in group for v in line]
-        assert len(covered) == k * k
-        assert set(covered) == points
+        assert sorted(v for line in group for v in line) == list(range(k * k))
         assert all(len(line) == k for line in group)
-    pair_seen = Counter()
-    for group in classes:
-        for line in group:
-            for a, b in combinations(line, 2):
-                pair_seen[(a, b)] += 1
-    assert all(c == 1 for c in pair_seen.values())
-    assert len(pair_seen) == k * k * (k * k - 1) // 2
+    pair_seen = Counter(pair for line in H.edges for pair in combinations(line, 2))
+    assert set(pair_seen.values()) == {1}
+    assert set(pair_seen) == {(a, b) for a, b in combinations(range(k * k), 2) if a // k != b // k}
 
 
 def test_affine_plane_classes_frozen_lines():
-    classes = affine_plane_classes(3).classes
-    assert classes[0] == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
-    assert classes[1][0] == (0, 3, 6)
-    assert classes[2][0] == (0, 4, 8)
+    H = affine_hypergraph(3)
+    assert [line for line in H.edges if 0 in line] == [(0, 3, 6), (0, 4, 8), (0, 5, 7)]
+    assert slope_classes(3, H)[1] == [(0, 4, 8), (1, 5, 6), (2, 3, 7)]
 
 
 def test_affine_plane_rejects_non_primes():
-    for bad in (2, 4, 6, 9, 15, 1, 0):
-        with pytest.raises(HypergraphError) as err:
-            affine_plane_classes(bad)
-        assert "odd prime" in str(err.value)
+    for family in (affine_hypergraph, affine_doubled_family):
+        for bad in (2, 4, 6, 9, 15, 1, 0):
+            with pytest.raises(HypergraphError) as err:
+                family(bad)
+            assert "odd prime" in str(err.value)
 
 
 def test_affine_hypergraph():
@@ -330,6 +339,86 @@ def test_circulant_graph():
         circulant_graph(6, (0,))
     with pytest.raises(HypergraphError):
         circulant_graph(6, (4,))
+
+
+def group_orbits(n, gens, bases):
+    """Sorted distinct images of the bases under every element of the group
+    the generators make, the group closed by composition from the identity."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple(g[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return tuple(sorted({tuple(sorted(p[v] for v in b)) for p in group for b in bases}))
+
+
+def rotation(n):
+    return (*range(1, n), 0)
+
+
+def reflection(n):
+    return tuple(-v % n for v in range(n))
+
+
+def test_orbit_hypergraph_matches_the_group_closure():
+    cases = [
+        # a short orbit: {0, 2, 4} is a coset of 2Z_6, fixed by the square of the rotation
+        (6, [rotation(6)], [(0, 2, 4)]),
+        (6, [rotation(6)], [(0, 2, 4), (0, 1)]),
+        # a base given twice, and one met in another's orbit
+        (7, [rotation(7)], [(0, 1, 3), (0, 1, 3)]),
+        (7, [rotation(7)], [(0, 1, 3), (2, 3, 5)]),
+        # more than one generator: the digit shifts of Z_3 x Z_4, the
+        # dihedral group D_12, and the grid shifts of AG(2, 3)
+        (12, [digit_shift(12, 1, 3), digit_shift(12, 3, 4)], [(0, 1), (0, 4, 5)]),
+        (12, [rotation(12), reflection(12)], [(0, 1, 5), (0, 2, 3, 7)]),
+        (12, [rotation(12), reflection(12)], [(0, 6)]),
+        (9, [digit_shift(9, 1, 3), digit_shift(9, 3, 3)], [(0, 4, 8), (0, 1)]),
+        # no generator: the bases alone
+        (5, [], [(3, 1), (0, 4, 2)]),
+    ]
+    rng = SplitMix64(5)
+    for _ in range(30):
+        n = 2 + rng.below(6)
+        gens = []
+        for _ in range(1 + rng.below(2)):
+            perm = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = rng.below(i + 1)
+                perm[i], perm[j] = perm[j], perm[i]
+            gens.append(tuple(perm))
+        bases = [rng.subset(n, 2 + rng.below(n - 1)) for _ in range(1 + rng.below(3))]
+        cases.append((n, gens, bases))
+    for n, gens, bases in cases:
+        H = orbit_hypergraph(n, gens, bases)
+        assert H.edges == group_orbits(n, gens, bases), (n, gens, bases)
+        assert all(is_automorphism(H, g) for g in gens), (n, gens, bases)
+    assert orbit_hypergraph(6, [rotation(6)], [(4, 2, 0)]).edges == ((0, 2, 4), (1, 3, 5))
+
+
+def test_orbit_hypergraph_rejects_non_permutations_and_bad_bases():
+    for bad in ((1, 2, 3, 0), (1, 2, 0, 3, 4, 5), (0, 1, 1, 2, 3), (1, 2, 3, 4, 5)):
+        with pytest.raises(HypergraphError, match="permutation"):
+            orbit_hypergraph(5, [rotation(5), bad], [(0, 1)])
+    for base, message in (((0,), "edge of size 1"), ((0, 0), "repeated vertex 0"), ((0, 5), "vertex index 5")):
+        with pytest.raises(HypergraphError, match=message):
+            orbit_hypergraph(5, [rotation(5)], [base])
+
+
+def test_family_generators_are_automorphisms():
+    """The rotation builds the circulant and cyclic-difference families and
+    the digit shifts the grid, doubled grid and glued families, so each of
+    them is an automorphism of what it built."""
+    families = [circulant_graph(n, offs) for n, offs in ((2, (1,)), (8, (1, 2)), (10, (1, 2, 5)), (400, (1, 2)))]
+    families += [cyclic_difference_hypergraph(n, b) for n, b in ((6, (0, 2, 4)), (13, (0, 1, 4)), (31, (0, 1, 3, 8, 12, 18)))]
+    for H in families:
+        assert is_automorphism(H, rotation(H.n)), H
+    for name, H, shifts in shift_families():
+        assert all(is_automorphism(H, g) for g in shifts), name
 
 
 def test_random_uniform_hypergraph():

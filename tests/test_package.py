@@ -23,8 +23,8 @@ PUBLIC_NAMES = {
     "transitivity_generators", "vertex_orbits", "enumerate_automorphisms",
     "is_block_of_imprimitivity",
     # constructions
-    "SplitMix64", "ParallelClasses", "complete_uniform", "glued_complete_family",
-    "affine_plane_classes", "affine_hypergraph", "affine_doubled_family",
+    "SplitMix64", "orbit_hypergraph", "complete_uniform", "glued_complete_family",
+    "affine_hypergraph", "affine_doubled_family",
     "cyclic_difference_hypergraph", "base_differences_distinct",
     "circulant_graph", "random_uniform_hypergraph", "builtin_corpus",
     "transitive_graph_corpus", "linear_uniform_corpus",
