@@ -150,9 +150,17 @@ def orbit_hypergraph(n: int, gens: Iterable[Sequence[int]], bases: Iterable[Iter
     forward only, as in ``symmetry._orbit_of``.
 
     Raises:
-        HypergraphError: if a generator is not a permutation of range(n),
-            or a base block breaks the edge rule.
+        HypergraphError: if n is out of range, a generator is not a
+            permutation of range(n), or a base block breaks the edge rule.
     """
+    return Hypergraph._trusted(n, _orbit_edges(n, gens, bases))
+
+
+def _orbit_edges(
+    n: int, gens: Iterable[Sequence[int]], bases: Iterable[Iterable[int]]
+) -> Iterator[tuple[int, ...]]:
+    """The edges of :func:`orbit_hypergraph`, sorted; nothing runs before
+    the first is asked for, so a refused n builds nothing."""
     maps = []
     for g in gens:
         _check_permutation(n, g)
@@ -166,14 +174,14 @@ def orbit_hypergraph(n: int, gens: Iterable[Sequence[int]], bases: Iterable[Iter
             if image not in found:
                 found.add(image)
                 todo.append(image)
-    return Hypergraph(n, tuple(sorted(found)))
+    yield from sorted(found)
 
 
 def complete_uniform(n: int, k: int) -> Hypergraph:
     """All k-subsets of range(n) as edges, in lexicographic order."""
     if not 2 <= k <= n:
         raise HypergraphError(f"complete uniform requires 2 <= k <= n, got k={k}, n={n}")
-    return Hypergraph(n, tuple(combinations(range(n), k)))
+    return Hypergraph._trusted(n, combinations(range(n), k))
 
 
 def glued_complete_family(n: int, k: int) -> Hypergraph:
@@ -267,7 +275,7 @@ def random_uniform_hypergraph(n: int, k: int, m: int, seed: int) -> Hypergraph:
     # outputs do and only a rejection evaluates more
     outputs = chain(rng._block(k * m % _LANES), rng._stream())
     edges = {tuple(sorted(chosen)) for chosen in _draw_subsets(outputs, n, k, m)}
-    return Hypergraph(n, tuple(sorted(edges)))
+    return Hypergraph._trusted(n, sorted(edges))
 
 
 def _draw_subsets(outputs: Iterator[int], n: int, k: int, m: int) -> Iterator[list[int]]:

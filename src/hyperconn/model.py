@@ -83,8 +83,10 @@ class Hypergraph:
     """An immutable hypergraph on vertices ``0..n-1``.
 
     Edges are normalized to sorted tuples at construction; edge order (and
-    hence edge indices) is preserved as given.  The derived tables below
-    are built on first use and kept on the instance.
+    hence edge indices) is preserved as given.  The parser and the
+    generators, whose edges are checked already, build through
+    :meth:`_trusted`.  The derived tables below are built on first use and
+    kept on the instance.
     """
 
     n: int
@@ -93,6 +95,17 @@ class Hypergraph:
     def __post_init__(self) -> None:
         _check_vertex_count(self.n)
         object.__setattr__(self, "edges", tuple([_normalize_edge(e, self.n) for e in self.edges]))
+
+    @classmethod
+    def _trusted(cls, n: int, edges: Iterable[tuple[int, ...]]) -> Hypergraph:
+        """An instance on edges that are already sorted tuples keeping the
+        edge rule, taken as given.  Only n is checked, before ``edges`` is
+        read, so a lazy ``edges`` builds nothing for a refused n."""
+        _check_vertex_count(n)
+        H = object.__new__(cls)
+        object.__setattr__(H, "n", n)
+        object.__setattr__(H, "edges", tuple(edges))
+        return H
 
     @property
     def m(self) -> int:
@@ -239,11 +252,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
     n, m = header
     if len(edges) != m:
         raise ParseError(last_line, f"edge count mismatch, header declares {m} edges, found {len(edges)}")
-    # every edge was normalized on its own line, so __post_init__ is skipped
-    H = object.__new__(Hypergraph)
-    object.__setattr__(H, "n", n)
-    object.__setattr__(H, "edges", tuple(edges))
-    return H
+    # every edge was normalized on its own line
+    return Hypergraph._trusted(n, edges)
 
 
 def serialize_hypergraph(H: Hypergraph) -> str:

@@ -40,19 +40,12 @@ then prunes with necessary conditions only:
   z;
 * pinned edges: once an edge has a single candidate, its free vertices map
   into that candidate and no vertex outside the edge may;
-* claims (the cheapest all-different check): a neighbour of w that the
-  adjacency rule narrows, or a vertex that a pinned edge narrows, and that
-  has one image left, not counting taken images nor, outside every pinned
-  edge, pinned ones, claims that image.  An empty domain, or an image
-  another free vertex already claimed, refutes w -> z at once; without
-  this, two vertices forced onto one image surface only many forced levels
-  deeper.  Domains only shrink below a node, so a claim holds in its whole
-  subtree.  Claims live in the state, on the trail, and a vertex narrowed
-  again onto its own claim is no conflict.  The rule cuts only branches
-  that hold no automorphism, so every search yields what it did without it.
-  Checking vertices at distance 2 as well saved 2% of the nodes on random
-  instances and none on the benchmark's search cases, while slowing long
-  forced chains such as cycles, so they are not checked.
+* refutation: when adjacency or a pinned edge narrows a free vertex to
+  taken images only, w -> z is refuted at once; without this, that vertex
+  surfaces only once the forced vertices chosen before it are assigned,
+  often many levels deeper.  Domains only shrink and taken images stay
+  taken below a node, so the rule cuts only branches that hold no
+  automorphism, and every search yields what it did without it.
 
 Restricting an edge's vertices to the union of several candidates as well
 pruned 2 of 43 908 nodes on random instances (n = 60 and 100) and none on
@@ -377,26 +370,11 @@ def _search(H: Hypergraph, fix: tuple[int, int] | None) -> Iterator[tuple[int, .
     n = H.n
     everyone = (1 << n) - 1
     incident, emask, incmask, adj, near = H._incidence, T.emask, T.incmask, T.adj, T.near
-    # st[v] is vertex v's image domain, st[n + i] edge i's candidate images
-    # (the edges of its size until its first vertex is assigned) and
-    # st[claims + z] the free vertex that claimed image z, or -1.  Every
-    # change to st is logged on the trail and undone by popping it.
-    claims = n + H.m
-    st = [*T.pool, *T.alike, *[-1] * n]
+    # st[v] is vertex v's image domain and st[n + i] edge i's candidate
+    # images (the edges of its size until its first vertex is assigned).
+    # Every change to st is logged on the trail and undone by popping it.
+    st = [*T.pool, *T.alike]
     trail: list[tuple[int, int]] = []
-
-    def claim(x: int, d: int) -> bool:
-        """Record that free vertex x can only take the image in mask d, which
-        holds at most one; False, refuting the node, when d is empty or
-        another free vertex has claimed that image."""
-        if not d:
-            return False
-        slot = claims + d.bit_length() - 1
-        owner = st[slot]
-        if owner < 0:
-            trail.append((slot, owner))
-            st[slot] = x
-        return owner < 0 or owner == x
 
     image = [-1] * n
     free = everyone  # unassigned vertices
@@ -471,10 +449,8 @@ def _search(H: Hypergraph, fix: tuple[int, int] | None) -> Iterator[tuple[int, .
             # Adjacency on the 2-section: x shares an edge with w exactly
             # when x's image shares an edge with z.  When w and z each share
             # an edge with every other vertex, that only takes z from each
-            # domain, as `used` does, so the rule is skipped.  A narrowed
-            # neighbour of w keeps only neighbours of z, often a single one,
-            # so it is checked for a claim; a vertex at distance 2 only
-            # loses z's neighbours and is not.
+            # domain, as `used` does, so the rule is skipped.  A vertex it
+            # narrows to taken images only refutes w -> z.
             az = adj[z]
             aw = adj[w]
             ok = True
@@ -489,19 +465,14 @@ def _search(H: Hypergraph, fix: tuple[int, int] | None) -> Iterator[tuple[int, .
                     continue
                 trail.append((x, old))
                 st[x] = new
-                if not aw & bit:
-                    continue
-                d = new ^ (new & used)
-                if not pinned_src & bit:
-                    d ^= d & pinned_img
-                if not d & (d - 1) and not claim(x, d):
+                if not new & ~used:
                     ok = False
                     break
             # Each edge through w must map to a candidate through z.  An
             # edge left with one candidate is pinned: its free vertices
-            # map into that candidate, and no vertex outside it may.  A free
-            # vertex it narrows is checked for a claim too.  An edge with no
-            # free vertex is not pinned: its candidate is its vertices'
+            # map into that candidate, and no vertex outside it may; one it
+            # narrows to taken images only refutes w -> z too.  An edge with
+            # no free vertex is not pinned: its candidate is its vertices'
             # images, all taken already, and only free vertices are read.
             through_z = incmask[z]
             for e in incident[w] if ok else ():
@@ -533,8 +504,7 @@ def _search(H: Hypergraph, fix: tuple[int, int] | None) -> Iterator[tuple[int, .
                     new = old & target
                     trail.append((x, old))
                     st[x] = new
-                    d = new ^ (new & used)  # x is in a pinned edge now
-                    if not d & (d - 1) and not claim(x, d):
+                    if not new & ~used:
                         ok = False
                         break
                 if not ok:

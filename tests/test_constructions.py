@@ -1,6 +1,7 @@
 """Generators: counts, regularity, design properties, determinism."""
 
 import hashlib
+import time
 from collections import Counter
 from itertools import combinations, islice
 
@@ -439,10 +440,51 @@ def test_random_uniform_hypergraph():
 
 
 def test_generators_emit_canonical_edge_lists():
-    for name, H in builtin_corpus():
+    """The generators hand their edges over unchecked, so each must emit
+    what the checking constructor makes of them, in the same order, sorted
+    and without repeats: the built-in corpus and the families CI generates."""
+    families = builtin_corpus() + [
+        ("complete_5_3", complete_uniform(5, 3)),
+        ("glued_complete_5_3", glued_complete_family(5, 3)),
+        ("glued_complete_6_3", glued_complete_family(6, 3)),
+        ("glued_complete_7_4", glued_complete_family(7, 4)),
+        ("glued_complete_12_4", glued_complete_family(12, 4)),
+        ("affine_3", affine_hypergraph(3)),
+        ("affine_5", affine_hypergraph(5)),
+        ("affine_31", affine_hypergraph(31)),
+        ("affine_doubled_3", affine_doubled_family(3)),
+        ("affine_doubled_5", affine_doubled_family(5)),
+        ("affine_doubled_13", affine_doubled_family(13)),
+        ("cyclic_difference_13_014", cyclic_difference_hypergraph(13, (0, 1, 4))),
+        ("pg_2_5", cyclic_difference_hypergraph(31, (0, 1, 3, 8, 12, 18))),
+        ("circulant_8_12", circulant_graph(8, (1, 2))),
+        ("circulant_20000_12", circulant_graph(20000, (1, 2))),
+        ("random_8_3_10_s42", random_uniform_hypergraph(8, 3, 10, 42)),
+        ("random_200_3_400_s1", random_uniform_hypergraph(200, 3, 400, 1)),
+    ]
+    for name, H in families:
+        assert Hypergraph(H.n, H.edges).edges == H.edges, name
         assert H.edges == tuple(sorted(set(H.edges))), name
         for e in H.edges:
             assert e == tuple(sorted(e)), name
+
+
+def test_generators_refuse_too_many_vertices_before_building():
+    """A vertex count past the limit is refused before any edge is built:
+    C(2**20 + 1, 2) pairs would exhaust memory, and the rotation's orbit of
+    (0, 1) takes seconds."""
+    big = 2**20 + 1
+    turn = rotation(big)
+    calls = [
+        lambda: complete_uniform(big, 2),
+        lambda: orbit_hypergraph(big, [turn], [(0, 1)]),
+        lambda: random_uniform_hypergraph(big, 2, 1, 0),
+    ]
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(HypergraphError, match="too many vertices"):
+            call()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_builtin_corpus_shape():
