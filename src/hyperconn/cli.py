@@ -28,6 +28,7 @@ from .connectivity import (
 )
 from .constructions import (
     SplitMix64,
+    _lemma_trials,
     affine_doubled_family,
     affine_hypergraph,
     builtin_corpus,
@@ -344,12 +345,8 @@ def cmd_verify_lemma(args: argparse.Namespace) -> int:
         f"{pair_count} (X, Y) pairs, 0 violations"
     )
 
-    # imported on use: no other command needs it, and a process that never
-    # runs this suite need not load it
-    from .trials import _lemma_trials
-
     trials = _lemma_trials(SplitMix64(args.seed), args.trials, args.nmax)
-    for trial, (n, k, m, edge_masks, x_mask, y_mask) in enumerate(trials):
+    for trial, (n, m, edge_masks, x_mask, y_mask) in enumerate(trials):
         bu, bm, bx, by = _uncrossing_sizes(edge_masks, x_mask, y_mask)
         if bu + bm > bx + by:
             H = Hypergraph._trusted(n, sorted(_mask_vertices(em, n) for em in edge_masks))

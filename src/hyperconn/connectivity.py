@@ -206,24 +206,28 @@ class _Dinic:
         """Put node v in S, then every edge node whose vertices now all are.
 
         An edge's (e_in, e_out) pair joins S once all of the edge's vertices
-        have, so neither the frontier nor a BFS grows with |S|.
+        have, so neither the frontier nor a BFS grows with |S|.  Nodes join
+        depth first from a worklist, and the frontier is rebuilt once.
         """
-        level, outside, to = self.level, self.outside, self.to
-        level[v] = 0
-        closed = []
-        for a in self.adj[v]:
-            w = to[a]
-            outside[w] -= 1
-            # once its vertices are in S, an edge node's one arc leaving S
-            # goes to its partner
-            if w >= self.vertices and outside[w] <= 1 and level[w] < 0:
-                closed.append(w)
-        self.frontier = [u for u in self.frontier if outside[u]]
-        if outside[v]:
-            self.frontier.append(v)
-        for w in closed:
-            if level[w] < 0:
-                self.join(w)
+        level, outside, to, adj, n = self.level, self.outside, self.to, self.adj, self.vertices
+        joined = []
+        todo = [v]
+        while todo:
+            v = todo.pop()
+            if level[v] >= 0:
+                continue
+            level[v] = 0
+            joined.append(v)
+            closed = []
+            for a in adj[v]:
+                w = to[a]
+                outside[w] -= 1
+                # once its vertices are in S, an edge node's one arc leaving S
+                # goes to its partner
+                if w >= n and outside[w] <= 1 and level[w] < 0:
+                    closed.append(w)
+            todo += reversed(closed)
+        self.frontier = [u for u in self.frontier + joined if outside[u]]
 
     def max_flow(self, t: int, limit: int) -> tuple[int, list[int] | None]:
         """Push flow from S to t (not in it) until it is maximum or reaches

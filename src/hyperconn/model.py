@@ -29,7 +29,6 @@ File format (UTF-8 text, LF line endings):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -142,12 +141,9 @@ class Hypergraph:
         for start in range(self.n):
             if seen_v[start]:
                 continue
-            comp = []
-            queue = deque([start])
+            comp = [start]  # also the BFS queue: the loop reads what it appends
             seen_v[start] = True
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
+            for v in comp:
                 for i in incident[v]:
                     if seen_e[i]:
                         continue
@@ -155,7 +151,7 @@ class Hypergraph:
                     for w in edges[i]:
                         if not seen_v[w]:
                             seen_v[w] = True
-                            queue.append(w)
+                            comp.append(w)
             comp.sort()
             out.append(tuple(comp))
         return tuple(out)

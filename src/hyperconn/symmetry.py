@@ -142,11 +142,15 @@ def transitivity_generators(H: Hypergraph) -> list[tuple[int, ...]] | None:
     from the top one search often reaches every vertex (K_30 takes 1
     generator, not 29).  An input that digit shifts certify gets those
     shifts, with no search: a rotation-invariant one the rotation alone.
-    The list is empty when n is 1 (nothing to move).
+    A non-regular input gets None with no search, as no vertex-transitive
+    input is.  The list is empty when n is 1 (nothing to move).
     """
     shifts = _shifts(H)
     if shifts is not None:
         return list(shifts)
+    degs = H._degrees
+    if min(degs) != max(degs):
+        return None
     gens: list[tuple[int, ...]] = []
     reached = {0}
     for target in range(H.n - 1, 0, -1):

@@ -25,12 +25,10 @@ from hyperconn import (
     parse_hypergraph,
     serialize_hypergraph,
     transitivity_generators,
-    trials,
 )
 from hyperconn.cli import _subsets, analyze, main, render_machine
-from hyperconn.constructions import _LANES, _draw_subsets, affine_hypergraph, complete_uniform
+from hyperconn.constructions import _LANES, _lemma_trials, affine_hypergraph, complete_uniform
 from hyperconn.connectivity import _side_blocks
-from hyperconn.trials import _lemma_trials, _subset_masks
 
 from helpers import run_cli
 
@@ -625,6 +623,19 @@ def test_analyze_one_wide_edge_is_fast(capsys, tmp_path):
     assert out.startswith(f"n={n}\nm=1\ndelta=1\nDelta=1\nuniform_k={n}\n")
 
 
+def test_analyze_transitivity_refuses_a_non_regular_input_at_the_header_cap(capsys, tmp_path):
+    """A non-regular input is not vertex-transitive, so one edge among 2**20
+    vertices gets its verdict with no search, whose tables would take
+    O(n**2) memory here."""
+    path = tmp_path / "cap.hg"
+    path.write_text("h 1048576 1\ne 0 1\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", str(path), "--transitivity", "--machine")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and err == ""
+    assert "transitive=false\n" in out
+
+
 def test_analyze_single_vertex_notes(capsys, tmp_path):
     path = tmp_path / "one.hg"
     path.write_text("h 1 0\n")
@@ -756,9 +767,9 @@ def test_verify_lemma_counts_are_boundary_sizes():
                 table[x_mask | y_mask], table[x_mask & y_mask], table[x_mask], table[y_mask]
             ), name
     # the trials' own draws, whose masks they take without building H
-    for n, k, m, edge_masks, x_mask, y_mask in _lemma_trials(rng, 200, 16):
-        assert 0 < len(edge_masks) <= m
-        assert all(em < 1 << n and bin(em).count("1") == k for em in edge_masks)
+    for n, m, edge_masks, x_mask, y_mask in _lemma_trials(rng, 200, 16):
+        assert len(edge_masks) <= m
+        assert all(em < 1 << n and bin(em).count("1") >= 2 for em in edge_masks)
         H = instance_of(n, edge_masks)
         X = {v for v in range(n) if x_mask >> v & 1}
         Y = {v for v in range(n) if y_mask >> v & 1}
@@ -795,10 +806,10 @@ def test_verify_lemma_random_half_reports_a_violation(capsys, monkeypatch):
     # replay trial 0's draws at the default --nmax 10
     rng = SplitMix64(1)
     n = 2 + rng.below(9)
-    k = 2 + rng.below(min(n, 4) - 1)
     m = 1 + rng.below(2 * n)
-    edges = {rng.subset(n, k) for _ in range(m)}
-    H = Hypergraph(n, tuple(sorted(edges)))
+    outputs = [rng.next_u64() for _ in range(m)]
+    edges = {tuple(v for v in range(n) if u >> v & 1) for u in outputs}
+    H = Hypergraph(n, tuple(sorted(e for e in edges if len(e) >= 2)))
     assert H.m == 7  # large enough that a draw from another point of the stream would differ
     x_mask, y_mask = rng.below(1 << n), rng.below(1 << n)
     assert calls[0] == ({sum(1 << v for v in e) for e in H.edges}, x_mask, y_mask)
@@ -825,16 +836,15 @@ def record_trials(capsys, monkeypatch, *argv):
 
 def replay_trials(rng, nmax, trials):
     """The trials' draws made one scalar call of ``rng`` at a time: the
-    (edge masks, X, Y) of each trial, and its (n, k, m)."""
-    drawn, shapes = [], []
+    (edge masks, X, Y) of each trial."""
+    drawn = []
     for _ in range(trials):
         n = 2 + rng.below(nmax - 1)
-        k = 2 + rng.below(min(n, 4) - 1)
         m = 1 + rng.below(2 * n)
-        edge_masks = {sum(1 << v for v in rng.subset(n, k)) for _ in range(m)}
+        masks = [rng.next_u64() % (1 << n) for _ in range(m)]
+        edge_masks = {em for em in masks if bin(em).count("1") >= 2}
         drawn.append((edge_masks, rng.below(1 << n), rng.below(1 << n)))
-        shapes.append((n, k, m))
-    return drawn, shapes
+    return drawn
 
 
 class Scripted(SplitMix64):
@@ -856,15 +866,19 @@ class Scripted(SplitMix64):
 
 @pytest.mark.parametrize("nmax", [2, 10, 16, 64])
 def test_verify_lemma_trials_replay_scalar_draws(capsys, monkeypatch, nmax):
-    """The trials draw from blocks of one output stream, with edges in
-    closed form, yet each of the first 300 counts the edge masks, X and Y
-    that scalar calls of below and subset on one generator give."""
+    """The trials draw from blocks of one output stream, yet each of the
+    first 300 counts the edge masks, X and Y that scalar calls of below and
+    next_u64 on one generator give, also where a trial's draws straddle a
+    block boundary."""
     seen = record_trials(capsys, monkeypatch, "--trials", "300", "--seed", "29", "--nmax", str(nmax))
-    drawn, shapes = replay_trials(SplitMix64(29), nmax, 300)
+    rng = Scripted(SplitMix64(29)._block(300 * (2 * nmax + 5)))
+    drawn, straddles = [], 0
+    for _ in range(300):
+        start = rng.taken
+        drawn += replay_trials(rng, nmax, 1)
+        straddles += start // _LANES != (rng.taken - 1) // _LANES
     assert seen == drawn
-    if nmax == 64:
-        # some trial's edges take more outputs than one block of the stream
-        assert max(m * k for _, k, m in shapes) > _LANES
+    assert straddles
 
 
 def test_verify_lemma_outer_draws_take_the_next_output_after_a_rejection(capsys, monkeypatch):
@@ -879,46 +893,11 @@ def test_verify_lemma_outer_draws_take_the_next_output_after_a_rejection(capsys,
         script[spliced_at:spliced_at] = [rejected, rejected]
         monkeypatch.setattr(cli, "SplitMix64", lambda seed: Scripted(script))
         seen = record_trials(capsys, monkeypatch, "--trials", "60", "--seed", "5")
-        assert seen == replay_trials(Scripted(script), 10, 60)[0], spliced_at
+        assert seen == replay_trials(Scripted(script), 10, 60), spliced_at
         if spliced_at == 0:
             # both land on the draw of n and are skipped
-            assert seen == replay_trials(SplitMix64(5), 10, 60)[0]
+            assert seen == replay_trials(SplitMix64(5), 10, 60)
         monkeypatch.undo()
-
-
-def test_verify_lemma_draws_a_trial_holding_a_rejectable_output_exactly(capsys, monkeypatch):
-    """Any bound below n rejects no output at or below 2**64 - n, but one
-    above it may be rejected.  With one edge output of a trial scripted at
-    the smallest such value or at 2**64 - 1, that trial alone draws its
-    edges through _draw_subsets, and every trial keeps the scalar draws of
-    the scripted stream."""
-    plain = list(islice(iter(SplitMix64(29).next_u64, None), 4000))
-    trial = 5
-    rng = Scripted(plain)
-    replay_trials(rng, 10, trial)
-    n = 2 + rng.below(9)
-    k = 2 + rng.below(min(n, 4) - 1)
-    m = 1 + rng.below(2 * n)
-    at = rng.taken + 1  # the trial's step-1 output, drawn below n - 1
-    assert (n - 1) & (n - 2)  # not a power of two, so 2**64 - 1 is rejected there
-    for value in (2**64 - n + 1, 2**64 - 1):
-        script = list(plain)
-        script[at] = value
-        exact = []
-
-        def drawer(outputs, *shape):
-            exact.append(shape)
-            return _draw_subsets(outputs, *shape)
-
-        monkeypatch.setattr(cli, "SplitMix64", lambda seed: Scripted(script))
-        monkeypatch.setattr(trials, "_draw_subsets", drawer)
-        seen = record_trials(capsys, monkeypatch, "--trials", "60", "--seed", "29")
-        drawn, _ = replay_trials(Scripted(script), 10, 60)
-        assert seen == drawn, value
-        assert exact == [(n, k, m)], value
-        monkeypatch.undo()
-    # without the exact drawer, the rejected output would change the edges
-    assert _subset_masks(script[at - 1 : at - 1 + k * m], n, k) != drawn[trial][0]
 
 
 def test_verify_lemma_memory_stays_flat_in_trials(capsys):
