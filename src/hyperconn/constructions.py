@@ -14,8 +14,7 @@ those generators are automorphisms of the family by construction.
 
 from __future__ import annotations
 
-import sys
-from functools import partial
+import struct
 from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -51,6 +50,8 @@ _LANE_STEPS = int.from_bytes(
     b"".join([((i + 1) * _GAMMA).to_bytes(16, "little") for i in range(_LANES)]), "little"
 )
 _LANE_LOW64 = _LANE_ONES * _MASK64
+# struct format of the lanes' low halves: lane i's is little-endian bytes 16*i .. 16*i + 7
+_LANE_LOW_FORMAT = "<" + "Q8x" * _LANES
 
 
 class SplitMix64:
@@ -67,11 +68,12 @@ class SplitMix64:
     Output i (from 1) depends only on a counter: it is the mix of
     state_i = seed + i * 0x9E3779B97F4A7C15 mod 2**64 (Steele, Lea & Flood,
     OOPSLA 2014).  So the next outputs need not be taken one step at a time:
-    ``_block`` puts the states of a run of outputs into the 128-bit lanes of
-    one int and applies each xor-shift and multiply to all lanes at once.  A
-    lane holds a value below 2**64 and a product of two such values fits in
-    128 bits, so after masking each lane back to 64 bits no step carries
-    between lanes, and every lane ends with exactly the scalar output.
+    ``_block`` puts the states of the next ``_LANES`` outputs into the 128-bit
+    lanes of one int and applies each xor-shift and multiply to all lanes at
+    once.  A lane holds a value below 2**64 and a product of two such values
+    fits in 128 bits, so after masking each lane back to 64 bits no step
+    carries between lanes, and every lane ends with exactly the scalar
+    output.  ``_stream`` chains whole blocks; ``next_u64`` takes one step.
     """
 
     def __init__(self, seed: int) -> None:
@@ -97,33 +99,23 @@ class SplitMix64:
         (chosen,) = _draw_subsets(iter(self.next_u64, None), n, k, 1)
         return tuple(sorted(chosen))
 
-    def _block(self, count: int) -> list[int]:
-        """The next ``count`` outputs, as ``count`` calls of ``next_u64``
-        would return them, evaluated ``_LANES`` at a time."""
-        out: list[int] = []
-        while count > 0:
-            c = min(count, _LANES)
-            low = (1 << 128 * c) - 1
-            mask = _LANE_LOW64 & low
-            # lane i holds state + (i + 1) * gamma, the state of output i + 1
-            z = (self.state * (_LANE_ONES & low) + (_LANE_STEPS & low)) & mask
-            z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
-            z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
-            # the shift leaks the next lane's low bits into this lane's high
-            # half only, which the read below drops
-            z ^= z >> 31
-            # native-order 64-bit words: lane i's low half is word 2i on a
-            # little-endian host, word 2c - 1 - 2i on a big-endian one
-            words = memoryview(z.to_bytes(16 * c, sys.byteorder)).cast("Q")
-            out += (words[::2] if sys.byteorder == "little" else words[::-2]).tolist()
-            self.state = (self.state + c * _GAMMA) & _MASK64
-            count -= c
-        return out
+    def _block(self) -> tuple[int, ...]:
+        """The next ``_LANES`` outputs, as that many calls of ``next_u64``
+        would return them, evaluated in one pass over the lanes."""
+        # lane i holds state + (i + 1) * gamma, the state of output i + 1
+        z = (self.state * _LANE_ONES + _LANE_STEPS) & _LANE_LOW64
+        z = (((z ^ (z >> 30)) & _LANE_LOW64) * 0xBF58476D1CE4E5B9) & _LANE_LOW64
+        z = (((z ^ (z >> 27)) & _LANE_LOW64) * 0x94D049BB133111EB) & _LANE_LOW64
+        # the shift leaks the next lane's low bits into this lane's high
+        # half only, which the read below drops
+        z ^= z >> 31
+        self.state = (self.state + _LANES * _GAMMA) & _MASK64
+        return struct.unpack(_LANE_LOW_FORMAT, z.to_bytes(16 * _LANES, "little"))
 
     def _stream(self) -> Iterator[int]:
         """The outputs from here on, as ``next_u64`` would return them,
         evaluated by ``_block`` a whole block ahead of the ones taken."""
-        return chain.from_iterable(iter(partial(self._block, _LANES), None))
+        return chain.from_iterable(iter(self._block, None))
 
 
 def _threshold(bound: int) -> int:
@@ -287,10 +279,7 @@ def random_uniform_hypergraph(n: int, k: int, m: int, seed: int) -> Hypergraph:
         raise HypergraphError(f"random uniform requires 2 <= k <= n, got k={k}, n={n}")
     if m < 0:
         raise HypergraphError(f"edge count must be >= 0, got {m}")
-    rng = SplitMix64(seed)
-    # the remainder first, so the stream's whole blocks end where the k * m
-    # outputs do and only a rejection evaluates more
-    outputs = chain(rng._block(k * m % _LANES), rng._stream())
+    outputs = SplitMix64(seed)._stream()
     edges = {tuple(sorted(chosen)) for chosen in _draw_subsets(outputs, n, k, m)}
     return Hypergraph._trusted(n, sorted(edges))
 

@@ -169,9 +169,10 @@ def vertex_orbits(H: Hypergraph) -> list[list[int]]:
 
     Every automorphism found is kept, and each orbit is closed under all of
     them before any fresh search, as in :func:`transitivity_generators`.  A
-    vertex already placed in an earlier orbit is skipped, and one success
-    can carry the orbit to many later targets at once.  When digit shifts
-    certify transitivity, every vertex is in one orbit, with no search.
+    vertex already placed in an earlier orbit is skipped.  Targets run from
+    n - 1 down, as there, so one search can close a whole orbit, such as
+    398 isolated vertices.  When digit shifts certify transitivity, every
+    vertex is in one orbit, with no search.
     """
     if _shifts(H) is not None:
         return [list(range(H.n))]
@@ -182,7 +183,7 @@ def vertex_orbits(H: Hypergraph) -> list[list[int]]:
         if placed[u]:
             continue
         orbit = _orbit_of(u, gens)
-        for v in range(u + 1, H.n):
+        for v in range(H.n - 1, u, -1):
             if v in orbit or placed[v]:
                 continue
             p = find_automorphism_mapping(H, u, v)

@@ -848,20 +848,20 @@ def replay_trials(rng, nmax, trials):
 
 
 class Scripted(SplitMix64):
-    """A generator whose outputs are the given list, in order, to scalar and
-    block calls alike; ``taken`` counts the outputs handed out."""
+    """A generator whose outputs are the given list, in order, to scalar
+    calls and the stream alike; ``taken`` counts the outputs handed out."""
 
     def __init__(self, outputs):
         super().__init__(0)
         self.outputs, self.taken = outputs, 0
 
     def next_u64(self):
-        return self._block(1)[0]
+        assert self.taken < len(self.outputs), "asked past the scripted outputs"
+        self.taken += 1
+        return self.outputs[self.taken - 1]
 
-    def _block(self, count):
-        self.taken += count
-        assert self.taken <= len(self.outputs), "asked past the scripted outputs"
-        return self.outputs[self.taken - count : self.taken]
+    def _stream(self):
+        return iter(self.next_u64, None)
 
 
 @pytest.mark.parametrize("nmax", [2, 10, 16, 64])
@@ -871,7 +871,7 @@ def test_verify_lemma_trials_replay_scalar_draws(capsys, monkeypatch, nmax):
     next_u64 on one generator give, also where a trial's draws straddle a
     block boundary."""
     seen = record_trials(capsys, monkeypatch, "--trials", "300", "--seed", "29", "--nmax", str(nmax))
-    rng = Scripted(SplitMix64(29)._block(300 * (2 * nmax + 5)))
+    rng = Scripted(list(islice(SplitMix64(29)._stream(), 300 * (2 * nmax + 5))))
     drawn, straddles = [], 0
     for _ in range(300):
         start = rng.taken

@@ -118,10 +118,10 @@ def reference_subsets(outputs, n, k, m):
 
 def test_block_and_drawer_match_scalar_reference():
     for seed in (0, 7, 2**64 - 1):
-        for count in (0, 1, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 3):
-            rng, ref = SplitMix64(seed), reference_outputs(seed)
-            assert rng._block(count) == list(islice(ref, count)), (seed, count)
-            assert rng.next_u64() == next(ref), (seed, count)
+        rng, ref = SplitMix64(seed), reference_outputs(seed)
+        for _ in range(2):
+            assert rng._block() == tuple(islice(ref, _LANES)), seed
+        assert rng.next_u64() == next(ref), seed
     cases = [(10, 4, 1), (7, 7, 3), (5, 5, 200), (40, 3, _LANES), (300, 300, 2), (9, 0, 4)]
     rng = SplitMix64(99)
     for _ in range(40):

@@ -249,6 +249,9 @@ def test_enumerate_cap_behavior():
 
 
 def test_vertex_orbits_examples():
+    """Targets are searched from n - 1 down, so one search places the 398
+    isolated vertices beside one 2-edge among 400.  Searched from u + 1 up,
+    that input took 30 s."""
     assert vertex_orbits(PATH_3) == [[0, 2], [1]]
     assert vertex_orbits(MATCHING_4) == [[0, 1, 2, 3]]
     assert vertex_orbits(Hypergraph(3, ())) == [[0, 1, 2]]
@@ -256,6 +259,10 @@ def test_vertex_orbits_examples():
     asym = Hypergraph(4, ((0, 1), (1, 2), (2, 3), (1, 3)))
     assert vertex_orbits(asym) == orbit_partition(4, brute_automorphisms(asym))
     assert vertex_orbits(asym) == [[0], [1], [2, 3]]
+    start = time.perf_counter()
+    orbits = vertex_orbits(Hypergraph(400, ((0, 1),)))
+    assert time.perf_counter() - start < 5.0
+    assert orbits == [[0, 1], list(range(2, 400))]
 
 
 def test_vertex_orbits_match_brute_force():
