@@ -44,6 +44,7 @@ from .model import (
     _MAX_INCIDENCES,
     HypergraphError,
     _check_vertex_count,
+    _first_uncrossing_violation,
     _mask_vertices,
     boundary,
     degree_extremes,
@@ -330,16 +331,13 @@ def cmd_verify_lemma(args: argparse.Namespace) -> int:
     ]
     pair_count = 0
     for name, H in exhaustive:
-        table = _boundary_size_table(H)
         size = 1 << H.n
         pair_count += size * (size + 1) // 2  # the pairs x_mask <= y_mask checked below
-        for x_mask in range(size):
-            bx = table[x_mask]
-            for y_mask in range(x_mask, size):
-                if table[x_mask | y_mask] + table[x_mask & y_mask] > bx + table[y_mask]:
-                    _print_uncrossing_violation(name, H, x_mask, y_mask)
-                    print("FAIL")
-                    return 1
+        pair = _first_uncrossing_violation(_boundary_size_table(H))
+        if pair:
+            _print_uncrossing_violation(name, H, *pair)
+            print("FAIL")
+            return 1
     print(
         f"uncrossing exhaustive: {len(exhaustive)} uniform corpus instances with n <= 8, "
         f"{pair_count} (X, Y) pairs, 0 violations"

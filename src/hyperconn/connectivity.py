@@ -83,13 +83,16 @@ none more when the floor already is delta.
 The oracle and the edge atom enumerate vertex sides outright.  Both read
 the boundary sizes from one kernel, ``_side_blocks``, and neither shares
 any code with the flow route, so the oracle and the flow route can check
-each other.  The kernel promises no block order, so each keeps its answer
-across blocks by a key: the oracle the least ``(value, mask)``, and the
-atom the least value, then size, then sorted vertex sequence.
+each other.  The kernel counts a block of sides at once, bit-sliced, with
+a carry-save adder; an edge whose crossings are the same in every block is
+added once per instance.  It promises no block order, so each keeps its
+answer across blocks by a key: the oracle the least ``(value, mask)``, and
+the atom the least value, then size, then sorted vertex sequence.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -482,11 +485,8 @@ def edge_atom(H: Hypergraph) -> CutResult:
     low = _block_width(n)
     ones = (1 << (1 << low)) - 1
     bits = _position_bits(low)  # bits[v - 1]: the positions whose side holds v
-    present: list[int] = []  # how many of vertices 1..L each side holds
-    absent: list[int] = []  # how many of vertices 1..L its complement holds
-    for x in bits:
-        _add_plane(present, x)
-        _add_plane(absent, ones ^ x)
+    present = _settle(_carry_save([], bits))  # how many of vertices 1..L each side holds
+    absent = _settle(_carry_save([], (ones ^ x for x in bits)))  # and its complement
     best_val, best_size, best_mask = H.m + 1, n, 0
     for base, sides, counter in _side_blocks(H):
         val, cand = _least(counter, sides)
@@ -544,29 +544,52 @@ def _side_blocks(H: Hypergraph) -> Iterator[tuple[int, int, list[int]]]:
     A side's complement has the same boundary, so these 2**(n-1) - 1 sides
     cover every nonempty proper side.
 
-    Each low vertex v has a plane, bit p set when side p holds v; vertex 0's
-    plane is all ones and a high vertex's is all ones or zero by ``base``.
-    An edge crosses at the positions where its planes' OR and AND differ,
-    and that crossing plane is added into the counter by a ripple carry.
-    Blocks keep the planes at 2**L bits however large n is.
+    Each low vertex v (v <= L) has a plane, bit p set when side p holds v;
+    vertex 0's plane is all ones.  An edge crosses at the positions where
+    its planes' OR and AND differ.  The OR and the AND over an edge's low
+    vertices are taken once per instance.  An edge with no vertex above L
+    crosses at the same positions in every block, so it is added once, into
+    a carry-save counter that each block copies.  Every other edge has a
+    crossing plane that depends only on which of its high vertices ``base``
+    holds: the low AND's complement when all of them, the low OR when none,
+    and all ones otherwise.  Blocks keep the planes at 2**L bits however
+    large n is.
     """
     n = H.n
     low = _block_width(n)
     ones = (1 << (1 << low)) - 1
     low_verts, full = (2 << low) - 1, (1 << n) - 1
     planes = [ones] + _position_bits(low)
+
+    def low_planes(vs: Sequence[int]) -> tuple[int, int]:
+        any_in, all_in = 0, ones
+        for v in vs:
+            any_in |= planes[v]
+            all_in &= planes[v]
+        return any_in, ones ^ all_in
+
+    inside: list[tuple[int, ...]] = []  # the edges on vertices 0..L
+    reaching: list[tuple[int, int, int]] = []  # (high mask, low OR, not low AND)
+    shared: dict[tuple[int, ...], tuple[int, int]] = {}  # one pair per low part
+    for e in H.edges:
+        k = bisect_right(e, low)
+        if k == len(e):
+            inside.append(e)
+            continue
+        head = e[:k]
+        if head not in shared:
+            shared[head] = low_planes(head)
+        reaching.append((sum(1 << v for v in e[k:]), *shared[head]))
+    fixed = _carry_save([], (any_in & not_all for any_in, not_all in map(low_planes, inside)))
+
+    def crossing(base: int) -> Iterator[int]:
+        for high, any_in, not_all in reaching:
+            met = high & base
+            yield not_all if met == high else any_in if not met else ones
+
     for base in range(0, 1 << n, 2 << low):
-        planes[low + 1 :] = [ones if base >> v & 1 else 0 for v in range(low + 1, n)]
-        counter: list[int] = []
-        for e in H.edges:
-            any_in = all_in = planes[e[0]]
-            for v in e[1:]:
-                x = planes[v]
-                any_in |= x
-                all_in &= x
-            _add_plane(counter, any_in ^ all_in)
         sides = ones >> 1 if base | low_verts == full else ones
-        yield base, sides, counter
+        yield base, sides, _settle(_carry_save(fixed[:], crossing(base)))
 
 
 def _block_width(n: int) -> int:
@@ -591,16 +614,46 @@ def _position_bits(width: int) -> list[int]:
     return out
 
 
-def _add_plane(counter: list[int], x: int) -> None:
-    """Add the one-bit-per-position plane x into the bit-sliced counter,
-    whose plane b holds bit b of every position's count."""
-    for b, c in enumerate(counter):
-        if not x:
-            return
-        counter[b] = c ^ x
-        x &= c
-    if x:
-        counter.append(x)
+def _carry_save(pending: list[tuple[int, int]], planes: Iterable[int]) -> list[tuple[int, int]]:
+    """Add each one-bit-per-position plane into ``pending``, a carry-save
+    counter, and return it.
+
+    ``pending[b]`` holds two planes of weight 2**b, 0 where empty.  A third
+    plane at a weight is folded in by a full adder, which leaves the sum at
+    that weight and moves the carry up one, so the counter keeps two planes
+    per bit of the largest count, however many planes are added.
+    """
+    for x in planes:
+        for b, (a, c) in enumerate(pending):
+            if not x:
+                break
+            if not a:
+                pending[b] = x, 0
+                break
+            if not c:
+                pending[b] = a, x
+                break
+            u = a ^ c
+            pending[b] = u ^ x, 0
+            x = a & c | u & x
+        else:
+            if x:
+                pending.append((x, 0))
+    return pending
+
+
+def _settle(pending: list[tuple[int, int]]) -> list[int]:
+    """The bit-sliced counter of a carry-save one, by one ripple: plane b
+    holds bit b of every position's count."""
+    counter = []
+    carry = 0
+    for a, c in pending:
+        u = a ^ c
+        counter.append(u ^ carry)
+        carry = a & c | u & carry
+    if carry:
+        counter.append(carry)
+    return counter
 
 
 def _least(counter: list[int], cand: int) -> tuple[int, int]:

@@ -22,6 +22,7 @@ from hyperconn import (
     edge_connectivity_oracle,
     is_connected,
     is_uniform,
+    model,
     parse_hypergraph,
     serialize_hypergraph,
     transitivity_generators,
@@ -788,6 +789,46 @@ def test_verify_lemma_exhaustive_half_reports_a_violation(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "lemma", "--trials", "0")
     assert code == 1
     assert out == violation_block(name, H, {0}, {1})
+
+
+def first_violation_by_loop(table):
+    """The reference for the lane check: every pair x <= y, in order."""
+    size = len(table)
+    for x in range(size):
+        for y in range(x, size):
+            if table[x | y] + table[x & y] > table[x] + table[y]:
+                return x, y
+    return None
+
+
+def test_lane_check_finds_the_loops_first_violation():
+    """The lane check and the plain double loop name the same first (x, y),
+    or None: on every table the exhaustive half checks, and on tables with
+    one injected violation, some with values of 64 or more so that the
+    lanes widen."""
+    tables = [cli._boundary_size_table(H) for _, H in lemma_instances()]
+    assert len(tables) == 13
+    for table in tables:
+        assert model._first_uncrossing_violation(table) is None
+        assert first_violation_by_loop(table) is None
+    rng = SplitMix64(29)
+    found = wide = 0
+    for trial in range(400):
+        table = list(tables[rng.below(len(tables))])
+        if trial % 4 == 0:
+            table = [v + 64 for v in table]  # as submodular, and lanes wider
+        # submodular before the change, so every violation meets the changed mask
+        mask = rng.below(len(table))
+        table[mask] += rng.below(140) - 70 if trial % 2 else 1 + rng.below(3)
+        table[mask] = max(table[mask], 0)
+        expected = first_violation_by_loop(table)
+        assert model._first_uncrossing_violation(table) == expected, (trial, mask)
+        found += expected is not None
+        wide += max(table) >= 64
+    assert found > 150 and wide >= 100, (found, wide)
+    # at n = 0 and 1 nothing can break the inequality
+    assert model._first_uncrossing_violation([3]) is None
+    assert model._first_uncrossing_violation([0, 5]) is None
 
 
 def test_verify_lemma_random_half_reports_a_violation(capsys, monkeypatch):

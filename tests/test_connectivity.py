@@ -8,6 +8,7 @@ against the flow route, which shares no code with it.
 
 import copy
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -38,7 +39,7 @@ from hyperconn import (
     transitivity_generators,
 )
 from hyperconn import connectivity
-from hyperconn.connectivity import _Dinic, _residual_side, _side_blocks
+from hyperconn.connectivity import _carry_save, _Dinic, _residual_side, _settle, _side_blocks
 from hyperconn.constructions import affine_doubled_family
 
 from helpers import CENSUS, all_min_atom_sides, orbit_union, relabelled, rotates, shift_families
@@ -896,6 +897,63 @@ def test_side_blocks_cover_every_side_once(monkeypatch):
     monkeypatch.undo()
     assert connectivity._block_width(wide.n) < wide.n - 1  # so it spans several blocks
     check(wide)
+
+
+def position_counts(counter, width):
+    """Each position's count, read from a bit-sliced counter."""
+    return [sum((c >> p & 1) << b for b, c in enumerate(counter)) for p in range(width)]
+
+
+def plane_sums(planes, width):
+    """Each position's number of planes holding it, bit by bit."""
+    return [sum(x >> p & 1 for x in planes) for p in range(width)]
+
+
+def test_carry_save_counter_sums_each_position():
+    """The carry-save adder and its final ripple give each position the
+    number of added planes that hold it: for 0, 1, 2, 3 and 200 planes,
+    some empty or full, and from one counter that several blocks copy and
+    add to, as the side kernel's fixed edges are.  The counter keeps one
+    weight per bit of the largest count."""
+    rng = SplitMix64(43)
+    width = 64
+    full = (1 << width) - 1
+
+    def draw(count):
+        return [(0, full, rng.below(1 << width))[min(rng.below(8), 2)] for _ in range(count)]
+
+    for count in (0, 1, 2, 3, 200):
+        planes = draw(count)
+        pending = _carry_save([], iter(planes))
+        assert position_counts(_settle(pending), width) == plane_sums(planes, width), count
+        assert len(pending) <= count.bit_length()
+    assert position_counts(_settle(_carry_save([], [full] * 200)), width) == [200] * width
+    shared = draw(37)
+    fixed = _carry_save([], shared)
+    kept = fixed[:]
+    for _ in range(6):
+        more = draw(rng.below(40))
+        got = _settle(_carry_save(fixed[:], more))
+        assert position_counts(got, width) == plane_sums(shared + more, width)
+    assert fixed == kept  # a block adds to its copy only
+
+
+def test_oracle_memory_stays_flat_in_repeated_edges():
+    """The side kernel's counters keep two planes per bit of the largest
+    count, not one per edge.  On 17 vertices, two blocks of 2**15 sides and
+    4 KB planes, with 4096 repeated edges, half inside vertices 0..15 and
+    half reaching vertex 16, the oracle's traced peak stays under 1 MB; a
+    list of all crossing planes would hold 16 MB."""
+    H = Hypergraph(17, ((0, 5), (3, 16)) * 2048)
+    assert connectivity._block_width(H.n) == 15
+    tracemalloc.start()
+    try:
+        result = edge_connectivity_oracle(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.side, result.value) == ((0, 5), 0)
+    assert peak < 1 << 20, peak
 
 
 def test_oracle_agreement_on_corpus():
