@@ -94,6 +94,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .model import (
@@ -484,9 +485,9 @@ def edge_atom(H: Hypergraph) -> CutResult:
     full = (1 << n) - 1
     low = _block_width(n)
     ones = (1 << (1 << low)) - 1
-    bits = _position_bits(low)  # bits[v - 1]: the positions whose side holds v
-    present = _settle(_carry_save([], bits))  # how many of vertices 1..L each side holds
-    absent = _settle(_carry_save([], (ones ^ x for x in bits)))  # and its complement
+    bits, present = _position_bits(low)  # bits[v - 1]: the positions whose side holds v
+    top = (1 << len(present)) - 1
+    absent = [ones ^ x for x in present]  # count top - held, least where held is most
     best_val, best_size, best_mask = H.m + 1, n, 0
     for base, sides, counter in _side_blocks(H):
         val, cand = _least(counter, sides)
@@ -495,8 +496,8 @@ def edge_atom(H: Hypergraph) -> CutResult:
         # this block's best side, by size over the sides and their complements
         high = base.bit_count()
         held, at_held = _least(present, cand)
-        left, at_left = _least(absent, cand)
-        size, comp_size = 1 + high + held, n - 1 - low - high + left
+        unheld, at_left = _least(absent, cand)
+        size, comp_size = 1 + high + held, n - 1 - high - (top - unheld)
         if size <= comp_size:
             # At equal size the side wins, as it holds vertex 0.  No other
             # side of val and this size ties with it: two, X and Y, would make
@@ -559,7 +560,7 @@ def _side_blocks(H: Hypergraph) -> Iterator[tuple[int, int, list[int]]]:
     low = _block_width(n)
     ones = (1 << (1 << low)) - 1
     low_verts, full = (2 << low) - 1, (1 << n) - 1
-    planes = [ones] + _position_bits(low)
+    planes = (ones, *_position_bits(low)[0])
 
     def low_planes(vs: Sequence[int]) -> tuple[int, int]:
         any_in, all_in = 0, ones
@@ -597,11 +598,14 @@ def _block_width(n: int) -> int:
     return min(n - 1, _BLOCK_BITS)
 
 
-def _position_bits(width: int) -> list[int]:
-    """For b < ``width``, the 2**width-bit integer whose bit p is bit b of p.
+@cache
+def _position_bits(width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For b < ``width``, the 2**width-bit integer whose bit p is bit b of p,
+    and the counter planes of how many of them hold each p.
 
     Each is grown from one period by doubling, which is much faster than
-    building it by big-integer division.
+    building it by big-integer division.  Both are built once per width and
+    shared, so they are tuples.
     """
     out = []
     for b in range(width):
@@ -611,7 +615,7 @@ def _position_bits(width: int) -> list[int]:
             x |= x << span
             span *= 2
         out.append(x)
-    return out
+    return tuple(out), tuple(_settle(_carry_save([], out)))
 
 
 def _carry_save(pending: list[tuple[int, int]], planes: Iterable[int]) -> list[tuple[int, int]]:

@@ -19,7 +19,7 @@ from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Sequence
 
 from .model import Hypergraph, HypergraphError, _normalize_edge
-from .symmetry import _check_permutation, _digit_shift
+from .symmetry import _check_permutation, _closure, _digit_shift
 
 __all__ = [
     "SplitMix64",
@@ -73,30 +73,28 @@ class SplitMix64:
     once.  A lane holds a value below 2**64 and a product of two such values
     fits in 128 bits, so after masking each lane back to 64 bits no step
     carries between lanes, and every lane ends with exactly the scalar
-    output.  ``_stream`` chains whole blocks; ``next_u64`` takes one step.
+    output.  Only ``_block`` mixes: every draw takes from one stream of its
+    blocks (``_stream``), so all draws from a generator continue one sequence.
     """
 
     def __init__(self, seed: int) -> None:
         self.state = seed & _MASK64
+        self._outputs = chain.from_iterable(iter(self._block, None))
 
     def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return next(self._stream())
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), bound <= 2**64, by rejection, so no modulo bias."""
         if not 0 < bound <= 1 << 64:
             raise ValueError(f"bound must be in [1, 2**64], got {bound}")
-        return _below(iter(self.next_u64, None), bound)
+        return _below(self._stream(), bound)
 
     def subset(self, n: int, k: int) -> tuple[int, ...]:
         """Uniform k-subset of range(n) via a partial Fisher-Yates shuffle."""
         if not 0 <= k <= n:
             raise ValueError(f"subset needs 0 <= k <= n, got n={n}, k={k}")
-        (chosen,) = _draw_subsets(iter(self.next_u64, None), n, k, 1)
+        (chosen,) = _draw_subsets(self._stream(), n, k, 1)
         return tuple(sorted(chosen))
 
     def _block(self) -> tuple[int, ...]:
@@ -113,9 +111,9 @@ class SplitMix64:
         return struct.unpack(_LANE_LOW_FORMAT, z.to_bytes(16 * _LANES, "little"))
 
     def _stream(self) -> Iterator[int]:
-        """The outputs from here on, as ``next_u64`` would return them,
-        evaluated by ``_block`` a whole block ahead of the ones taken."""
-        return chain.from_iterable(iter(self._block, None))
+        """The outputs not yet taken, evaluated by ``_block`` a whole block
+        ahead: the generator's one stream, the same iterator at every call."""
+        return self._outputs
 
 
 def _threshold(bound: int) -> int:
@@ -149,14 +147,14 @@ def _lemma_trials(rng: SplitMix64, trials: int, nmax: int) -> Iterator[tuple]:
         m = 1 + _below(outputs, 2 * n)
         full = (1 << n) - 1
         edge_masks = {em for u in islice(outputs, m) if (em := u & full) & (em - 1)}
-        yield n, m, edge_masks, _below(outputs, 1 << n), _below(outputs, 1 << n)
+        yield n, m, edge_masks, next(outputs) & full, next(outputs) & full
 
 
 def orbit_hypergraph(n: int, gens: Iterable[Sequence[int]], bases: Iterable[Iterable[int]]) -> Hypergraph:
     """The union of the set-orbits of the base blocks under the group that
     the permutations ``gens`` of range(n) generate, each edge once, sorted;
-    every generator is an automorphism of the result.  Images are closed
-    forward only, as in ``symmetry._orbit_of``.
+    every generator is an automorphism of the result.  Images are closed as
+    vertex orbits are, by ``symmetry._closure``.
 
     Raises:
         HypergraphError: if n is out of range, a generator is not a
@@ -173,17 +171,8 @@ def _orbit_edges(
     maps = []
     for g in gens:
         _check_permutation(n, g)
-        maps.append(tuple(g).__getitem__)
-    found = {_normalize_edge(b, n) for b in bases}
-    todo = list(found)
-    while todo:
-        e = todo.pop()
-        for image_of in maps:
-            image = tuple(sorted(map(image_of, e)))
-            if image not in found:
-                found.add(image)
-                todo.append(image)
-    yield from sorted(found)
+        maps.append(lambda e, image_of=tuple(g).__getitem__: tuple(sorted(map(image_of, e))))
+    yield from sorted(_closure([_normalize_edge(b, n) for b in bases], maps))
 
 
 def complete_uniform(n: int, k: int) -> Hypergraph:

@@ -308,18 +308,24 @@ def _check_permutation(n: int, p: Sequence[int]) -> None:
 
 
 def _orbit_of(v0: int, gens: list[tuple[int, ...]]) -> set[int]:
+    return _closure((v0,), [g.__getitem__ for g in gens])
+
+
+def _closure(seeds: Iterable, maps: Sequence[Callable]) -> set:
+    """The least set holding ``seeds`` and closed under each of ``maps``: the
+    seeds' orbits when the maps are generators' actions on points or sets."""
     # Forward closure suffices: permutation semigroups on a finite set are
     # groups, so inverse images are reached by iterating the generators.
-    seen = {v0}
-    stack = [v0]
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            y = g[x]
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
+    found = set(seeds)
+    todo = list(found)
+    while todo:
+        x = todo.pop()
+        for image_of in maps:
+            y = image_of(x)
+            if y not in found:
+                found.add(y)
+                todo.append(y)
+    return found
 
 
 @_kept

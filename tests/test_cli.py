@@ -241,6 +241,19 @@ def test_generate_refuses_an_instance_over_the_incidence_cap(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "family, option, text",
+    [("circulant", "--offsets", "1,x"), ("cyclic-difference", "--base", "0,y")],
+)
+def test_generate_refuses_a_list_that_is_not_integers(capsys, tmp_path, family, option, text):
+    out_path = tmp_path / "x.hg"
+    with pytest.raises(SystemExit) as err:
+        main(["generate", "--family", family, "--n", "9", option, text, "--out", str(out_path)])
+    assert err.value.code == 2
+    assert f"argument {option}: expected comma-separated integers, got '{text}'" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_generate_rejects_unknown_family(capsys, tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["generate", "--family", "petersen", "--out", str(tmp_path / "x.hg")])

@@ -956,6 +956,29 @@ def test_oracle_memory_stays_flat_in_repeated_edges():
     assert peak < 1 << 20, peak
 
 
+def test_atom_builds_its_width_tables_once(monkeypatch):
+    """The position planes and the held-vertex counter depend only on the
+    block width, so twenty atoms at n = 16 build each once: one carry-save
+    run for the counter and two per atom in ``_side_blocks`` (the fixed
+    edges, then the one block), against 40 plane builds and 80 runs when
+    every atom built its own."""
+    runs = []
+
+    def counted(pending, planes):
+        runs.append(pending)
+        return _carry_save(pending, planes)
+
+    monkeypatch.setattr(connectivity, "_carry_save", counted)
+    connectivity._position_bits.cache_clear()
+    H = circulant_graph(16, (1, 3))
+    atoms = {edge_atom(H) for _ in range(20)}
+    assert len(atoms) == 1
+    assert connectivity._position_bits.cache_info().misses == 1
+    assert len(runs) == 41
+    # shared across calls, so nothing a caller holds can change them
+    assert all(type(t) is tuple for t in connectivity._position_bits(15))
+
+
 def test_oracle_agreement_on_corpus():
     for name, H in builtin_corpus():
         if H.n > 12:

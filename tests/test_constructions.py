@@ -156,6 +156,20 @@ def test_stream_is_the_scalar_stream():
         ), seed
 
 
+def test_every_draw_continues_one_sequence():
+    """After ``_stream`` hands out k outputs, ``next_u64``, ``below`` and
+    ``subset`` take outputs k + 1 on, and the stream goes on after them."""
+    for k in (0, 3, _LANES - 1, _LANES, _LANES + 5):
+        rng, ref = SplitMix64(3), reference_outputs(3)
+        assert list(islice(rng._stream(), k)) == list(islice(ref, k)), k
+        assert rng.next_u64() == next(ref), k
+        # below a power of two rejects nothing: the output's low bits
+        assert rng.below(2**64) == next(ref), k
+        assert rng.below(1 << 10) == next(ref) % (1 << 10), k
+        assert rng.subset(300, 5) == tuple(sorted(reference_subsets(ref, 300, 5, 1)[0])), k
+        assert next(rng._stream()) == next(ref), k
+
+
 def test_drawer_takes_the_next_output_after_a_rejection():
     """2**64 - 1 is rejected for every bound that is not a power of two, so
     a stream with it spliced in forces a rejection at a small bound.  For

@@ -1,7 +1,10 @@
-"""The package surface: exactly the library modules' ``__all__`` lists, and
-no module or test file importing a name it never uses."""
+"""The package surface: exactly the library modules' ``__all__`` lists, no
+module or test file importing a name it never uses, and every module small
+enough for the parser's first token array."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import hyperconn
@@ -68,3 +71,22 @@ def test_modules_use_every_name_they_import():
     for path in modules + tests:
         if path.name != "__init__.py":
             assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+# CPython's parser doubles its token array past this many tokens, which
+# shows as more peak memory wherever the package is compiled from source.
+TOKEN_CLIFF = 4096
+
+
+def parser_tokens(source):
+    """The tokens of ``source`` the parser reads: all but comments and
+    non-logical newlines."""
+    skipped = (tokenize.COMMENT, tokenize.NL)
+    return sum(tok.type not in skipped for tok in tokenize.generate_tokens(io.StringIO(source).readline))
+
+
+def test_modules_stay_below_the_token_cliff():
+    assert parser_tokens("x = 1  # one\n\n") == 5  # x, =, 1, NEWLINE, ENDMARKER
+    modules = sorted(Path(hyperconn.__file__).parent.glob("*.py"))
+    for path in modules:
+        assert parser_tokens(path.read_text(encoding="utf-8")) < TOKEN_CLIFF, path.name

@@ -1,6 +1,6 @@
 """Automorphism search against exhaustive permutation enumeration.
 
-The brute oracle tries all n! permutations for n <= 7, so every engine
+The brute oracle tries all n! permutations for n <= 8, so every engine
 result on small instances is checked against ground truth.
 """
 
@@ -50,7 +50,7 @@ MATCHING_4 = Hypergraph(4, ((0, 1), (2, 3)))
 
 
 def brute_automorphisms(H):
-    assert H.n <= 7
+    assert H.n <= 8
     target = Counter(H.edges)
     found = []
     for p in permutations(range(H.n)):
@@ -309,6 +309,26 @@ def orbit_of_zero(H, gens):
                 reached.add(p[v])
                 frontier.append(p[v])
     return reached
+
+
+def test_transitivity_generators_stop_at_a_failed_search(monkeypatch):
+    """A triangle beside a 5-cycle is 2-regular, so no degree test refuses
+    it, and no digit shift passes, so the search runs: 0 -> 7 fails and the
+    verdict is None at once."""
+    H = Hypergraph(8, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 7), (4, 5), (5, 6), (6, 7)))
+    assert symmetry._shifts(H) is None
+    searched = []
+
+    def recorded(H, u, v):
+        searched.append((u, v))
+        return find_automorphism_mapping(H, u, v)
+
+    monkeypatch.setattr(symmetry, "find_automorphism_mapping", recorded)
+    assert transitivity_generators(H) is None
+    assert searched == [(0, 7)]
+    orbits = orbit_partition(H.n, brute_automorphisms(H))
+    assert orbits == [[0, 1, 2], [3, 4, 5, 6, 7]]
+    assert vertex_orbits(H) == orbits
 
 
 def test_transitivity_generators_cover_orbit():
