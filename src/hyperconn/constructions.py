@@ -18,7 +18,7 @@ import struct
 from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Sequence
 
-from .model import Hypergraph, HypergraphError, _normalize_edge
+from .model import Hypergraph, HypergraphError, _check_vertex_count, _normalize_edge
 from .symmetry import _check_permutation, _closure, _digit_shift
 
 __all__ = [
@@ -91,9 +91,9 @@ class SplitMix64:
         return _below(self._stream(), bound)
 
     def subset(self, n: int, k: int) -> tuple[int, ...]:
-        """Uniform k-subset of range(n) via a partial Fisher-Yates shuffle."""
-        if not 0 <= k <= n:
-            raise ValueError(f"subset needs 0 <= k <= n, got n={n}, k={k}")
+        """Uniform k-subset of range(n), n <= 2**64, via a partial Fisher-Yates shuffle."""
+        if not 0 <= k <= n <= 1 << 64:
+            raise ValueError(f"subset needs 0 <= k <= n <= 2**64, got n={n}, k={k}")
         (chosen,) = _draw_subsets(self._stream(), n, k, 1)
         return tuple(sorted(chosen))
 
@@ -268,6 +268,7 @@ def random_uniform_hypergraph(n: int, k: int, m: int, seed: int) -> Hypergraph:
         raise HypergraphError(f"random uniform requires 2 <= k <= n, got k={k}, n={n}")
     if m < 0:
         raise HypergraphError(f"edge count must be >= 0, got {m}")
+    _check_vertex_count(n)  # before any draw: past 2**64 vertices no draw ends
     outputs = SplitMix64(seed)._stream()
     edges = {tuple(sorted(chosen)) for chosen in _draw_subsets(outputs, n, k, m)}
     return Hypergraph._trusted(n, sorted(edges))

@@ -24,12 +24,14 @@ from hyperconn import (
     is_uniform,
     model,
     parse_hypergraph,
+    report,
     serialize_hypergraph,
     transitivity_generators,
 )
-from hyperconn.cli import _subsets, analyze, main, render_machine
+from hyperconn.cli import _subsets, main
 from hyperconn.constructions import _LANES, _lemma_trials, affine_hypergraph, complete_uniform
 from hyperconn.connectivity import _side_blocks
+from hyperconn.report import analyze, render_machine
 
 from helpers import run_cli
 
@@ -566,7 +568,9 @@ def test_connectivity_gets_the_generators_in_hand(capsys, tmp_path, monkeypatch)
         seen.append(automorphisms)
         return run(H, automorphisms=automorphisms)
 
-    monkeypatch.setattr(cli, "edge_connectivity", spy)
+    # analyze calls it from report, verify theorem from cli
+    for module in (cli, report):
+        monkeypatch.setattr(module, "edge_connectivity", spy)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     path = gen(capsys, corpus, "affine_3.hg", "--family", "affine", "--k", "3")
@@ -612,6 +616,86 @@ def test_human_output_mentions_timings_and_witness(capsys, tmp_path):
     assert code == 0
     assert "linear: no (pair 0,1 repeats in edges 0 and 1)\n" in out
     assert "connected: no (2 components)\n" in out
+
+
+# analyze --connectivity --transitivity --atom, pinned but for its timings
+# line: a non-linear uniform family, a disconnected file that is neither
+# linear nor uniform, and a linear uniform family
+HUMAN_GOLDENS = [
+    (
+        "--family glued-complete --n 5 --k 3",
+        """\
+vertices: 15
+edges: 35
+edge sizes: 3 (x35)
+degree: min 7, max 7
+uniform: k=3
+linear: no (pair 0,1 repeats in edges 0 and 1)
+connected: yes
+edge connectivity: 5
+  witness side: 0 1 2 3 4
+  cut edges: 6 10 12 13 14
+maximally edge-connected: no
+vertex-transitive: yes
+  generator: p 1 2 3 4 0 6 7 8 9 5 11 12 13 14 10
+  generator: p 5 6 7 8 9 10 11 12 13 14 0 1 2 3 4
+edge atom: 0 1 2 3 4 (boundary 5)
+""",
+    ),
+    (
+        "h 6 3\ne 0 1 2\ne 3 4 5\ne 0 1\n",
+        """\
+vertices: 6
+edges: 3
+edge sizes: 2 (x1), 3 (x2)
+degree: min 1, max 2
+uniform: no
+linear: no (pair 0,1 repeats in edges 0 and 2)
+connected: no (2 components)
+edge connectivity: 0
+  witness side: 0 1 2
+  cut edges: (none)
+maximally edge-connected: no
+vertex-transitive: no
+note: edge atom: skipped (edge atom is undefined for a disconnected hypergraph)
+""",
+    ),
+    (
+        "--family affine --k 3",
+        """\
+vertices: 9
+edges: 9
+edge sizes: 3 (x9)
+degree: min 3, max 3
+uniform: k=3
+linear: yes
+connected: yes
+edge connectivity: 3
+  witness side: 0
+  cut edges: 0 1 2
+maximally edge-connected: yes
+vertex-transitive: yes
+  generator: p 1 2 0 4 5 3 7 8 6
+  generator: p 3 4 5 6 7 8 0 1 2
+edge atom: 0 (boundary 3)
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("instance,text", HUMAN_GOLDENS, ids=["glued_complete_5_3", "split_6", "affine_3"])
+def test_human_output_is_pinned(capsys, tmp_path, instance, text):
+    """The instance is a generate spec or a file's text."""
+    if instance.startswith("--family"):
+        path = gen(capsys, tmp_path, "h.hg", *instance.split())
+    else:
+        path = tmp_path / "h.hg"
+        path.write_text(instance)
+    code, out, err = run_cli(capsys, "analyze", str(path), "--connectivity", "--transitivity", "--atom")
+    assert (code, err) == (0, "")
+    body, timings = out.rsplit("timings [ms]: ", 1)
+    assert body == text
+    assert timings.count("\n") == 1 and timings.endswith("\n")
 
 
 def test_analyze_guard_note_keeps_exit_zero(capsys, tmp_path):

@@ -730,6 +730,46 @@ def test_certified_floor_caps_the_merged_flows(monkeypatch):
     assert limits == [(t, 6) for t in (5, 25, 1, 2, 3, 4, 5, 10, 15, 20, 25)]
 
 
+@pytest.mark.parametrize(
+    "H,kappa,work",
+    [
+        (affine_doubled_family(5), 5, (11, 24, 1704, 64)),
+        (glued_complete_family(7, 4), 7, (2, 6, 714, 14)),
+        (circulant_graph(400, (1, 2)), 4, (1, 3, 404, 4)),
+        (random_uniform_hypergraph(30, 3, 60, 5), 2, (6, 10, 1080, 12)),
+    ],
+    ids=["affine_doubled_5", "glued_complete_7_4", "circulant_400_12", "random_30_3_60"],
+)
+def test_flow_work_is_pinned(monkeypatch, H, kappa, work):
+    """The flow engine's work on four instances, as (flows, BFS phases,
+    nodes labelled, units pushed): a flow that overruns its cap, a blocking
+    flow that does not stop at it, or an edge node that closes late changes
+    a count but no answer."""
+    counts = [0, 0, 0, 0]
+    max_flow, levels, blocking_flow = _Dinic.max_flow, _Dinic._levels, _Dinic._blocking_flow
+
+    def count_flow(net, t, limit):
+        counts[0] += 1
+        return max_flow(net, t, limit)
+
+    def count_levels(net, t):
+        labelled = levels(net, t)
+        counts[1] += 1
+        counts[2] += len(labelled)
+        return labelled
+
+    def count_pushed(net, t, limit):
+        pushed = blocking_flow(net, t, limit)
+        counts[3] += pushed
+        return pushed
+
+    monkeypatch.setattr(_Dinic, "max_flow", count_flow)
+    monkeypatch.setattr(_Dinic, "_levels", count_levels)
+    monkeypatch.setattr(_Dinic, "_blocking_flow", count_pushed)
+    assert edge_connectivity(H).value == kappa
+    assert tuple(counts) == work
+
+
 def test_shift_families_match_the_oracle():
     """On every shift-certified family with n <= 100, and on a relabelled
     copy that the search decides, the flow route with and without

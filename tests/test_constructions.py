@@ -63,6 +63,10 @@ def test_splitmix64_below_and_subset():
     # the draw keeps only swapped positions, so n far beyond memory is fine
     huge = SplitMix64(3).subset(10**15, 3)
     assert len(set(huge)) == 3 and all(0 <= v < 10**15 for v in huge)
+    # n stops at 2**64, as below's bound does: past it every output is rejected
+    assert len(SplitMix64(3).subset(1 << 64, 2)) == 2
+    with pytest.raises(ValueError, match="n <= 2\\*\\*64"):
+        SplitMix64(3).subset((1 << 64) + 1, 1)
 
 
 def test_splitmix64_subset_rejects_k_outside_0_to_n():
@@ -486,13 +490,16 @@ def test_generators_emit_canonical_edge_lists():
 def test_generators_refuse_too_many_vertices_before_building():
     """A vertex count past the limit is refused before any edge is built:
     C(2**20 + 1, 2) pairs would exhaust memory, and the rotation's orbit of
-    (0, 1) takes seconds."""
+    (0, 1) takes seconds, a million random draws take seconds and past
+    2**64 vertices never end."""
     big = 2**20 + 1
     turn = rotation(big)
     calls = [
         lambda: complete_uniform(big, 2),
         lambda: orbit_hypergraph(big, [turn], [(0, 1)]),
         lambda: random_uniform_hypergraph(big, 2, 1, 0),
+        lambda: random_uniform_hypergraph(big, 2, 10**6, 0),
+        lambda: random_uniform_hypergraph(2**65, 2, 1, 0),
     ]
     for call in calls:
         start = time.perf_counter()

@@ -34,7 +34,7 @@ from hyperconn import (
     vertex_profile,
 )
 from hyperconn import model
-from hyperconn.cli import analyze
+from hyperconn.report import analyze
 
 from helpers import mask_set
 

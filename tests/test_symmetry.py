@@ -39,8 +39,9 @@ from hyperconn import (
     vertex_orbits,
 )
 from hyperconn import connectivity, symmetry
-from hyperconn.cli import analyze, main
+from hyperconn.cli import main
 from hyperconn.constructions import affine_doubled_family
+from hyperconn.report import analyze
 from hyperconn.symmetry import _tables
 
 from helpers import CENSUS, orbit_union, relabelled, rotates, run_cli, shift_families
