@@ -135,19 +135,18 @@ def _below(outputs: Iterator[int], bound: int) -> int:
 
 def _lemma_trials(rng: SplitMix64, trials: int, nmax: int) -> Iterator[tuple]:
     """The seeded random trials of ``verify lemma``, one at a time, each as
-    (n, m, edge masks, X, Y), drawn in order from one stream of ``rng``:
+    (n, masks, X, Y), drawn in order from one stream of ``rng``:
     n = 2 + below(nmax - 1), m = 1 + below(2 * n), then m outputs u, each
-    giving the vertex bitmask u & (2**n - 1), kept as an edge when it holds
-    two or more vertices, then X and Y below 2**n.  The edges are the set of
-    their bitmasks, so a repeated mask is one edge.
+    giving the vertex bitmask u & (2**n - 1), listed in draw order with
+    repeats and masks of fewer than two vertices, as neither can break the
+    inequality edge by edge, then X and Y below 2**n.
     """
     outputs = rng._stream()
     for _ in range(trials):
         n = 2 + _below(outputs, nmax - 1)
-        m = 1 + _below(outputs, 2 * n)
         full = (1 << n) - 1
-        edge_masks = {em for u in islice(outputs, m) if (em := u & full) & (em - 1)}
-        yield n, m, edge_masks, next(outputs) & full, next(outputs) & full
+        masks = [u & full for u in islice(outputs, 1 + _below(outputs, 2 * n))]
+        yield n, masks, next(outputs) & full, next(outputs) & full
 
 
 def orbit_hypergraph(n: int, gens: Iterable[Sequence[int]], bases: Iterable[Iterable[int]]) -> Hypergraph:

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from itertools import islice
+from itertools import islice, product
 from math import comb
 
 import pytest
@@ -457,7 +457,7 @@ e 1 2 5
 ]
 
 
-@pytest.mark.parametrize("spec,sizes,text", GENERATE_GOLDENS)
+@pytest.mark.parametrize("spec,sizes,text", GENERATE_GOLDENS, ids=[spec for spec, _, _ in GENERATE_GOLDENS])
 def test_generate_output_is_pinned(capsys, tmp_path, spec, sizes, text):
     path = tmp_path / "out.hg"
     code, out, err = run_cli(capsys, "generate", "--family", *spec.split(), "--out", str(path))
@@ -847,10 +847,18 @@ def instance_of(n, edge_masks):
     return Hypergraph(n, tuple(sorted(tuple(v for v in range(n) if em >> v & 1) for em in edge_masks)))
 
 
+def crossings(masks, s):
+    """|boundary(S)| by the crossing rule of the per-edge check, for the
+    side bitmask s and the edges' bitmasks: an edge crosses S when
+    0 < |S & e| < |e|."""
+    return sum(0 < s & em != em for em in masks)
+
+
 def test_verify_lemma_counts_are_boundary_sizes():
     """Both halves of the lemma count what ``boundary`` counts: the table at
-    every mask, and the one-pass count of a trial, on the edge masks the
-    trials draw, at sampled mask pairs."""
+    every mask, and the crossing rule of the per-edge check summed over an
+    instance's or a trial's masks (a repeat as a parallel edge), at sampled
+    mask pairs, where the per-edge check passes."""
     rng = SplitMix64(17)
     instances = lemma_instances()
     assert len(instances) >= 10
@@ -858,22 +866,50 @@ def test_verify_lemma_counts_are_boundary_sizes():
         table = cli._boundary_size_table(H)
         sets = [{v for v in range(H.n) if mask >> v & 1} for mask in range(1 << H.n)]
         assert table == [len(boundary(H, X)) for X in sets], name
-        edge_masks = {sum(1 << v for v in e) for e in H.edges}
+        edge_masks = [sum(1 << v for v in e) for e in H.edges]
         for _ in range(100):
             x_mask, y_mask = rng.below(1 << H.n), rng.below(1 << H.n)
-            assert cli._uncrossing_sizes(edge_masks, x_mask, y_mask) == (
-                table[x_mask | y_mask], table[x_mask & y_mask], table[x_mask], table[y_mask]
-            ), name
+            sides = (x_mask | y_mask, x_mask & y_mask, x_mask, y_mask)
+            assert [crossings(edge_masks, s) for s in sides] == [table[s] for s in sides], name
+            assert cli._uncrosses_edgewise(edge_masks, x_mask, y_mask), name
     # the trials' own draws, whose masks they take without building H
-    for n, m, edge_masks, x_mask, y_mask in _lemma_trials(rng, 200, 16):
-        assert len(edge_masks) <= m
-        assert all(em < 1 << n and bin(em).count("1") >= 2 for em in edge_masks)
-        H = instance_of(n, edge_masks)
+    for n, masks, x_mask, y_mask in _lemma_trials(rng, 200, 16):
+        assert 1 <= len(masks) <= 2 * n
+        assert all(em < 1 << n for em in masks)
+        H = instance_of(n, [em for em in masks if bin(em).count("1") >= 2])
         X = {v for v in range(n) if x_mask >> v & 1}
         Y = {v for v in range(n) if y_mask >> v & 1}
-        assert cli._uncrossing_sizes(edge_masks, x_mask, y_mask) == tuple(
+        assert [crossings(masks, s) for s in (x_mask | y_mask, x_mask & y_mask, x_mask, y_mask)] == [
             len(boundary(H, S)) for S in (X | Y, X & Y, X, Y)
-        )
+        ]
+        assert cli._uncrosses_edgewise(masks, x_mask, y_mask)
+
+
+def test_uncrosses_edgewise_on_every_crossing_pattern():
+    """X and Y split the vertices into X n Y, X - Y, Y - X and the rest.  An
+    edge meeting any nonempty set of those four regions, with one or two
+    vertices in each, alone or repeated, passes the per-edge check, and its
+    slack |boundary(X)| + |boundary(Y)| - |boundary(X u Y)| - |boundary(X n Y)|
+    per copy is 2 when it meets X - Y and Y - X and nothing else, 1 when it
+    meets those two and one other region, and 0 otherwise."""
+    regions = ((0, 1), (2, 3), (4, 5), (6, 7))  # X n Y, X - Y, Y - X, the rest
+    X, Y = {0, 1, 2, 3}, {0, 1, 4, 5}
+    x_mask, y_mask = 0b1111, 0b110011
+    checked = set()
+    for met in range(1, 16):
+        chosen = [regions[r] for r in range(4) if met >> r & 1]
+        expected = {0b0110: 2, 0b0111: 1, 0b1110: 1}.get(met, 0)
+        for widths in product((1, 2), repeat=len(chosen)):
+            edge = tuple(sorted(v for vs, w in zip(chosen, widths) for v in vs[:w]))
+            if len(edge) < 2:
+                continue
+            for copies in (1, 2):
+                H = Hypergraph(8, (edge,) * copies)
+                bx, by, bu, bm = (len(boundary(H, S)) for S in (X, Y, X | Y, X & Y))
+                assert bx + by - bu - bm == copies * expected, (edge, copies)
+                assert cli._uncrosses_edgewise([sum(1 << v for v in edge)] * copies, x_mask, y_mask), edge
+                checked.add(met)
+    assert len(checked) == 15
 
 
 def test_verify_lemma_exhaustive_half_reports_a_violation(capsys, monkeypatch):
@@ -929,15 +965,15 @@ def test_lane_check_finds_the_loops_first_violation():
 
 
 def test_verify_lemma_random_half_reports_a_violation(capsys, monkeypatch):
-    """Counts that break submodularity fail the first random trial, which
-    prints the instance that trial drew."""
+    """A per-edge check that finds an edge breaking the inequality fails the
+    first random trial, which prints the instance that trial drew."""
     calls = []
 
-    def broken(edge_masks, x_mask, y_mask):
-        calls.append((set(edge_masks), x_mask, y_mask))
-        return 1, 0, 0, 0
+    def broken(masks, x_mask, y_mask):
+        calls.append((list(masks), x_mask, y_mask))
+        return False
 
-    monkeypatch.setattr(cli, "_uncrossing_sizes", broken)
+    monkeypatch.setattr(cli, "_uncrosses_edgewise", broken)
     code, out, err = run_cli(capsys, "verify", "lemma", "--trials", "50", "--seed", "1")
     assert code == 1
     assert len(calls) == 1
@@ -950,7 +986,7 @@ def test_verify_lemma_random_half_reports_a_violation(capsys, monkeypatch):
     H = Hypergraph(n, tuple(sorted(e for e in edges if len(e) >= 2)))
     assert H.m == 7  # large enough that a draw from another point of the stream would differ
     x_mask, y_mask = rng.below(1 << n), rng.below(1 << n)
-    assert calls[0] == ({sum(1 << v for v in e) for e in H.edges}, x_mask, y_mask)
+    assert calls[0] == ([u % (1 << n) for u in outputs], x_mask, y_mask)
     X = {v for v in range(n) if x_mask >> v & 1}
     Y = {v for v in range(n) if y_mask >> v & 1}
     head, sep, tail = out.partition("violation in")
@@ -959,14 +995,14 @@ def test_verify_lemma_random_half_reports_a_violation(capsys, monkeypatch):
 
 
 def record_trials(capsys, monkeypatch, *argv):
-    """Run verify lemma and return the (edge masks, X, Y) of every trial."""
+    """Run verify lemma and return the (masks, X, Y) of every trial."""
     seen = []
 
-    def record(edge_masks, x_mask, y_mask):
-        seen.append((set(edge_masks), x_mask, y_mask))
-        return 0, 0, 0, 0
+    def record(masks, x_mask, y_mask):
+        seen.append((list(masks), x_mask, y_mask))
+        return True
 
-    monkeypatch.setattr(cli, "_uncrossing_sizes", record)
+    monkeypatch.setattr(cli, "_uncrosses_edgewise", record)
     code, out, err = run_cli(capsys, "verify", "lemma", *argv)
     assert code == 0 and out.endswith("PASS\n")
     return seen
@@ -974,14 +1010,13 @@ def record_trials(capsys, monkeypatch, *argv):
 
 def replay_trials(rng, nmax, trials):
     """The trials' draws made one scalar call of ``rng`` at a time: the
-    (edge masks, X, Y) of each trial."""
+    (masks in draw order, X, Y) of each trial."""
     drawn = []
     for _ in range(trials):
         n = 2 + rng.below(nmax - 1)
         m = 1 + rng.below(2 * n)
         masks = [rng.next_u64() % (1 << n) for _ in range(m)]
-        edge_masks = {em for em in masks if bin(em).count("1") >= 2}
-        drawn.append((edge_masks, rng.below(1 << n), rng.below(1 << n)))
+        drawn.append((masks, rng.below(1 << n), rng.below(1 << n)))
     return drawn
 
 
@@ -1005,7 +1040,7 @@ class Scripted(SplitMix64):
 @pytest.mark.parametrize("nmax", [2, 10, 16, 64])
 def test_verify_lemma_trials_replay_scalar_draws(capsys, monkeypatch, nmax):
     """The trials draw from blocks of one output stream, yet each of the
-    first 300 counts the edge masks, X and Y that scalar calls of below and
+    first 300 checks the masks, X and Y that scalar calls of below and
     next_u64 on one generator give, also where a trial's draws straddle a
     block boundary."""
     seen = record_trials(capsys, monkeypatch, "--trials", "300", "--seed", "29", "--nmax", str(nmax))

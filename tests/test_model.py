@@ -4,6 +4,7 @@ Expected values come from independent brute-force helpers defined here,
 or are small enough to check by hand.
 """
 
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -277,6 +278,72 @@ def test_linear_witness_matches_a_pair_dict_reference():
         assert verdict.linear == (verdict.witness is None)
         verdicts[verdict.linear] += 1
     assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+
+@pytest.mark.parametrize("wide", [model._WIDE, 3, 1])
+def test_linear_witness_through_wide_edges_matches_the_pair_scan(monkeypatch, wide):
+    """An edge of more than ``_WIDE`` members of degree 2 or more is checked
+    through the incidence lists, and a narrower one against the earlier
+    wide edges too; the verdict and the witness stay the pair scan's, on
+    the corpus and on random instances with wide and repeated edges.  With
+    ``_WIDE`` lowered, most edges of the small instances take that route."""
+    monkeypatch.setattr(model, "_WIDE", wide)
+    rng = SplitMix64(43 + wide)
+    instances = [H for _, H in builtin_corpus()]
+    # a comb of 70 teeth, and a second wide edge meeting the comb's back and
+    # each tooth in one vertex: linear until an edge repeats
+    w = 70
+    comb, other = tuple(range(w)), tuple(range(w - 1, 2 * w - 1))
+    teeth = [(v, w + v) for v in range(w)]
+    for edges in (
+        [comb, *teeth],
+        [*teeth[:9], other, *teeth[9:], comb],
+        [comb, other, *teeth, teeth[40]],
+        [comb, other, *teeth, (5, 75, 80)],  # a tooth's pair below the pair it shares with other
+        [comb, other, *teeth, other],
+    ):
+        instances.append(Hypergraph(2 * w, tuple(edges)))
+    for _ in range(300):
+        n = 2 + rng.below(30 if wide < 64 else 160)
+        edges = [rng.subset(n, 2 + rng.below(min(n, 5) - 1)) for _ in range(rng.below(n))]
+        for _ in range(rng.below(3) if n > wide else 0):
+            edges.insert(rng.below(len(edges) + 1), rng.subset(n, n - rng.below(n - wide)))
+        for _ in range(rng.below(3) if edges else 0):
+            edges.insert(rng.below(len(edges) + 1), edges[rng.below(len(edges))])
+        instances.append(Hypergraph(n, tuple(edges)))
+    verdicts = Counter()
+    for H in instances:
+        verdict = is_linear(H)
+        assert verdict.witness == first_repeated_pair(H), H
+        assert verdict.linear == (verdict.witness is None)
+        verdicts[verdict.linear] += 1
+    assert verdicts[True] >= 30 and verdicts[False] >= 100
+
+
+def test_is_linear_on_two_copies_of_a_wide_edge_is_fast():
+    """Two copies of one wide edge give every vertex degree 2; their pairs
+    were all stored before one repeated (0.73 s at 2000 vertices), and the
+    incidence route takes time linear in the edge.  Stars of 2-edges and
+    3-edges, which keep the pair scan, stay fast too."""
+
+    def fastest(n, edges):
+        times = []
+        for _ in range(3):
+            H = Hypergraph(n, edges)
+            start = time.perf_counter()
+            verdict = is_linear(H)
+            times.append(time.perf_counter() - start)
+        return min(times), verdict
+
+    for n, limit in ((2000, 0.05), (20_000, 1.0)):
+        seconds, verdict = fastest(n, (tuple(range(n)),) * 2)
+        assert verdict.witness == ((0, 1), 0, 1)
+        assert seconds < limit, (n, seconds)
+    for k in (2, 3):
+        edges = tuple((0, *range(1 + (k - 1) * i, 1 + (k - 1) * (i + 1))) for i in range(20_000))
+        seconds, verdict = fastest(1 + 20_000 * (k - 1), edges)
+        assert verdict.linear
+        assert seconds < 1.0, (k, seconds)
 
 
 def test_components_examples():
