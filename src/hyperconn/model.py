@@ -32,8 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "HypergraphError",
@@ -285,66 +284,41 @@ def is_uniform(H: Hypergraph) -> int | None:
     return sizes.pop() if len(sizes) == 1 else None
 
 
-_WIDE = 64  # the most members an edge may have for is_linear's pair scan
-
-
 def is_linear(H: Hypergraph) -> LinearityVerdict:
     """Whether every vertex pair lies in at most one edge, with a witness.
 
     A vertex of degree 1 lies in one edge only, so no pair that holds it
     can repeat: an edge's members are its vertices of degree 2 or more (a
-    2-edge's are both).  An edge of at most ``_WIDE`` members stores its
-    member pairs and meets a repeat among those stored before, and checks
-    the earlier wider edges through its members.  A wider edge stores none
-    and is checked against every earlier edge through its members, so two
-    copies of one wide edge cost time linear in its size.  The witness is
-    the pair scan's: the first edge sharing two vertices with an earlier
-    one, its least such pair, and the first earlier edge holding that pair.
+    2-edge's are both).  Each edge walks the earlier edges through its
+    members but one, the hub, which has the most of them and is tested for
+    by bisection in each edge met.  So two copies of one wide edge cost
+    time linear in its size, and a vertex shared by many edges costs
+    nothing unless an edge also shares another member.  The witness is
+    ``((u, v), i, j)``: the first edge j sharing two vertices with an
+    earlier edge, its least such pair, and the first edge i holding it.
     """
-    degrees, edges = H._degrees, H.edges
-    seen: dict[tuple[int, int], int] = {}
-    wide_at: dict[int, list[int]] = {}  # vertex -> the wide edges through it so far
+    degrees, edges, incidence = H._degrees, H.edges, H._incidence
+    earlier = [0] * H.n  # edges through each member so far
     for j, e in enumerate(edges):
         members = [v for v in e if degrees[v] > 1] if len(e) > 2 else e
-        if len(members) > _WIDE:
-            incidence = H._incidence
-            found = _least_shared(edges, {v: incidence[v][: bisect_left(incidence[v], j)] for v in members})
-            for v in members:
-                wide_at.setdefault(v, []).append(j)
-        else:
-            found = _least_shared(edges, {v: wide_at.get(v, ()) for v in members}) if wide_at else None
-            for pair in combinations(members, 2):
-                i = seen.setdefault(pair, j)
-                if i != j:
-                    found = min(found, (pair, i)) if found else (pair, i)
-                    break
+        hub = max(members, key=earlier.__getitem__, default=None)
+        first: dict[int, int] = {}  # earlier edge -> its least walked member
+        found = []
+        for v in members:
+            if v != hub:
+                for i in incidence[v][: earlier[v]]:
+                    u = first.setdefault(i, v)
+                    if u != v:
+                        found.append(((u, v), i))
+            earlier[v] += 1
+        for i, u in first.items():
+            f = edges[i]
+            k = bisect_left(f, hub)
+            if k < len(f) and f[k] == hub:
+                found.append(((u, hub) if u < hub else (hub, u), i))
         if found:
-            return LinearityVerdict(False, (*found, j))
+            return LinearityVerdict(False, (*min(found), j))
     return LinearityVerdict(True, None)
-
-
-def _least_shared(edges: Sequence[tuple[int, ...]], through: dict[int, Sequence[int]]) -> tuple | None:
-    """The least ((u, v), i) over the edges i that ``through`` lists under
-    two or more of its vertices u < v, or None; ``through`` maps vertices,
-    in increasing order, to edge indices.  The vertex with the most edges
-    is not walked: each edge found through the others is tested for it by
-    bisection, so a hub shared by many edges costs nothing unless an edge
-    also shares another vertex."""
-    hub = max(through, key=lambda v: len(through[v]), default=None)
-    shared: dict[int, list[int]] = {}
-    for v, incident in through.items():
-        if v != hub:
-            for i in incident:
-                shared.setdefault(i, []).append(v)
-    found = []
-    for i, vs in shared.items():
-        e = edges[i]
-        k = bisect_left(e, hub)
-        if k < len(e) and e[k] == hub:
-            vs = sorted([*vs[:2], hub])
-        if len(vs) > 1:
-            found.append(((vs[0], vs[1]), i))
-    return min(found, default=None)
 
 
 def components(H: Hypergraph) -> list[list[int]]:

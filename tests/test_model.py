@@ -257,9 +257,10 @@ def first_repeated_pair(H):
 
 
 def test_linear_witness_matches_a_pair_dict_reference():
-    """Leaving out degree-1 vertices changes no verdict and no witness, on
-    inputs with many of them: mixed edge sizes, a wide edge, repeated edges
-    and isolated vertices."""
+    """Leaving out degree-1 vertices and checking each edge through its
+    members' incidence lists change no verdict and no witness, on inputs
+    with many degree-1 vertices: mixed edge sizes, wide edges, repeated
+    edges and isolated vertices."""
     rng = SplitMix64(41)
     instances = [H for _, H in builtin_corpus()]
     for _ in range(400):
@@ -271,25 +272,6 @@ def test_linear_witness_matches_a_pair_dict_reference():
         if edges and rng.below(3) == 0:
             edges.append(edges[rng.below(len(edges))])
         instances.append(Hypergraph(n, tuple(edges)))
-    verdicts = Counter()
-    for H in instances:
-        verdict = is_linear(H)
-        assert verdict.witness == first_repeated_pair(H), H
-        assert verdict.linear == (verdict.witness is None)
-        verdicts[verdict.linear] += 1
-    assert verdicts[True] >= 50 and verdicts[False] >= 50
-
-
-@pytest.mark.parametrize("wide", [model._WIDE, 3, 1])
-def test_linear_witness_through_wide_edges_matches_the_pair_scan(monkeypatch, wide):
-    """An edge of more than ``_WIDE`` members of degree 2 or more is checked
-    through the incidence lists, and a narrower one against the earlier
-    wide edges too; the verdict and the witness stay the pair scan's, on
-    the corpus and on random instances with wide and repeated edges.  With
-    ``_WIDE`` lowered, most edges of the small instances take that route."""
-    monkeypatch.setattr(model, "_WIDE", wide)
-    rng = SplitMix64(43 + wide)
-    instances = [H for _, H in builtin_corpus()]
     # a comb of 70 teeth, and a second wide edge meeting the comb's back and
     # each tooth in one vertex: linear until an edge repeats
     w = 70
@@ -304,10 +286,10 @@ def test_linear_witness_through_wide_edges_matches_the_pair_scan(monkeypatch, wi
     ):
         instances.append(Hypergraph(2 * w, tuple(edges)))
     for _ in range(300):
-        n = 2 + rng.below(30 if wide < 64 else 160)
+        n = 2 + rng.below(160)
         edges = [rng.subset(n, 2 + rng.below(min(n, 5) - 1)) for _ in range(rng.below(n))]
-        for _ in range(rng.below(3) if n > wide else 0):
-            edges.insert(rng.below(len(edges) + 1), rng.subset(n, n - rng.below(n - wide)))
+        for _ in range(rng.below(3)):  # edges through more than half the vertices
+            edges.insert(rng.below(len(edges) + 1), rng.subset(n, n - rng.below(n // 2)))
         for _ in range(rng.below(3) if edges else 0):
             edges.insert(rng.below(len(edges) + 1), edges[rng.below(len(edges))])
         instances.append(Hypergraph(n, tuple(edges)))
@@ -317,14 +299,17 @@ def test_linear_witness_through_wide_edges_matches_the_pair_scan(monkeypatch, wi
         assert verdict.witness == first_repeated_pair(H), H
         assert verdict.linear == (verdict.witness is None)
         verdicts[verdict.linear] += 1
-    assert verdicts[True] >= 30 and verdicts[False] >= 100
+    assert verdicts[True] >= 80 and verdicts[False] >= 400
 
 
 def test_is_linear_on_two_copies_of_a_wide_edge_is_fast():
-    """Two copies of one wide edge give every vertex degree 2; their pairs
-    were all stored before one repeated (0.73 s at 2000 vertices), and the
-    incidence route takes time linear in the edge.  Stars of 2-edges and
-    3-edges, which keep the pair scan, stay fast too."""
+    """Two copies of one wide edge give every vertex degree 2; a pair scan
+    stores all their pairs before one repeats (0.73 s at 2000 vertices),
+    and the incidence lists take time linear in the edge.  Stars of 2-edges
+    and 3-edges stay fast too, and so does a pencil: 4000 rows of a grid,
+    each with one hub added, after the grid's columns.  A row walks its
+    other members' lists and tests the hub by bisection; walking the hub's
+    list instead took 1.1 s (2-core x86-64)."""
 
     def fastest(n, edges):
         times = []
@@ -344,6 +329,12 @@ def test_is_linear_on_two_copies_of_a_wide_edge_is_fast():
         seconds, verdict = fastest(1 + 20_000 * (k - 1), edges)
         assert verdict.linear
         assert seconds < 1.0, (k, seconds)
+    rows, width = 4000, 10
+    grid = [[1 + r * width + c for c in range(width)] for r in range(rows)]
+    columns = [tuple(grid[r][c] for r in range(rows)) for c in range(width)]
+    seconds, verdict = fastest(1 + rows * width, (*columns, *((0, *row) for row in grid)))
+    assert verdict.linear
+    assert seconds < 0.5, seconds
 
 
 def test_components_examples():
