@@ -112,12 +112,9 @@ class Hypergraph:
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:
-        """Every vertex's degree, indexed by vertex."""
-        degs = [0] * self.n
-        for e in self.edges:
-            for v in e:
-                degs[v] += 1
-        return tuple(degs)
+        """Every vertex's degree, indexed by vertex: the length of its
+        incidence list, so a multi-edge counts once per copy."""
+        return tuple(map(len, self._incidence))
 
     @cached_property
     def _incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -206,31 +203,27 @@ def parse_hypergraph(text: str) -> Hypergraph:
             out of range, an edge of size < 2, a repeated vertex within an
             edge, or an edge count mismatch; the message names the line.
     """
-    header: tuple[int, int] | None = None
+    lines = text.splitlines()
+    # (line number, fields) of each content line: not blank, not a comment
+    content = ((no, fields) for no, raw in enumerate(lines, 1) if (fields := raw.split()) and fields[0][0] != "#")
+    first = next(content, None)
+    if first is None:
+        raise ParseError(len(lines) + 1, "malformed header, missing 'h <n> <m>' line")
+    line_no, fields = first
+    if fields[0] != "h" or len(fields) != 3:
+        raise ParseError(line_no, "malformed header, expected 'h <n> <m>'")
+    try:
+        n, m = int(fields[1]), int(fields[2])
+    except ValueError:
+        raise ParseError(line_no, "malformed header, counts must be integers") from None
+    if n < 1 or m < 0:
+        raise ParseError(line_no, "malformed header, need n >= 1 and m >= 0")
+    try:
+        _check_vertex_count(n)
+    except HypergraphError as exc:
+        raise ParseError(line_no, str(exc)) from None
     edges: list[tuple[int, ...]] = []
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        last_line = line_no
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if header is None:
-            if fields[0] != "h" or len(fields) != 3:
-                raise ParseError(line_no, "malformed header, expected 'h <n> <m>'")
-            try:
-                n, m = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(line_no, "malformed header, counts must be integers") from None
-            if n < 1 or m < 0:
-                raise ParseError(line_no, "malformed header, need n >= 1 and m >= 0")
-            try:
-                _check_vertex_count(n)
-            except HypergraphError as exc:
-                raise ParseError(line_no, str(exc)) from None
-            header = (n, m)
-            continue
-        n, m = header
+    for line_no, fields in content:
         if fields[0] != "e":
             raise ParseError(line_no, f"malformed edge line, expected 'e v1 v2 ...' got {fields[0]!r}")
         if len(edges) >= m:
@@ -243,11 +236,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
             edges.append(_normalize_edge(verts, n))
         except HypergraphError as exc:
             raise ParseError(line_no, str(exc)) from None
-    if header is None:
-        raise ParseError(last_line + 1, "malformed header, missing 'h <n> <m>' line")
-    n, m = header
     if len(edges) != m:
-        raise ParseError(last_line, f"edge count mismatch, header declares {m} edges, found {len(edges)}")
+        raise ParseError(len(lines), f"edge count mismatch, header declares {m} edges, found {len(edges)}")
     # every edge was normalized on its own line
     return Hypergraph._trusted(n, edges)
 
@@ -287,37 +277,37 @@ def is_uniform(H: Hypergraph) -> int | None:
 def is_linear(H: Hypergraph) -> LinearityVerdict:
     """Whether every vertex pair lies in at most one edge, with a witness.
 
-    A vertex of degree 1 lies in one edge only, so no pair that holds it
-    can repeat: an edge's members are its vertices of degree 2 or more (a
-    2-edge's are both).  Each edge walks the earlier edges through its
-    members but one, the hub, which has the most of them and is tested for
-    by bisection in each edge met.  So two copies of one wide edge cost
-    time linear in its size, and a vertex shared by many edges costs
-    nothing unless an edge also shares another member.  The witness is
-    ``((u, v), i, j)``: the first edge j sharing two vertices with an
-    earlier edge, its least such pair, and the first edge i holding it.
+    Each edge gathers, in one list, the earlier edges through its vertices
+    but one, the hub, which has the most of them.  An earlier edge sharing
+    two vertices with it, neither the hub, appears twice in the list; one
+    sharing the hub and another vertex appears in it and holds the hub,
+    found by bisection.  So two copies of one wide edge cost time linear in
+    its size, and the hub's own earlier edges are never walked.  The
+    witness is built only for the first edge that fails: ``((u, v), i, j)``,
+    the first edge j sharing two vertices with an earlier edge, its least
+    such pair, and the first edge i holding it.
     """
-    degrees, edges, incidence = H._degrees, H.edges, H._incidence
-    earlier = [0] * H.n  # edges through each member so far
+    edges, incidence = H.edges, H._incidence
+    earlier = [0] * H.n  # edges through each vertex so far
     for j, e in enumerate(edges):
-        members = [v for v in e if degrees[v] > 1] if len(e) > 2 else e
-        hub = max(members, key=earlier.__getitem__, default=None)
-        first: dict[int, int] = {}  # earlier edge -> its least walked member
-        found = []
-        for v in members:
+        hub = max(e, key=earlier.__getitem__)
+        met = []  # the earlier edges through each vertex of e but the hub
+        for v in e:
             if v != hub:
-                for i in incidence[v][: earlier[v]]:
-                    u = first.setdefault(i, v)
-                    if u != v:
-                        found.append(((u, v), i))
+                met += incidence[v][: earlier[v]]
             earlier[v] += 1
-        for i, u in first.items():
-            f = edges[i]
-            k = bisect_left(f, hub)
-            if k < len(f) and f[k] == hub:
-                found.append(((u, hub) if u < hub else (hub, u), i))
-        if found:
-            return LinearityVerdict(False, (*min(found), j))
+        distinct = set(met)
+        if len(distinct) == len(met):
+            for i in distinct:
+                f = edges[i]
+                k = bisect_left(f, hub)
+                if k < len(f) and f[k] == hub:
+                    break
+            else:
+                continue
+        shared = set(e)
+        pair, i = min((p[:2], i) for i in distinct if len(p := sorted(shared.intersection(edges[i]))) >= 2)
+        return LinearityVerdict(False, (tuple(pair), i, j))
     return LinearityVerdict(True, None)
 
 

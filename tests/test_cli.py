@@ -708,8 +708,8 @@ def test_analyze_guard_note_keeps_exit_zero(capsys, tmp_path):
 
 
 def test_analyze_one_wide_edge_is_fast(capsys, tmp_path):
-    """The linearity check skips pairs through degree-1 vertices, so one
-    20 000-vertex edge (about 110 KB of file) is not 2 * 10**8 pairs."""
+    """The linearity check stores no vertex pairs, so one 20 000-vertex
+    edge (about 110 KB of file) is not 2 * 10**8 pairs."""
     n = 20_000
     path = tmp_path / "wide.hg"
     path.write_text(f"h {n} 1\ne " + " ".join(map(str, range(n))) + "\n")

@@ -129,18 +129,22 @@ def test_round_trip_on_corpus():
         ("h 3 1\ne 0 5\n", 2, "vertex index 5 out of range [0, 2]"),
         ("# only a comment\n", 2, "missing 'h <n> <m>'"),
         ("h 3 2\ne 0 1\n", 2, "edge count mismatch, header declares 2 edges, found 1"),
+        # at the end of the text: the line after the last for a missing
+        # header, the last line, comments and blanks included, for a short count
+        pytest.param("", 1, "missing 'h <n> <m>'", id="empty-missing-header"),
+        pytest.param("h 3 2\ne 0 1\n# c\n\n", 4, "edge count mismatch, header declares 2 edges, found 1", id="short-count-at-last-line"),
         # the first error is reported: a bad edge before a later line that
         # overflows the count, and an overflowing line is not read further
-        ("h 3 1\ne 0 5\ne 0 1\n", 2, "vertex index 5 out of range [0, 2]"),
-        ("h 3 1\ne 0 0\ne 0 1\ne 1 2\n", 2, "repeated vertex 0 within edge"),
-        ("h 3 3\ne 0 5\n", 2, "vertex index 5 out of range [0, 2]"),
-        ("h 3 1\ne 0 1\ne 0 5\n", 3, "edge count mismatch, header declares 1 edges"),
-        ("h 3 1\ne 0 1\ne 0 x\n", 3, "edge count mismatch, header declares 1 edges"),
-        ("h 3 1\ne 0 1\nq 0 1\n", 3, "malformed edge line, expected 'e v1 v2 ...' got 'q'"),
+        pytest.param("h 3 1\ne 0 5\ne 0 1\n", 2, "vertex index 5 out of range [0, 2]", id="range-before-overflow"),
+        pytest.param("h 3 1\ne 0 0\ne 0 1\ne 1 2\n", 2, "repeated vertex 0 within edge", id="repeat-before-overflow"),
+        pytest.param("h 3 3\ne 0 5\n", 2, "vertex index 5 out of range [0, 2]", id="range-before-short-count"),
+        pytest.param("h 3 1\ne 0 1\ne 0 5\n", 3, "edge count mismatch, header declares 1 edges", id="overflow-before-range"),
+        pytest.param("h 3 1\ne 0 1\ne 0 x\n", 3, "edge count mismatch, header declares 1 edges", id="overflow-before-integers"),
+        pytest.param("h 3 1\ne 0 1\nq 0 1\n", 3, "malformed edge line, expected 'e v1 v2 ...' got 'q'", id="malformed-after-full-count"),
         # within one edge: size, then repeats, then range
-        ("h 3 1\ne 7\n", 2, "edge of size 1, minimum is 2"),
-        ("h 3 1\ne 7 7\n", 2, "repeated vertex 7 within edge"),
-        ("h 3 1\ne 2 -1 9\n", 2, "vertex index -1 out of range [0, 2]"),
+        pytest.param("h 3 1\ne 7\n", 2, "edge of size 1, minimum is 2", id="size-before-range"),
+        pytest.param("h 3 1\ne 7 7\n", 2, "repeated vertex 7 within edge", id="repeat-before-range"),
+        pytest.param("h 3 1\ne 2 -1 9\n", 2, "vertex index -1 out of range [0, 2]", id="least-vertex-out-of-range"),
     ],
 )
 def test_parse_errors(text, line_no, fragment):
@@ -305,11 +309,13 @@ def test_linear_witness_matches_a_pair_dict_reference():
 def test_is_linear_on_two_copies_of_a_wide_edge_is_fast():
     """Two copies of one wide edge give every vertex degree 2; a pair scan
     stores all their pairs before one repeats (0.73 s at 2000 vertices),
-    and the incidence lists take time linear in the edge.  Stars of 2-edges
-    and 3-edges stay fast too, and so does a pencil: 4000 rows of a grid,
-    each with one hub added, after the grid's columns.  A row walks its
-    other members' lists and tests the hub by bisection; walking the hub's
-    list instead took 1.1 s (2-core x86-64)."""
+    and the incidence lists take time linear in the edge.  One 20 000-vertex
+    edge stays fast alone, before a matching that joins each of its vertices
+    to a new one, and after that matching, where it meets 19 999 earlier
+    edges.  Stars of 2-edges and 3-edges stay fast too, and so does a
+    pencil: 4000 rows of a grid, each with one hub added, after the grid's
+    columns.  A row walks its other members' lists and tests the hub by
+    bisection; walking the hub's list instead took 1.1 s (2-core x86-64)."""
 
     def fastest(n, edges):
         times = []
@@ -324,6 +330,12 @@ def test_is_linear_on_two_copies_of_a_wide_edge_is_fast():
         seconds, verdict = fastest(n, (tuple(range(n)),) * 2)
         assert verdict.witness == ((0, 1), 0, 1)
         assert seconds < limit, (n, seconds)
+    n = 20_000
+    wide, matching = tuple(range(n)), tuple((v, n + v) for v in range(n))
+    for edges in ((wide,), (wide, *matching), (*matching, wide)):
+        seconds, verdict = fastest(2 * n, edges)
+        assert verdict.linear
+        assert seconds < 1.0, (len(edges), edges[0] == wide, seconds)
     for k in (2, 3):
         edges = tuple((0, *range(1 + (k - 1) * i, 1 + (k - 1) * (i + 1))) for i in range(20_000))
         seconds, verdict = fastest(1 + 20_000 * (k - 1), edges)
