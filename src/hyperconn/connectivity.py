@@ -105,7 +105,6 @@ from .model import (
     _check_vertex,
     _mask_vertices,
     boundary,
-    degree_extremes,
     is_connected,
 )
 from .symmetry import _orbit_of, _shifts, is_automorphism
@@ -116,7 +115,6 @@ __all__ = [
     "edge_connectivity",
     "edge_connectivity_oracle",
     "edge_atom",
-    "is_maximally_edge_connected",
 ]
 
 _ENUM_GUARD = 26  # exhaustive subset enumeration beyond this is refused
@@ -521,12 +519,6 @@ def edge_atom(H: Hypergraph) -> CutResult:
             if side & diff & -diff:
                 best_mask = side
     return CutResult.from_side(H, _mask_vertices(best_mask, n))
-
-
-def is_maximally_edge_connected(H: Hypergraph) -> bool:
-    """Whether the edge-connectivity meets its trivial upper bound, the
-    minimum degree."""
-    return edge_connectivity(H).value == degree_extremes(H)[0]
 
 
 _BLOCK_BITS = 15  # vertices 1..15 vary inside one block of 2**15 sides

@@ -431,9 +431,9 @@ def _normalize_edge(e: Iterable[int], n: int) -> tuple[int, ...]:
     verts = tuple(sorted(e))
     if len(verts) < 2:
         raise HypergraphError(f"edge of size {len(verts)}, minimum is 2")
-    for a, b in zip(verts, verts[1:]):
-        if a == b:
-            raise HypergraphError(f"repeated vertex {a} within edge")
+    if len(set(verts)) < len(verts):
+        repeated = next(a for a, b in zip(verts, verts[1:]) if a == b)
+        raise HypergraphError(f"repeated vertex {repeated} within edge")
     if verts[0] < 0 or verts[-1] >= n:
         bad = verts[0] if verts[0] < 0 else verts[-1]
         raise HypergraphError(f"vertex index {bad} out of range [0, {n - 1}]")

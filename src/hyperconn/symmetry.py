@@ -1,4 +1,4 @@
-"""Automorphism search, vertex orbits, transitivity, and block tests.
+"""Automorphism search, transitivity, and block tests.
 
 Permutations are plain tuples in one-line notation: ``p[v]`` is the image
 of vertex v.  An automorphism must preserve the edge multiset, so
@@ -16,9 +16,9 @@ A rotation-invariant input (every circulant, cyclic-difference and
 complete instance, every cycle) gets the rotation v -> v + 1 mod n alone,
 and the affine, doubled affine and glued families get back the shifts
 that :mod:`hyperconn.constructions` builds them from.  The shifts are the
-generators from :func:`transitivity_generators`, and :func:`vertex_orbits`
-gives one orbit, with no search and no search tables.  The flow route of
-:mod:`hyperconn.connectivity` reads the same verdict.
+generators from :func:`transitivity_generators`, with no search and no
+search tables.  The flow route of :mod:`hyperconn.connectivity` reads the
+same verdict.
 :func:`find_automorphism_mapping` and :func:`enumerate_automorphisms`
 always search.
 
@@ -59,10 +59,9 @@ reported, so the relaxations never surface a false positive.  The tables
 these rules read are built once per hypergraph, in time linear in its
 incidences (times the cost of one n-bit mask operation), and kept on it
 with its edge multiset and shift verdict: the per-target searches of
-:func:`transitivity_generators` and :func:`vertex_orbits` share them, and
-they are freed with it.  Which
-automorphism a search returns depends on this order, so the generator lists
-do too; the verdicts and orbits do not.
+:func:`transitivity_generators` share them, and they are freed with it.
+Which automorphism a search returns depends on this order, so the generator
+lists do too; the verdicts and orbits do not.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ __all__ = [
     "find_automorphism_mapping",
     "is_vertex_transitive",
     "transitivity_generators",
-    "vertex_orbits",
     "enumerate_automorphisms",
     "is_block_of_imprimitivity",
 ]
@@ -162,38 +160,6 @@ def transitivity_generators(H: Hypergraph) -> list[tuple[int, ...]] | None:
         gens.append(p)
         reached = _orbit_of(0, gens)
     return gens
-
-
-def vertex_orbits(H: Hypergraph) -> list[list[int]]:
-    """Orbits of the automorphism group, each sorted, ordered by minimum.
-
-    Every automorphism found is kept, and each orbit is closed under all of
-    them before any fresh search, as in :func:`transitivity_generators`.  A
-    vertex already placed in an earlier orbit is skipped.  Targets run from
-    n - 1 down, as there, so one search can close a whole orbit, such as
-    398 isolated vertices.  When digit shifts certify transitivity, every
-    vertex is in one orbit, with no search.
-    """
-    if _shifts(H) is not None:
-        return [list(range(H.n))]
-    gens: list[tuple[int, ...]] = []
-    placed = [False] * H.n
-    orbits: list[list[int]] = []
-    for u in range(H.n):
-        if placed[u]:
-            continue
-        orbit = _orbit_of(u, gens)
-        for v in range(H.n - 1, u, -1):
-            if v in orbit or placed[v]:
-                continue
-            p = find_automorphism_mapping(H, u, v)
-            if p is not None:
-                gens.append(p)
-                orbit = _orbit_of(u, gens)
-        for w in orbit:
-            placed[w] = True
-        orbits.append(sorted(orbit))
-    return orbits
 
 
 def enumerate_automorphisms(H: Hypergraph, cap: int = 10000) -> list[tuple[int, ...]]:

@@ -33,7 +33,6 @@ from hyperconn import (
     edge_connectivity_oracle,
     glued_complete_family,
     is_connected,
-    is_maximally_edge_connected,
     random_uniform_hypergraph,
     st_edge_connectivity,
     transitivity_generators,
@@ -41,6 +40,7 @@ from hyperconn import (
 from hyperconn import connectivity
 from hyperconn.connectivity import _carry_save, _Dinic, _residual_side, _settle, _side_blocks
 from hyperconn.constructions import affine_doubled_family
+from hyperconn.report import analyze
 
 from helpers import CENSUS, all_min_atom_sides, orbit_union, relabelled, rotates, shift_families
 
@@ -1170,11 +1170,16 @@ def test_edge_atom_guard_comes_before_any_walk(monkeypatch):
 
 
 def test_maximality():
-    assert is_maximally_edge_connected(affine_hypergraph(5))
-    assert is_maximally_edge_connected(complete_uniform(4, 2))
-    assert not is_maximally_edge_connected(affine_doubled_family(3))
-    assert not is_maximally_edge_connected(glued_complete_family(5, 3))
-    assert not is_maximally_edge_connected(Hypergraph(4, ((0, 1), (2, 3))))
+    """kappa' = delta as `analyze --connectivity` reports it, the value
+    `--machine` prints as ``maximal``."""
+    for H, maximal in (
+        (affine_hypergraph(5), True),
+        (complete_uniform(4, 2), True),
+        (affine_doubled_family(3), False),
+        (glued_complete_family(5, 3), False),
+        (Hypergraph(4, ((0, 1), (2, 3))), False),
+    ):
+        assert analyze(H, connectivity=True).maximal is maximal
 
 
 def test_connectivity_monotone_under_edge_addition():

@@ -31,7 +31,6 @@ from hyperconn import (
     random_uniform_hypergraph,
     serialize_hypergraph,
     transitivity_generators,
-    vertex_orbits,
     vertex_profile,
 )
 from hyperconn import model
@@ -144,6 +143,7 @@ def test_round_trip_on_corpus():
         # within one edge: size, then repeats, then range
         pytest.param("h 3 1\ne 7\n", 2, "edge of size 1, minimum is 2", id="size-before-range"),
         pytest.param("h 3 1\ne 7 7\n", 2, "repeated vertex 7 within edge", id="repeat-before-range"),
+        pytest.param("h 9 1\ne 5 3 5 3 1\n", 2, "repeated vertex 3 within edge", id="least-repeat"),
         pytest.param("h 3 1\ne 2 -1 9\n", 2, "vertex index -1 out of range [0, 2]", id="least-vertex-out-of-range"),
     ],
 )
@@ -261,10 +261,10 @@ def first_repeated_pair(H):
 
 
 def test_linear_witness_matches_a_pair_dict_reference():
-    """Leaving out degree-1 vertices and checking each edge through its
-    members' incidence lists change no verdict and no witness, on inputs
-    with many degree-1 vertices: mixed edge sizes, wide edges, repeated
-    edges and isolated vertices."""
+    """Checking each edge against the earlier edges in its members'
+    incidence lists, degree-1 members included, gives the pair dict's
+    verdict and witness on inputs with many degree-1 vertices: mixed edge
+    sizes, wide edges, repeated edges and isolated vertices."""
     rng = SplitMix64(41)
     instances = [H for _, H in builtin_corpus()]
     for _ in range(400):
@@ -392,8 +392,6 @@ def test_cached_tables_are_not_shared_mutable_state():
         mutated[0].append(H.n)
         mutated[-1].clear()
         mutated.append([H.n + 1])
-        orbits = vertex_orbits(H)
-        orbits[0].clear()
         gens = transitivity_generators(H)
         if gens:
             gens.clear()

@@ -36,7 +36,6 @@ from hyperconn import (
     random_uniform_hypergraph,
     serialize_hypergraph,
     transitivity_generators,
-    vertex_orbits,
 )
 from hyperconn import connectivity, symmetry
 from hyperconn.cli import main
@@ -249,24 +248,30 @@ def test_enumerate_cap_behavior():
         enumerate_automorphisms(PATH_3, cap=0)
 
 
-def test_vertex_orbits_examples():
-    """Targets are searched from n - 1 down, so one search places the 398
-    isolated vertices beside one 2-edge among 400.  Searched from u + 1 up,
-    that input took 30 s."""
-    assert vertex_orbits(PATH_3) == [[0, 2], [1]]
-    assert vertex_orbits(MATCHING_4) == [[0, 1, 2, 3]]
-    assert vertex_orbits(Hypergraph(3, ())) == [[0, 1, 2]]
-    assert vertex_orbits(affine_hypergraph(3)) == [list(range(9))]
+def check_mappings(H, orbits):
+    """On every ordered pair (u, v), find_automorphism_mapping returns a map
+    exactly when one of ``orbits`` holds both, and then an automorphism
+    sending u to v."""
+    orbit_index = {v: i for i, orbit in enumerate(orbits) for v in orbit}
+    assert sorted(orbit_index) == list(range(H.n))
+    for u in range(H.n):
+        for v in range(H.n):
+            p = find_automorphism_mapping(H, u, v)
+            assert (p is not None) == (orbit_index[u] == orbit_index[v]), (u, v)
+            assert p is None or (p[u] == v and is_automorphism(H, p)), (u, v)
+
+
+def test_orbit_examples():
     asym = Hypergraph(4, ((0, 1), (1, 2), (2, 3), (1, 3)))
-    assert vertex_orbits(asym) == orbit_partition(4, brute_automorphisms(asym))
-    assert vertex_orbits(asym) == [[0], [1], [2, 3]]
-    start = time.perf_counter()
-    orbits = vertex_orbits(Hypergraph(400, ((0, 1),)))
-    assert time.perf_counter() - start < 5.0
-    assert orbits == [[0, 1], list(range(2, 400))]
+    assert orbit_partition(4, brute_automorphisms(asym)) == [[0], [1], [2, 3]]
+    for H, orbits in ((PATH_3, [[0, 2], [1]]), (asym, [[0], [1], [2, 3]])):
+        assert not is_vertex_transitive(H)
+        check_mappings(H, orbits)
+    for H in (MATCHING_4, Hypergraph(3, ()), affine_hypergraph(3)):
+        assert orbit_of_zero(H, transitivity_generators(H)) == set(range(H.n))
 
 
-def test_vertex_orbits_match_brute_force():
+def test_mappings_match_brute_force():
     cases = [PATH_3, MATCHING_4, Hypergraph(6, ((0, 1, 2), (3, 4, 5))),
              circulant_graph(6, (1,)), complete_uniform(4, 3), Hypergraph(7, ())]
     rng = SplitMix64(23)
@@ -284,7 +289,8 @@ def test_vertex_orbits_match_brute_force():
     multi_vertex = 0
     for H in cases:
         expected = orbit_partition(H.n, brute_automorphisms(H))
-        assert vertex_orbits(H) == expected
+        assert is_vertex_transitive(H) == (len(expected) == 1)
+        check_mappings(H, expected)
         multi_vertex += sum(1 for orbit in expected if len(orbit) > 1) > 1
     assert multi_vertex >= 10
 
@@ -329,7 +335,7 @@ def test_transitivity_generators_stop_at_a_failed_search(monkeypatch):
     assert searched == [(0, 7)]
     orbits = orbit_partition(H.n, brute_automorphisms(H))
     assert orbits == [[0, 1, 2], [3, 4, 5, 6, 7]]
-    assert vertex_orbits(H) == orbits
+    check_mappings(H, orbits)
 
 
 def test_transitivity_generators_cover_orbit():
@@ -379,19 +385,26 @@ def test_search_work_is_pinned():
     """The search's frames and assignments on three inputs.  Each narrowed
     vertex left with taken images only refutes its assignment at once;
     without that in the adjacency loop, the random instance takes 261
-    frames, and its answers stay the same."""
+    frames, and its answers stay the same.  The random instance is rigid,
+    so each of its 780 pairs u < v is one failing search."""
     assert search_work(lambda: find_automorphism_mapping(affine_hypergraph(11), 0, 11)) == (451, 531)
     H = relabelled(affine_hypergraph(7), 5)
     assert search_work(lambda: transitivity_generators(H)) == (132, 143)
     H = random_uniform_hypergraph(40, 3, 60, 0)
-    assert search_work(lambda: vertex_orbits(H)) == (124, 124)
+    found = []
+    pairs = [(u, v) for u in range(40) for v in range(u + 1, 40)]
+    assert search_work(lambda: found.extend(find_automorphism_mapping(H, u, v) for u, v in pairs)) == (124, 124)
+    assert found == [None] * 780
 
 
 def test_transitivity_agrees_with_orbit_count():
     for name, H in builtin_corpus():
         if H.n > 12:
             continue
-        assert is_vertex_transitive(H) == (len(vertex_orbits(H)) == 1), name
+        orbits = orbit_partition(H.n, enumerate_automorphisms(H))
+        assert is_vertex_transitive(H) == (len(orbits) == 1), name
+        if len(orbits) > 1:
+            check_mappings(H, orbits)
 
 
 def rotation_invariant_instances():
@@ -438,7 +451,7 @@ def test_rotation_decides_transitivity_with_no_search(monkeypatch):
         assert transitivity_generators(H) == list(shifts), name
         # the edges through 0 refuse every other shift tried on the way
         assert tested == list(shifts), name
-        assert vertex_orbits(H) == [list(range(H.n))], name
+        assert orbit_of_zero(H, shifts) == set(range(H.n)), name
         assert is_vertex_transitive(H), name
         assert "_tables" not in vars(H), name
     # the search takes about 0.9 s and +350 MB of peak RSS on this input, the
@@ -464,7 +477,6 @@ def test_rotation_route_matches_the_search(tmp_path, capsys):
         assert symmetry._shifts(G) is None, name
         gens = transitivity_generators(G)
         assert gens is not None and orbit_of_zero(G, gens) == set(range(G.n)), name
-        assert vertex_orbits(G) == [list(range(G.n))], name
         views = []
         for X in (H, G):
             path = tmp_path / f"{name}.hg"
@@ -519,13 +531,13 @@ def grid_orbit_bases(a, b, sizes):
     return bases
 
 
-def test_vertex_orbits_on_small_orbit_unions():
-    """vertex_orbits against brute-force permutations on every union of Z_n
-    orbits (Z_1 x Z_n) with n <= 5, every circulant graph (a union of
-    orbits of 2-subsets, the edgeless one included) with n <= 8, and every
-    union of Z_a x Z_b orbits of 2- and 3-subsets with a * b <= 6 and of
-    2-subsets with a * b = 8.  Most of the last are fixed by two digit
-    shifts and not by the rotation."""
+def test_transitivity_on_small_orbit_unions():
+    """transitivity_generators against brute-force permutations on every
+    union of Z_n orbits (Z_1 x Z_n) with n <= 5, every circulant graph (a
+    union of orbits of 2-subsets, the edgeless one included) with n <= 8,
+    and every union of Z_a x Z_b orbits of 2- and 3-subsets with a * b <= 6
+    and of 2-subsets with a * b = 8.  Most of the last are fixed by two
+    digit shifts and not by the rotation."""
     groups = [(1, n, range(2, n + 1) if n <= 5 else (2,)) for n in range(2, 9)]
     groups += [(2, 2, (2, 3)), (2, 3, (2, 3)), (3, 2, (2, 3)), (2, 4, (2,)), (4, 2, (2,))]
     count = shifted = 0
@@ -535,7 +547,8 @@ def test_vertex_orbits_on_small_orbit_unions():
             for chosen in combinations(bases, r):
                 edges = {grid_translate(a, b, e, x, y) for e in chosen for x in range(a) for y in range(b)}
                 H = Hypergraph(a * b, tuple(sorted(edges)))
-                assert vertex_orbits(H) == brute_orbits(H) == [list(range(a * b))], (a, b, chosen)
+                assert brute_orbits(H) == [list(range(a * b))], (a, b, chosen)
+                assert orbit_of_zero(H, transitivity_generators(H)) == set(range(a * b)), (a, b, chosen)
                 count += 1
                 shifted += len(symmetry._shifts(H)) > 1
     assert count == 118 + 336 and shifted == 264
@@ -553,9 +566,9 @@ def test_rotation_edge_cases(monkeypatch):
     even one whose image of vertex 0's edges passes (the 5-cycle with a
     chord)."""
     assert transitivity_generators(Hypergraph(1, ())) == []
-    assert vertex_orbits(Hypergraph(1, ())) == [[0]]
+    assert orbit_of_zero(Hypergraph(1, ()), []) == {0}
     assert transitivity_generators(Hypergraph(2, ())) == [(1, 0)]
-    assert vertex_orbits(Hypergraph(2, ())) == [[0, 1]]
+    assert orbit_of_zero(Hypergraph(2, ()), [(1, 0)]) == {0, 1}
     H = Hypergraph(4, ((0, 1), (0, 1), (2, 3), (2, 3), (1, 2), (0, 3)))
     assert {degree(H, v) for v in range(4)} == {3}
     assert not rotates(H)
@@ -565,14 +578,12 @@ def test_rotation_edge_cases(monkeypatch):
     assert transitivity_generators(H) == [(1, 0, 3, 2), (2, 3, 0, 1)]
     # the doubled edge through 0 refuses the rotation before the full test
     assert tested == [(1, 0, 3, 2), (2, 3, 0, 1)]
-    assert all(is_automorphism(H, p) for p in transitivity_generators(H))
-    assert vertex_orbits(H) == [[0, 1, 2, 3]]
+    assert orbit_of_zero(H, transitivity_generators(H)) == {0, 1, 2, 3}
     C = Hypergraph(6, ((0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 4), (4, 5), (4, 5), (0, 5)))
     assert {degree(C, v) for v in range(6)} == {3}
     assert symmetry._shifts(C) is None
     gens = transitivity_generators(C)
     assert gens is not None and orbit_of_zero(C, gens) == set(range(6))
-    assert vertex_orbits(C) == [list(range(6))]
     squares = Hypergraph(8, ((0, 7), (0, 1), (1, 2), (2, 7), (3, 4), (4, 5), (5, 6), (3, 6)))
     assert symmetry._shifts(squares) is None
     gens = transitivity_generators(squares)
@@ -591,7 +602,9 @@ def test_rotation_edge_cases(monkeypatch):
     # they probe no shift
     monkeypatch.undo()
     for H in non_regular:
-        assert vertex_orbits(H) == orbit_partition(H.n, enumerate_automorphisms(H))
+        orbits = orbit_partition(H.n, enumerate_automorphisms(H))
+        assert len(orbits) > 1 and not is_vertex_transitive(H)
+        check_mappings(H, orbits)
 
 
 def test_rotation_is_tested_once_per_instance(monkeypatch):
