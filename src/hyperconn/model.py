@@ -48,7 +48,6 @@ __all__ = [
     "degree_extremes",
     "is_uniform",
     "is_linear",
-    "components",
     "is_connected",
     "boundary",
     "boundary_profile",
@@ -311,15 +310,6 @@ def is_linear(H: Hypergraph) -> LinearityVerdict:
     return LinearityVerdict(True, None)
 
 
-def components(H: Hypergraph) -> list[list[int]]:
-    """Vertex sets of connected components, each sorted, ordered by minimum.
-
-    Breadth-first traversal over vertex-edge incidences; isolated vertices
-    form their own components.  Each call returns new lists.
-    """
-    return [list(comp) for comp in H._components]
-
-
 def is_connected(H: Hypergraph) -> bool:
     return len(H._components) == 1
 
@@ -363,52 +353,6 @@ def vertex_profile(H: Hypergraph, X: Iterable[int], x: int) -> VertexProfile:
         a[inside - 1] += inside - 1
         b[inside - 1] += k - inside
     return VertexProfile(k, tuple(a), tuple(b[: k - 1]))
-
-
-def _first_uncrossing_violation(table: list[int]) -> tuple[int, int] | None:
-    """The first pair of vertex bitmasks x <= y, by x then y, with
-    table[x | y] + table[x & y] > table[x] + table[y]; None if there is none.
-
-    ``table`` holds a size, such as |boundary(X)|, for each of the 2**n
-    bitmasks.  Each x is checked against every y at once on lanes of one
-    integer, lane y of w bits holding a number for the pair (x, y).
-    ``ors[x]`` has table[x | y] in lane y, and comes from ``ors[x - b]``, b
-    the lowest bit of x: lanes of y holding b stay and the others take the
-    lane b above.  ``ands[x]`` has table[x & y], and comes from
-    ``ands[x + b]``, b the lowest bit not in x, with lanes moved b up.  Lane y
-    of ``t + top + table[x] * ones - ors[x] - ands[x]``, t holding the table
-    and top the top bit of every lane, then stays within 1..2**w - 1, and its
-    top bit is clear just where (x, y) breaks the inequality.
-    """
-    size = len(table)
-    w = (2 * max(table) + 1).bit_length() + 1
-    every = (1 << size * w) - 1
-    ones = every // ((1 << w) - 1)
-    top = ones << w - 1
-    t = sum(v << y * w for y, v in enumerate(table))
-    split = {}  # bit b -> (the lanes of the y holding b, the other lanes, the bits of b lanes)
-    for i in range(size.bit_length() - 1):
-        span = w << i
-        held = every // ((1 << 2 * span) - 1) * ((1 << span) - 1 << span)
-        split[1 << i] = held, every ^ held, span
-    ands = [t] * size
-    for x in range(size - 2, -1, -1):
-        b = ~x & x + 1
-        held, clear, span = split[b]
-        a = ands[x + b]
-        ands[x] = a & clear | a << span & held
-    ors = [t] * size
-    start = t + top
-    for x in range(size):
-        b = x & -x
-        if b:
-            held, clear, span = split[b]
-            o = ors[x - b]
-            ors[x] = o & held | o >> span & clear
-        bad = (~(start + table[x] * ones - ors[x] - ands[x]) & top) >> x * w
-        if bad:
-            return x, x + ((bad & -bad).bit_length() - 1) // w
-    return None
 
 
 def _uniform_k(H: Hypergraph, what: str) -> int:

@@ -137,11 +137,11 @@ def transitivity_generators(H: Hypergraph) -> list[tuple[int, ...]] | None:
     Targets are taken from n - 1 down: a search tries the least images
     first, so the automorphism it finds for 0 -> t tends to move only the
     vertices up to t (on K_n, the cycle 0 -> t -> t - 1 -> ... -> 0), and
-    from the top one search often reaches every vertex (K_30 takes 1
-    generator, not 29).  An input that digit shifts certify gets those
-    shifts, with no search: a rotation-invariant one the rotation alone.
-    A non-regular input gets None with no search, as no vertex-transitive
-    input is.  The list is empty when n is 1 (nothing to move).
+    from the top a few searches often reach every vertex (AG(2,7) under
+    one random relabelling takes 2 generators, not 48).  An input that
+    digit shifts certify gets them with no search, a rotation-invariant
+    one the rotation alone.  A non-regular input gets None with no search,
+    as no vertex-transitive input is.  The list is empty when n is 1.
     """
     shifts = _shifts(H)
     if shifts is not None:

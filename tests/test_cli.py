@@ -22,7 +22,6 @@ from hyperconn import (
     edge_connectivity_oracle,
     is_connected,
     is_uniform,
-    model,
     parse_hypergraph,
     report,
     serialize_hypergraph,
@@ -925,7 +924,7 @@ def test_verify_lemma_exhaustive_half_reports_a_violation(capsys, monkeypatch):
 
 
 def first_violation_by_loop(table):
-    """The reference for the lane check: every pair x <= y, in order."""
+    """The reference for the local check: every pair x <= y, in order."""
     size = len(table)
     for x in range(size):
         for y in range(x, size):
@@ -935,33 +934,50 @@ def first_violation_by_loop(table):
 
 
 def test_lane_check_finds_the_loops_first_violation():
-    """The lane check and the plain double loop name the same first (x, y),
-    or None: on every table the exhaustive half checks, and on tables with
-    one injected violation, some with values of 64 or more so that the
-    lanes widen."""
+    """The check by local pairs and the plain double loop name the same
+    first (x, y), or None: on every table the exhaustive half checks, on
+    tables with one injected violation, some with values of 64 or more, on
+    random integer tables at n = 0..8, which break anywhere, and on the
+    boundary tables of random hypergraphs with repeated edges, which never
+    break."""
     tables = [cli._boundary_size_table(H) for _, H in lemma_instances()]
     assert len(tables) == 13
     for table in tables:
-        assert model._first_uncrossing_violation(table) is None
+        assert cli._first_uncrossing_violation(table) is None
         assert first_violation_by_loop(table) is None
     rng = SplitMix64(29)
     found = wide = 0
     for trial in range(400):
         table = list(tables[rng.below(len(tables))])
         if trial % 4 == 0:
-            table = [v + 64 for v in table]  # as submodular, and lanes wider
+            table = [v + 64 for v in table]  # still submodular, with larger values
         # submodular before the change, so every violation meets the changed mask
         mask = rng.below(len(table))
         table[mask] += rng.below(140) - 70 if trial % 2 else 1 + rng.below(3)
         table[mask] = max(table[mask], 0)
         expected = first_violation_by_loop(table)
-        assert model._first_uncrossing_violation(table) == expected, (trial, mask)
+        assert cli._first_uncrossing_violation(table) == expected, (trial, mask)
         found += expected is not None
         wide += max(table) >= 64
     assert found > 150 and wide >= 100, (found, wide)
     # at n = 0 and 1 nothing can break the inequality
-    assert model._first_uncrossing_violation([3]) is None
-    assert model._first_uncrossing_violation([0, 5]) is None
+    assert cli._first_uncrossing_violation([3]) is None
+    assert cli._first_uncrossing_violation([0, 5]) is None
+    broken = 0
+    for trial in range(300):
+        n = trial % 9
+        table = [rng.below(6) for _ in range(1 << n)]
+        expected = first_violation_by_loop(table)
+        assert cli._first_uncrossing_violation(table) == expected, (trial, table)
+        broken += expected is not None
+    assert broken > 200, broken  # of the 233 at n >= 2
+    for trial in range(60):
+        n = 2 + trial % 7
+        edges = [rng.subset(n, 2 + rng.below(n - 1)) for _ in range(1 + rng.below(6))]
+        edges += edges[: 1 + rng.below(len(edges))]  # repeated edges
+        table = cli._boundary_size_table(Hypergraph(n, tuple(edges)))
+        assert cli._first_uncrossing_violation(table) is None, (trial, edges)
+        assert first_violation_by_loop(table) is None, (trial, edges)
 
 
 def test_verify_lemma_random_half_reports_a_violation(capsys, monkeypatch):

@@ -25,7 +25,6 @@ from hyperconn import (
     degree,
     circulant_graph,
     complete_uniform,
-    components,
     cyclic_difference_hypergraph,
     degree_extremes,
     edge_atom,
@@ -76,7 +75,7 @@ def removal_global_kappa(H):
     for size in range(H.m + 1):
         for drop in combinations(range(H.m), size):
             kept = tuple(e for i, e in enumerate(H.edges) if i not in drop)
-            if len(components(Hypergraph(H.n, kept))) > 1:
+            if not is_connected(Hypergraph(H.n, kept)):
                 return size
     raise AssertionError("hypergraph cannot be disconnected")
 
@@ -870,7 +869,7 @@ def test_edge_connectivity_witness_disconnects():
         cut = edge_connectivity(H)
         assert_valid_cut(H, cut)
         kept = tuple(e for i, e in enumerate(H.edges) if i not in set(cut.cut_edges))
-        assert len(components(Hypergraph(H.n, kept))) > 1, name
+        assert not is_connected(Hypergraph(H.n, kept)), name
 
 
 def test_whitney_bound_on_corpus():
@@ -1072,7 +1071,7 @@ def test_oracle_witness_is_first_minimum_in_mask_order(monkeypatch):
     assert sum(len({v for e in H.edges for v in e}) < H.n for H in instances) >= 20
     expected = [first_minimum_side(H) for H in instances]
     several_zeros = sum(
-        value == 0 and len(components(H)) > 2 for H, (value, _) in zip(instances, expected)
+        value == 0 and len(H._components) > 2 for H, (value, _) in zip(instances, expected)
     )
     assert several_zeros >= 10
     for width in (connectivity._BLOCK_BITS, 2):

@@ -19,7 +19,6 @@ from hyperconn import (
     boundary_profile,
     builtin_corpus,
     complete_uniform,
-    components,
     degree,
     degree_extremes,
     edge_connectivity,
@@ -116,18 +115,18 @@ def test_round_trip_on_corpus():
 @pytest.mark.parametrize(
     "text,line_no,fragment",
     [
-        ("x 3 1\ne 0 1\n", 1, "malformed header"),
-        ("h three 1\ne 0 1\n", 1, "counts must be integers"),
-        ("h 0 0\n", 1, "need n >= 1"),
-        ("h 1048577 0\n", 1, "too many vertices, header declares 1048577, limit 1048576"),
-        ("h 3 1\nq 0 1\n", 2, "malformed edge line"),
-        ("h 3 1\ne 0 1\ne 1 2\n", 3, "edge count mismatch"),
-        ("h 3 1\ne 0 one\n", 2, "vertices must be integers"),
-        ("h 3 1\ne 0\n", 2, "edge of size 1, minimum is 2"),
-        ("h 3 1\ne 0 1 0\n", 2, "repeated vertex 0 within edge"),
-        ("h 3 1\ne 0 5\n", 2, "vertex index 5 out of range [0, 2]"),
-        ("# only a comment\n", 2, "missing 'h <n> <m>'"),
-        ("h 3 2\ne 0 1\n", 2, "edge count mismatch, header declares 2 edges, found 1"),
+        pytest.param("x 3 1\ne 0 1\n", 1, "malformed header", id="malformed-header"),
+        pytest.param("h three 1\ne 0 1\n", 1, "counts must be integers", id="non-integer-counts"),
+        pytest.param("h 0 0\n", 1, "need n >= 1", id="no-vertices"),
+        pytest.param("h 1048577 0\n", 1, "too many vertices, header declares 1048577, limit 1048576", id="too-many-vertices"),
+        pytest.param("h 3 1\nq 0 1\n", 2, "malformed edge line", id="malformed-edge-line"),
+        pytest.param("h 3 1\ne 0 1\ne 1 2\n", 3, "edge count mismatch", id="too-many-edges"),
+        pytest.param("h 3 1\ne 0 one\n", 2, "vertices must be integers", id="non-integer-vertex"),
+        pytest.param("h 3 1\ne 0\n", 2, "edge of size 1, minimum is 2", id="edge-of-size-1"),
+        pytest.param("h 3 1\ne 0 1 0\n", 2, "repeated vertex 0 within edge", id="repeated-vertex"),
+        pytest.param("h 3 1\ne 0 5\n", 2, "vertex index 5 out of range [0, 2]", id="vertex-out-of-range"),
+        pytest.param("# only a comment\n", 2, "missing 'h <n> <m>'", id="comment-only"),
+        pytest.param("h 3 2\ne 0 1\n", 2, "edge count mismatch, header declares 2 edges, found 1", id="too-few-edges"),
         # at the end of the text: the line after the last for a missing
         # header, the last line, comments and blanks included, for a short count
         pytest.param("", 1, "missing 'h <n> <m>'", id="empty-missing-header"),
@@ -350,14 +349,14 @@ def test_is_linear_on_two_copies_of_a_wide_edge_is_fast():
 
 
 def test_components_examples():
-    assert components(Hypergraph(4, ((0, 1), (2, 3)))) == [[0, 1], [2, 3]]
-    assert components(Hypergraph(3, ())) == [[0], [1], [2]]
+    assert Hypergraph(4, ((0, 1), (2, 3)))._components == ((0, 1), (2, 3))
+    assert Hypergraph(3, ())._components == ((0,), (1,), (2,))
     H = glued_complete_family(5, 3)
     joining = tuple(e for e in H.edges if len(e) == 3 and max(e) - min(e) >= 5)
     core = tuple(e for e in H.edges if e not in joining)
     assert len(joining) == 5
     split = Hypergraph(H.n, core)
-    assert len(components(split)) == 3
+    assert len(split._components) == 3
     assert not is_connected(split)
     assert is_connected(H)
 
@@ -368,7 +367,7 @@ def test_components_against_brute_force():
         n = 2 + rng.below(9)
         k = 2 + rng.below(min(n, 4) - 1)
         H = random_uniform_hypergraph(n, k, rng.below(n + 1), seed=100 + i)
-        assert components(H) == brute_components(H)
+        assert list(map(list, H._components)) == brute_components(H)
         assert is_connected(H) == (len(brute_components(H)) == 1)
 
 
@@ -382,23 +381,18 @@ def test_cached_tables_are_not_shared_mutable_state():
         parsed = parse_hypergraph(serialize_hypergraph(H))
         assert H == parsed and hash(H) == hash(parsed) and repr(H) == repr(parsed)
         expected = Hypergraph(H.n, H.edges)  # only read, never mutated
-        comps = components(expected)
+        comps = expected._components
         connected = is_connected(expected)
         cut = edge_connectivity(expected)
         report = replace(analyze(expected, connectivity=True, transitivity=True), timings_ms={})
 
-        mutated = components(H)
-        assert mutated == comps and mutated is not components(H)
-        mutated[0].append(H.n)
-        mutated[-1].clear()
-        mutated.append([H.n + 1])
         gens = transitivity_generators(H)
         if gens:
             gens.clear()
         analyzed = analyze(H, connectivity=True, transitivity=True)
         analyzed.timings_ms.clear()
         analyzed.edge_sizes = ()
-        assert components(H) == comps
+        assert H._components == comps
         assert is_connected(H) == connected
         assert edge_connectivity(H) == cut
         assert replace(analyze(H, connectivity=True, transitivity=True), timings_ms={}) == report
